@@ -22,7 +22,9 @@ import numpy as np
 
 from .curves import ParametricCurve, j_map
 from .errors import NoBarycenterError, SolverError
-from .modulus import ModulusSolution, _check_p, _split_measures, solve_modulus_explicit
+from .modulus import (
+    ModulusSolution, _check_p, _constraint_matrix, _PlanProblem, _split_measures
+)
 from .space import DiscreteMeasure, MetricMeasureSpace
 
 __all__ = [
@@ -153,90 +155,6 @@ class ContentSolution:
         return np.asarray(self.plan.probabilities)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _content_face_newton(
-    B: np.ndarray, mpos: np.ndarray, q: float, w: np.ndarray
-) -> np.ndarray | None:
-    """Active-set Newton refinement for the simplex norm minimization.
-
-    Works on phi(w) = sum_x m_x h_x^q with h = w @ B, whose Hessian is a
-    small k-by-k matrix, so a handful of damped Newton steps on the
-    current face reach machine precision where projected gradient
-    crawls.  Returns the refined weights or None if the face collapses.
-    """
-    k = len(w)
-    w = w.copy()
-    free = w > 1e-12 * max(float(w.max()), 1.0)
-    if not free.any():
-        return None
-    nu = 0.0
-    for _ in range(3 * k + 8):
-        changed = False
-        for _ in range(40):
-            h = w @ B
-            hmax = float(h.max())
-            if hmax <= 0:
-                return None
-            gphi = q * (B @ (mpos * h ** (q - 1.0)))
-            coef = q * (q - 1.0) * mpos * np.maximum(h, 1e-12 * hmax) ** (q - 2.0)
-            Bf = B[free]
-            Hf = (Bf * coef) @ Bf.T
-            nf = Hf.shape[0]
-            Hf[np.diag_indices(nf)] += 1e-14 * max(float(np.trace(Hf)) / nf, 1.0)
-            kkt = np.zeros((nf + 1, nf + 1))
-            kkt[:nf, :nf] = Hf
-            kkt[:nf, nf] = 1.0
-            kkt[nf, :nf] = 1.0
-            rhs = np.concatenate([-(gphi[free] + nu), [1.0 - float(w[free].sum())]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                return None
-            dw, dnu = sol[:nf], float(sol[nf])
-            t = 1.0
-            wf = w[free]
-            neg = dw < 0
-            if neg.any():
-                t = min(1.0, 0.9995 * float((-wf[neg] / dw[neg]).min()))
-            w[free] = wf + t * dw
-            nu += dnu
-            tiny = w[free] <= 1e-15
-            if tiny.any():
-                idx = np.where(free)[0][tiny]
-                w[idx] = 0.0
-                free[idx] = False
-                changed = True
-                if not free.any():
-                    return None
-                break
-            scale = max(1.0, float(np.abs(gphi).max()))
-            feas = abs(1.0 - float(w.sum()))
-            stat = float(np.abs(gphi[free] + nu).max())
-            if feas <= 1e-15 and stat <= 1e-13 * scale:
-                break
-            if float(np.abs(t * dw).max()) <= 1e-16:
-                break
-        if changed:
-            continue
-        h = w @ B
-        gphi = q * (B @ (mpos * h ** (q - 1.0)))
-        scale = max(1.0, float(np.abs(gphi).max()))
-        blocked = (~free) & (gphi + nu < -1e-12 * scale)
-        if blocked.any():
-            free[int(np.argmin(np.where(blocked, gphi, np.inf)))] = True
-            continue
-        return w
-    return None
-
-
 def solve_content(
     space: MetricMeasureSpace,
     measures: Sequence[DiscreteMeasure],
@@ -248,9 +166,10 @@ def solve_content(
     """Maximize 1 / c_q over plans on the family.
 
     Minimizes the convex map lam -> ||sum_i lam_i mu_i / m||_q over the
-    probability simplex by projected gradient with Barzilai-Borwein
-    steps and backtracking; stops when the simplex stationarity residual
-    (gradient spread over the support) falls below tol.
+    probability simplex with the engine of ``solve_modulus_explicit``.
+    The plan is certified by the weak-duality bracket against the
+    density read off its barycenter: its relative width is at most tol,
+    or SolverError is raised.
     """
     if not (q > 1 and math.isfinite(q)):
         raise ValueError(f"content exponent must satisfy q > 1, got {q}")
@@ -269,73 +188,12 @@ def solve_content(
             0.0, None, 0, excluded, no_admissible_plan=len(measures) > 0
         )
 
-    msk = space.positive_mask
-    mpos = space.measure[msk]
-    k = len(kept)
-    B = np.zeros((k, int(msk.sum())))  # rows are mu_i / m on the mask
-    col_of = np.cumsum(msk) - 1
-    for row, i in enumerate(kept):
-        for idx, w in measures[i].items:
-            B[row, col_of[idx]] = w / space.measure[idx]
-
-    def norm_and_grad(lam: np.ndarray):
-        h = lam @ B
-        psi = float(np.dot(mpos, h**q)) ** (1.0 / q)
-        grad = psi ** (1.0 - q) * (B @ (h ** (q - 1.0) * mpos))
-        return psi, grad
-
-    def residual_of(lam_c: np.ndarray, psi_c: float, grad_c: np.ndarray) -> float:
-        support = lam_c > 1e-14
-        return float(grad_c[support].max() - grad_c.min()) / max(1.0, psi_c)
-
-    lam = np.full(k, 1.0 / k)
-    psi, grad = norm_and_grad(lam)
-    step = 1.0
-    it = 0
-    next_polish = 100
-    stalled = False
-    while it < max_iter:
-        it += 1
-        trial = step
-        accepted = False
-        for _ in range(60):
-            lam_new = _project_simplex(lam - trial * grad)
-            psi_new, grad_new = norm_and_grad(lam_new)
-            d = lam_new - lam
-            if psi_new <= psi + 1e-4 * float(np.dot(grad, d)) or psi_new < psi:
-                accepted = True
-                break
-            trial *= 0.5
-        if accepted:
-            d_lam = lam_new - lam
-            d_grad = grad_new - grad
-            lam, psi, grad = lam_new, psi_new, grad_new
-            if residual_of(lam, psi, grad) <= tol and it > 5:
-                break
-            denom = float(np.dot(d_grad, d_grad))
-            step = (
-                min(max(abs(float(np.dot(d_lam, d_grad))) / denom, 1e-12), 1e12)
-                if denom > 0
-                else trial * 2.0
-            )
-        else:
-            stalled = True
-        if it >= next_polish or stalled:
-            refined = _content_face_newton(B, mpos, q, lam)
-            if refined is not None:
-                psi_r, grad_r = norm_and_grad(refined)
-                if psi_r <= psi * (1.0 + 1e-14):
-                    lam, psi, grad = refined, psi_r, grad_r
-                if residual_of(lam, psi, grad) <= tol:
-                    break
-            if stalled:
-                break
-            next_polish = min(2 * next_polish, next_polish + 5000)
+    U = _constraint_matrix(space, [measures[i] for i in kept])
+    prob = _PlanProblem(space, U, q / (q - 1.0))
+    lam, it = prob.solve(np.full(len(kept), 1.0 / len(kept)), tol, max_iter)
 
     weights = np.zeros(len(measures))
-    for row, i in enumerate(kept):
-        weights[i] = lam[row]
-    weights = weights / weights.sum()
+    weights[kept] = lam / lam.sum()
     plan = build_measure_plan(space, measures, weights, q)
     value = 1.0 / plan.c_q if plan.c_q > 0 else math.inf
     return ContentSolution(value, plan, it, excluded)

@@ -8,17 +8,20 @@ met).  Points with m_x = 0 cost nothing, so any measure putting mass on
 them is satisfiable for free and is dropped up front (reported in
 ``dropped``).
 
-Two independent solvers are provided: a dual ascent (projected gradient
-with backtracking on the concave dual) and a primal projected descent
-on the density f, plus an exhaustive lattice search used as a bracket
-oracle on tiny instances.
+The modulus is read off the dual content problem (``_PlanProblem``):
+minimize the L^q(m) norm of a plan's barycenter g over the probability
+simplex, then rescale f = g^(q-1) to be admissible.  The plan and the
+density bracket the modulus between content^p and ||f||_p^p, and a
+solve either closes that bracket to its tolerance or raises
+SolverError.  A primal projected descent on f and an exhaustive lattice
+search stay as independent oracles for cross-checks on small instances.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +53,8 @@ class ModulusSolution:
     that case.  ``multipliers`` align with the input measure list;
     dropped or inactive measures carry 0.  The stationarity relation is
     p * m_x * f_x^(p-1) = sum_i multipliers[i] * mu_i(x) on {m > 0}.
+    ``dual_value <= Mod <= value`` is a weak-duality bracket and ``gap``
+    its relative width (both NaN from the primal oracle).
     """
 
     value: float
@@ -88,6 +93,15 @@ def _split_measures(
     return kept, dropped, has_zero
 
 
+# Projected-gradient steps before the first face polish (the interval
+# then doubles), the step count after which a failed polish hands over to
+# the barrier, and the rounding allowance per unit of p in a reported
+# bracket width, whose two ends are evaluated along different paths.
+_FIRST_POLISH = 16
+_FIRST_ORDER_CAP = 2000
+_ROUNDING = 8 * float(np.finfo(float).eps)
+
+
 def _trivial_solution(
     space: MetricMeasureSpace,
     n_measures: int,
@@ -116,74 +130,283 @@ def _trivial_solution(
     )
 
 
-def _newton_polish(
-    U: np.ndarray, mpos: np.ndarray, p: float, lam: np.ndarray
-) -> np.ndarray | None:
-    """Active-set Newton refinement of the dual maximizer.
+def _constraint_matrix(
+    space: MetricMeasureSpace, measures: Sequence[DiscreteMeasure]
+) -> np.ndarray:
+    """Rows mu_i on the positive-mass columns: the constraint matrix U.
 
-    Guesses the active constraints from the projected-gradient point,
-    solves the stationarity system U_A f(sum alpha_A mu_A) = 1 by a
-    damped Newton iteration in alpha, and adjusts the set until the
-    solution is dual feasible (alpha >= 0) and primal feasible.
-    Returns None when the refinement does not settle.
+    The measures must charge only points of positive mass (see
+    ``_split_measures``).  Row i of ``U / m`` is the density mu_i / m.
     """
-    k = U.shape[0]
-    inv_pm = 1.0 / (p * mpos)
-    expo = (2.0 - p) / (p - 1.0)
-    active = [i for i in range(k) if lam[i] > 1e-9 * max(1.0, lam.max())]
-    if not active:
-        active = [int(np.argmax(lam))]
-    for _ in range(4 * k + 8):
-        A = np.array(sorted(active))
-        UA = U[A]
-        alpha = np.maximum(lam[A], 1e-30)
-        ok = False
-        for _ in range(80):
-            S = alpha @ UA
-            base = S * inv_pm
-            f = base ** (1.0 / (p - 1.0))
-            resid = UA @ f - 1.0
-            if float(np.max(np.abs(resid))) <= 1e-14:
-                ok = True
+    msk = space.positive_mask
+    col_of = np.cumsum(msk) - 1  # original index -> masked column
+    U = np.zeros((len(measures), int(msk.sum())))
+    for row, mu in enumerate(measures):
+        for idx, w in mu.items:
+            U[row, col_of[idx]] = w
+    return U
+
+
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def _kkt_solve(
+    H: np.ndarray, rhs: np.ndarray, resid: float
+) -> tuple[np.ndarray, float] | None:
+    """Solve [[H, 1], [1^T, 0]] [dw; nu] = [rhs; resid], or None if singular."""
+    n = H.shape[0]
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = H
+    kkt[n, n] = 0.0
+    try:
+        sol = np.linalg.solve(kkt, np.append(rhs, resid))
+    except np.linalg.LinAlgError:
+        return None
+    return sol[:n], float(sol[n])
+
+
+class _PlanProblem:
+    """min phi(w) = sum_x m_x h_x^q, h = (w @ U) / m, over the simplex.
+
+    This is the content problem of the family whose measures are the rows
+    of U (on the positive-mass columns): h is the barycenter density of
+    the plan w.  The density read off w is f = h^(q-1); its constraint values
+    are G = U @ f = grad phi / q, and because phi is q-homogeneous,
+    phi = w . G.  Rescaling f by s = min_i G_i makes it admissible, which
+    brackets the modulus between the plan's content^p = phi^(1-p) and the
+    energy ||f / s||_p^p = phi / s^p: the relative width of the bracket
+    is 1 - (s / phi)^p.
+    """
+
+    def __init__(self, space: MetricMeasureSpace, U: np.ndarray, p: float):
+        self.space, self.U, self.p = space, U, p
+        self.q = p / (p - 1.0)
+        self.mpos = space.measure[space.positive_mask]
+
+    def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """phi, the constraint values G and the bracket gap at w."""
+        h = (w @ self.U) / self.mpos
+        f = h ** (self.q - 1.0)
+        G = self.U @ f
+        phi = float(np.dot(self.mpos, h * f))
+        s = float(G.min())
+        gap = max(1.0 - (s / phi) ** self.p, 0.0) if s > 0 else 1.0
+        return phi, G, gap
+
+    def hessian(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Hessian of phi at w, restricted to the rows of the mask ``rows``."""
+        q, h = self.q, (w @ self.U) / self.mpos
+        coef = q * (q - 1.0) * np.maximum(h, 1e-12 * h.max()) ** (q - 2.0) / self.mpos
+        Ur = self.U[rows]  # a copy, scaled in place: one temporary of this size
+        Ur *= np.sqrt(coef)
+        return Ur @ Ur.T
+
+    def solve(
+        self, w: np.ndarray, gap_tol: float, max_iter: int
+    ) -> tuple[np.ndarray, int]:
+        """Plan weights with bracket gap <= gap_tol, from the plan w.
+
+        Projected gradient (Barzilai-Borwein steps, Armijo backtracking)
+        with a Newton polish on the face it reaches; when that stalls, a
+        log-barrier Newton path finds the support and the polish finishes
+        on it.  ``max_iter`` bounds the gradient and barrier steps
+        together.  Returns the weights and the step count, or raises
+        SolverError when the gap stays above gap_tol.
+        """
+        phi, G, gap = self.evaluate(w)
+
+        def polish(w, phi, G, gap):
+            refined = self.face_newton(w)
+            if refined is not None:
+                cand = self.evaluate(refined)
+                if cand[2] < gap or cand[0] <= phi * (1.0 + 1e-14):
+                    return (refined, *cand)
+            return w, phi, G, gap
+
+        step, it, next_polish = 1.0, 0, _FIRST_POLISH
+        while gap > gap_tol and it < max_iter:
+            it += 1
+            grad = self.q * G
+            trial = step
+            for _ in range(60):
+                w_new = _project_simplex(w - trial * grad)
+                phi_new, G_new, gap_new = self.evaluate(w_new)
+                if phi_new <= phi + 1e-4 * float(grad @ (w_new - w)) or phi_new < phi:
+                    break
+                trial *= 0.5
+            else:  # the line search failed: polish, else hand over to the barrier
+                w, phi, G, gap = polish(w, phi, G, gap)
                 break
-            fp = np.zeros_like(base)
-            pos = base > 0
-            fp[pos] = base[pos] ** expo * inv_pm[pos] / (p - 1.0)
-            J = (UA * fp) @ UA.T
-            ridge = 1e-14 * max(float(np.trace(J)) / len(A), 1e-300)
-            J[np.diag_indices_from(J)] += ridge
-            try:
-                delta = np.linalg.solve(J, -resid)
-            except np.linalg.LinAlgError:
-                return None
-            if not np.all(np.isfinite(delta)):
-                return None
-            t = 1.0
-            shrink = delta < 0
-            if shrink.any():
-                t = min(1.0, 0.9995 * float(np.min(-alpha[shrink] / delta[shrink])))
-            alpha = np.maximum(alpha + t * delta, 0.0)
-        if not ok:
-            return None
-        if float(alpha.min()) < 1e-13 * max(1.0, float(alpha.max())):
-            drop = {int(A[j]) for j in range(len(A)) if alpha[j] < 1e-13 * max(1.0, float(alpha.max()))}
-            if len(drop) == len(active):
-                return None
-            active = [i for i in active if i not in drop]
-            continue
-        S = alpha @ UA
-        f = (S * inv_pm) ** (1.0 / (p - 1.0))
-        others = [i for i in range(k) if i not in set(active)]
-        if others:
-            integrals = U[others] @ f
-            worst = int(np.argmin(integrals))
-            if float(integrals[worst]) < 1.0 - 1e-13:
-                active.append(others[worst])
-                continue
-        out = np.zeros(k)
-        out[A] = alpha
-        return out
-    return None
+            d_w, d_grad = w_new - w, self.q * G_new - grad
+            w, phi, G, gap = w_new, phi_new, G_new, gap_new
+            denom = float(d_grad @ d_grad)  # Barzilai-Borwein step, safeguarded
+            bb = abs(float(d_w @ d_grad)) / denom if denom else 2 * trial
+            step = min(max(bb, 1e-12), 1e12)
+            if gap > gap_tol and it >= next_polish:
+                w, phi, G, gap = polish(w, phi, G, gap)
+                if it >= _FIRST_ORDER_CAP:
+                    break
+                next_polish *= 2
+        if gap > gap_tol and it < max_iter:
+            w, steps = self.barrier(w, gap_tol, max_iter - it)
+            it += steps
+            phi, G, gap = self.evaluate(w)
+            if gap > gap_tol:
+                # Keep the measures the barrier charges more than their slack.
+                w = np.where(w > G / G.min() - 1.0, w, 0.0)
+                w, phi, G, gap = polish(w / w.sum(), *self.evaluate(w / w.sum()))
+        if gap > gap_tol:
+            raise SolverError(
+                f"plan solve stalled at relative gap {gap:.3e} "
+                f"after {it} iterations (target {gap_tol:.1e})",
+                gap=gap,
+            )
+        return w, it
+
+    def face_newton(self, w: np.ndarray) -> np.ndarray | None:
+        """Active-set Newton refinement on the face of the support of w.
+
+        The Hessian of phi is a small k-by-k matrix, so a handful of Newton
+        steps on the current face reach machine precision where projected
+        gradient crawls.  A step stops at the first face it leaves,
+        dropping the weights that reach zero; at a stationary point on the
+        face the most blocked measure is freed.  Returns the refined
+        weights or None if the face collapses.
+        """
+        k = len(w)
+        w = w.copy()
+        free = w > 1e-12 * max(float(w.max()), 1.0)
+        nu = 0.0
+        for _ in range(3 * k + 8):
+            for _ in range(40):
+                if not free.any():
+                    return None
+                gphi = self.q * self.evaluate(w)[1]
+                Hf = self.hessian(w, free)
+                nf = Hf.shape[0]
+                Hf[np.diag_indices(nf)] += 1e-14 * max(float(np.trace(Hf)) / nf, 1.0)
+                step = _kkt_solve(Hf, -(gphi[free] + nu), 1.0 - float(w[free].sum()))
+                if step is None:
+                    return None
+                dw, dnu = step
+                wf = w[free]
+                ratio = np.full(nf, np.inf)
+                neg = dw < 0
+                ratio[neg] = -wf[neg] / dw[neg]
+                t = min(1.0, float(ratio.min()))
+                w[free] = np.where(ratio <= t, 0.0, wf + t * dw)
+                nu += dnu
+                tiny = free & (w <= 1e-15)
+                if tiny.any():
+                    w[tiny], free[tiny] = 0.0, False
+                    continue
+                scale = max(1.0, float(np.abs(gphi).max()))
+                feas = abs(1.0 - float(w.sum()))
+                stat = float(np.abs(gphi[free] + nu).max())
+                if feas <= 1e-15 and stat <= 1e-13 * scale:
+                    break
+                if float(np.abs(t * dw).max()) <= 1e-16:
+                    break
+            gphi = self.q * self.evaluate(w)[1]
+            scale = max(1.0, float(np.abs(gphi).max()))
+            blocked = (~free) & (gphi + nu < -1e-12 * scale)
+            if not blocked.any():
+                return w
+            free[int(np.argmin(np.where(blocked, gphi, np.inf)))] = True
+        return None
+
+    def barrier(
+        self, w: np.ndarray, gap_tol: float, budget: int
+    ) -> tuple[np.ndarray, int]:
+        """Log-barrier Newton path (Boyd & Vandenberghe, Convex Optimization, 11).
+
+        Minimizes t phi(w) - sum_i log w_i on {sum w = 1} for t growing 20x
+        per centering; each Newton step solves one (k+1)x(k+1) KKT system.
+        Stops at a centered point whose bracket gap is at most gap_tol or
+        whose suboptimality bound k / t is below 1e-12 phi, or after
+        ``budget`` Newton steps; returns the last iterate and the steps.
+        """
+        k = len(w)
+        w = 0.5 * w + 0.5 / k
+        phi, G, _ = self.evaluate(w)
+        # Frank-Wolfe bound on phi(w) - min phi sets the first barrier weight.
+        t = k / max(self.q * (phi - float(G.min())), 1e-300)
+        steps = 0
+        while steps < budget:
+            for _ in range(min(50, budget - steps)):  # centering
+                steps += 1
+                grad = t * self.q * G - 1.0 / w
+                hess = t * self.hessian(w, np.ones(k, bool)) + np.diag(w**-2.0)
+                step = _kkt_solve(hess, -grad, 0.0)
+                if step is None:
+                    return w, steps
+                dw = step[0]
+                decrement = -float(grad @ dw)
+                if decrement <= 1e-10:
+                    break
+                neg = dw < 0
+                a = min(1.0, 0.99 * float((-w[neg] / dw[neg]).min(initial=np.inf)))
+                merit = t * phi - float(np.log(w).sum())
+                for _ in range(60):
+                    w_new = w + a * dw
+                    phi_new, G_new, _ = self.evaluate(w_new)
+                    if t * phi_new - np.log(w_new).sum() <= merit - a * decrement / 4:
+                        break
+                    a *= 0.5
+                else:
+                    break
+                w, phi, G = w_new, phi_new, G_new
+            if k / t <= 1e-12 * phi or self.evaluate(w)[2] <= gap_tol:
+                break
+            t *= 20.0
+        return w, steps
+
+    def solution(
+        self,
+        w: np.ndarray,
+        iterations: int,
+        kept: Sequence[int],
+        n_measures: int,
+        kkt_tol: float = 1e-8,
+        dropped: tuple[int, ...] = (),
+    ) -> ModulusSolution:
+        """Modulus solution read off plan weights w over the measures ``kept``.
+
+        The density f = h^(q-1) rescaled by s = min_i <mu_i, f> is
+        admissible; its energy is ``value``, the plan's content^p is
+        ``dual_value`` and ``gap`` the relative width of that bracket plus
+        a rounding allowance.  The multipliers p w_i / s^(p-1) satisfy the
+        stationarity relation.
+        """
+        p, msk = self.p, self.space.positive_mask
+        w = w / w.sum()
+        h = (w @ self.U) / self.mpos
+        f = h ** (self.q - 1.0)
+        s = float((self.U @ f).min())
+        f = f / s
+        value = float(np.dot(self.mpos, f**p))
+        lower = float(np.dot(self.mpos, h**self.q)) ** (1.0 - p)
+        f_out = np.zeros(self.space.n_points)
+        f_out[msk] = f
+        mults = np.zeros(n_measures)
+        mults[kept] = p * w / s ** (p - 1.0)
+        slack = self.U @ f - 1.0
+        return ModulusSolution(
+            value=value,
+            f=f_out,
+            multipliers=mults,
+            iterations=iterations,
+            gap=max(value - lower, 0.0) / value + _ROUNDING * p,
+            dual_value=lower,
+            active_set=tuple(i for row, i in enumerate(kept) if slack[row] <= kkt_tol),
+            dropped=dropped,
+        )
 
 
 def solve_modulus_explicit(
@@ -192,21 +415,18 @@ def solve_modulus_explicit(
     p: float,
     *,
     gap_tol: float = 1e-9,
-    feas_tol: float = 1e-9,
     kkt_tol: float = 1e-8,
     max_iter: int = 100000,
-    lam0: np.ndarray | None = None,
 ) -> ModulusSolution:
-    """Dual ascent for the modulus of an explicit family.
+    """Modulus of an explicit family, read off its optimal plan.
 
-    Maximizes the concave dual
-        g(lam) = sum_i lam_i - (p-1) * sum_x m_x (S_x / (p m_x))^(p/(p-1)),
-        S = sum_i lam_i mu_i,
-    over lam >= 0 by projected gradient steps with a Barzilai-Borwein
-    initial step and Armijo backtracking, finishing with an active-set
-    Newton polish, then recovers the density
-    f_x = (S_x / (p m_x))^(1/(p-1)).  Stops at relative duality gap
-    <= gap_tol; raises SolverError (carrying the last gap) on stall.
+    Minimizes the barycenter norm ||sum_i w_i mu_i / m||_q over plans w
+    (the content problem, see ``_PlanProblem``) and reads off the
+    density f = h^(q-1), h the barycenter, rescaled by min_i <mu_i, f>
+    so that it is admissible.  The modulus lies in the weak-duality
+    bracket [content^p, ||f||_p^p]: ``value`` is the upper end,
+    ``dual_value`` the lower and ``gap`` the relative width, at most
+    gap_tol or SolverError is raised.
     """
     p = _check_p(p)
     kept, dropped_l, has_zero = _split_measures(space, measures)
@@ -214,110 +434,9 @@ def solve_modulus_explicit(
     if has_zero or not kept:
         return _trivial_solution(space, len(measures), dropped, has_zero)
 
-    q = p / (p - 1.0)
-    msk = space.positive_mask
-    mpos = space.measure[msk]
-    n_all = space.n_points
-    k = len(kept)
-    U = np.zeros((k, int(msk.sum())))
-    col_of = np.cumsum(msk) - 1  # original index -> masked column
-    for row, i in enumerate(kept):
-        for idx, w in measures[i].items:
-            U[row, col_of[idx]] = w
-
-    inv_pm = 1.0 / (p * mpos)
-
-    def dual_and_grad(lam: np.ndarray):
-        S = lam @ U
-        base = S * inv_pm
-        f = base ** (1.0 / (p - 1.0))
-        g = float(lam.sum() - (p - 1.0) * np.dot(mpos, base**q))
-        return g, 1.0 - U @ f, f
-
-    def gap_of(lam: np.ndarray):
-        g, _, f = dual_and_grad(lam)
-        s = float((U @ f).min())
-        if s <= 0:
-            return math.inf, f
-        primal = float(np.dot(mpos, f**p)) / s**p
-        return max(primal - g, 0.0) / max(1.0, abs(primal)), f
-
-    lam = np.full(k, 1.0 / k) if lam0 is None else np.asarray(lam0, dtype=float)
-    g, grad, f = dual_and_grad(lam)
-    step = 1.0
-    gap = math.inf
-    it = 0
-    next_polish = 250
-    stalled = False
-    while it < max_iter:
-        it += 1
-        trial = step
-        accepted = False
-        for _ in range(60):
-            lam_new = np.maximum(lam + trial * grad, 0.0)
-            d = lam_new - lam
-            g_new, grad_new, f_new = dual_and_grad(lam_new)
-            if g_new >= g + 1e-4 * float(np.dot(grad, d)) and g_new >= g - 1e-18:
-                accepted = True
-                break
-            trial *= 0.5
-        if accepted:
-            d_lam = lam_new - lam
-            d_grad = grad_new - grad
-            lam, g, grad, f = lam_new, g_new, grad_new, f_new
-            s = float((U @ f).min())
-            if s > 0:
-                primal = float(np.dot(mpos, f**p)) / s**p
-                gap = max(primal - g, 0.0) / max(1.0, abs(primal))
-                if gap <= gap_tol:
-                    break
-            # Barzilai-Borwein step for the next iteration, safeguarded.
-            denom = float(np.dot(d_grad, d_grad))
-            if denom > 0:
-                bb = abs(float(np.dot(d_lam, d_grad))) / denom
-                step = min(max(bb, 1e-12), 1e12)
-            else:
-                step = min(trial * 2.0, 1e12)
-        else:
-            stalled = True
-        if it >= next_polish or stalled:
-            polished = _newton_polish(U, mpos, p, lam)
-            if polished is not None:
-                new_gap, new_f = gap_of(polished)
-                if new_gap < gap:
-                    lam, gap, f = polished, new_gap, new_f
-                    g, grad, _ = dual_and_grad(lam)
-                if gap <= gap_tol:
-                    break
-            if stalled:
-                break
-            next_polish = min(2 * next_polish, next_polish + 5000)
-    if not math.isfinite(gap) or gap > gap_tol:
-        raise SolverError(
-            f"modulus dual ascent stalled at relative gap {gap:.3e} "
-            f"after {it} iterations (target {gap_tol:.1e})",
-            gap=gap,
-        )
-
-    s = float((U @ f).min())
-    f_out = np.zeros(n_all)
-    f_out[msk] = f / s
-    value = float(np.dot(mpos, (f / s) ** p))
-    mults = np.zeros(len(measures))
-    for row, i in enumerate(kept):
-        mults[i] = lam[row] / s ** (p - 1.0)
-    slack = U @ (f / s) - 1.0
-    active = tuple(i for row, i in enumerate(kept) if slack[row] <= kkt_tol)
-    return ModulusSolution(
-        value=value,
-        f=f_out,
-        multipliers=mults,
-        iterations=it,
-        gap=gap,
-        dual_value=float(g),
-        active_set=active,
-        dropped=dropped,
-    )
+    prob = _PlanProblem(space, _constraint_matrix(space, [measures[i] for i in kept]), p)
+    w, it = prob.solve(np.full(len(kept), 1.0 / len(kept)), gap_tol, max_iter)
+    return prob.solution(w, it, kept, len(measures), kkt_tol, dropped)
 
 
 def _dykstra_project(
@@ -419,7 +538,7 @@ def solve_modulus_primal(
 ) -> ModulusSolution:
     """Primal cross-solver: projected descent on the density f.
 
-    Independent of the dual ascent: works on the admissible polyhedron
+    Independent of the plan solve: works on the admissible polyhedron
     {f >= 0, <mu_i, f> >= 1} directly, stepping along the energy
     gradient and projecting back with Dykstra's algorithm.  Meant for
     cross-validation on small instances.
@@ -432,12 +551,7 @@ def solve_modulus_primal(
 
     msk = space.positive_mask
     mpos = space.measure[msk]
-    k = len(kept)
-    U = np.zeros((k, int(msk.sum())))
-    col_of = np.cumsum(msk) - 1
-    for row, i in enumerate(kept):
-        for idx, w in measures[i].items:
-            U[row, col_of[idx]] = w
+    U = _constraint_matrix(space, [measures[i] for i in kept])
     row_sq = np.einsum("ij,ij->i", U, U)
 
     totals = U.sum(axis=1)
@@ -526,12 +640,7 @@ def brute_force_lattice(
     n = int(msk.sum())
     if n > 6:
         raise ValueError("lattice oracle limited to at most 6 positive-mass points")
-    k = len(kept)
-    U = np.zeros((k, n))
-    col_of = np.cumsum(msk) - 1
-    for row, i in enumerate(kept):
-        for idx, w in measures[i].items:
-            U[row, col_of[idx]] = w
+    U = _constraint_matrix(space, [measures[i] for i in kept])
     totals = U.sum(axis=1)
     feas_value = (1.0 / totals.min()) ** p * mpos.sum()
     fmax = (feas_value / mpos.min()) ** (1.0 / p)
@@ -652,56 +761,78 @@ def solve_modulus_paths(
     Constraint generation: solve on a working set of paths, then ask a
     shortest-path separation oracle (edge weight f * length) for the
     most violated constraint; stop when every path integrates f to at
-    least 1 - feas_tol.  Disconnected endpoints give value 0 with the
-    ``empty_family`` flag set.
+    least 1 - feas_tol.  Each round runs the plan solve of
+    ``solve_modulus_explicit``, warm-started from the previous plan with
+    the new path at weight 0; ``iterations`` counts its steps over all
+    rounds.  Disconnected endpoints give value 0 with the
+    ``empty_family`` flag set.  Zero-mass points block paths for free
+    (see ``_block_null_points``), so a family whose every path crosses
+    one has modulus 0 and no working paths.
     """
-    _check_p(p)
+    p = _check_p(p)
     for pt in (*source, *target):
         if not (0 <= int(pt) < space.n_points):
             raise ValueError(f"path endpoint {pt} is not a point of the space")
+    # Zero-mass points are impassable for the oracle: a path through one
+    # is satisfied for free, so only paths avoiding them constrain f.
+    null = space.measure == 0
     probe = shortest_weighted_path(
-        space, np.ones(space.n_points), source, target, max_hops
+        space, np.where(null, np.inf, 1.0), source, target, max_hops
     )
-    if probe is None:
-        sol = ModulusSolution(
-            value=0.0,
-            f=np.zeros(space.n_points),
-            multipliers=np.zeros(0),
-            iterations=0,
-            gap=0.0,
-            dual_value=0.0,
-            empty_family=True,
-        )
-        return PathModulusSolution(sol, (), 0, empty_family=True)
+    if probe is None or math.isinf(probe[1]):
+        # No path at all (empty family), or each crosses a zero-mass point.
+        empty = probe is None
+        sol = replace(_trivial_solution(space, 0, (), False), empty_family=empty)
+        return PathModulusSolution(_block_null_points(space, sol), (), 0, empty)
+    if len(probe[0]) == 1:  # a one-point path has the zero line measure
+        return PathModulusSolution(_trivial_solution(space, 1, (), True), probe[:1], 0)
 
-    working: list[tuple[int, ...]] = [probe[0]]
-    seen = {probe[0]}
-    lam = None
-    sol = None
+    working = [probe[0]]
+    U = _constraint_matrix(space, [path_line_measure(space, probe[0])])
+    w = np.ones(1)
+    total_it = 0
     for outer in range(1, max_outer + 1):
-        measures = [path_line_measure(space, pth) for pth in working]
-        sol = solve_modulus_explicit(
-            space, measures, p, gap_tol=gap_tol, feas_tol=feas_tol, lam0=lam
+        prob = _PlanProblem(space, U, p)
+        w, it = prob.solve(w, gap_tol, max_iter=100000)
+        total_it += it
+        sol = prob.solution(w, total_it, range(len(working)), len(working))
+        path, val = shortest_weighted_path(
+            space, np.where(null, np.inf, sol.f), source, target, max_hops
         )
-        found = shortest_weighted_path(space, sol.f, source, target, max_hops)
-        path, val = found
-        if val >= 1.0 - feas_tol:
-            return PathModulusSolution(sol, tuple(working), outer)
-        if path in seen:
-            if val >= 1.0 - 10 * feas_tol:
-                return PathModulusSolution(sol, tuple(working), outer)
+        if val >= 1.0 - feas_tol or (path in working and val >= 1.0 - 10 * feas_tol):
+            return PathModulusSolution(
+                _block_null_points(space, sol), tuple(working), outer
+            )
+        if path in working:
             raise SolverError(
                 f"constraint generation stalled on a repeated path "
                 f"(integral {val:.12f})",
                 gap=1.0 - val,
             )
         working.append(path)
-        seen.add(path)
-        lam = np.append(sol.multipliers, 0.0)
+        U = np.vstack([U, _constraint_matrix(space, [path_line_measure(space, path)])])
+        w = np.append(w, 0.0)
     raise SolverError(
         f"constraint generation did not converge within {max_outer} rounds",
         gap=None,
     )
+
+
+def _block_null_points(
+    space: MetricMeasureSpace, sol: ModulusSolution
+) -> ModulusSolution:
+    """Make f admissible for paths through zero-mass points, at no energy.
+
+    f = 2 / (shortest edge at x) on each zero-mass point x gives every
+    edge at x a cost of at least 1, so any path through x integrates f
+    to at least 1; m_x = 0 leaves the energy unchanged.
+    """
+    f = sol.f.copy()
+    for x in np.nonzero(space.measure == 0)[0]:
+        lengths = [ell for _, ell in space.neighbors(int(x))]
+        if lengths:
+            f[x] = 2.0 / min(lengths)
+    return replace(sol, f=f)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from modcap.duality import (
     plan_from_multipliers,
     solve_content,
 )
-from modcap.errors import NoBarycenterError
+from modcap.errors import NoBarycenterError, SolverError
 from modcap.instance import generate_random_instance
 from modcap.modulus import solve_modulus_explicit
 from modcap.space import DiscreteMeasure, MetricMeasureSpace
@@ -226,3 +226,48 @@ def test_content_of_curve_family_matches_measure_content():
     direct = solve_content(space, list(measures), 2.0)
     assert sol.value == pytest.approx(direct.value, rel=1e-10)
     assert len(measures) == 2
+
+
+def test_content_read_off_certifies_former_dual_ascent_stall():
+    # n=200, k=800, p=3 on instance seed 1 used to stall at a gap of 0.2.
+    inst = generate_random_instance(1, n_points=200, n_measures=800)
+    measures = inst.families["random"].measures
+    p = 3.0
+    primal = solve_modulus_explicit(inst.space, measures, p)
+    assert primal.gap <= 1e-9
+    dual = solve_content(inst.space, measures, p / (p - 1.0))
+    assert check_duality(inst.space, primal, dual, p).ok
+    assert check_optimality_conditions(inst.space, primal, dual, p).ok
+
+
+def test_reported_bracket_holds_when_recomputed():
+    # dual_value is content^p of the plan and value the energy of an
+    # admissible density, so an independently solved content sits inside.
+    for seed, p in ((5, 1.5), (6, 2.0), (7, 3.0)):
+        inst = generate_random_instance(seed, n_points=12, n_measures=9)
+        measures = inst.families["random"].measures
+        sol = solve_modulus_explicit(inst.space, measures, p, gap_tol=1e-12)
+        content = solve_content(inst.space, measures, p / (p - 1.0)).value
+        assert sol.dual_value <= sol.value
+        assert sol.gap >= (sol.value - sol.dual_value) / sol.value
+        assert min(mu.integrate(sol.f) for mu in measures) >= 1.0 - 1e-12
+        assert (sol.value - content**p) / sol.value <= sol.gap + 1e-15
+
+
+def test_solvers_raise_instead_of_returning_unconverged():
+    # A duplicated measure and a dominated one: one step from the uniform
+    # plan is far from optimal, so both solvers must refuse to answer.
+    space = interval_space(6)
+    fam = [
+        restriction(space, range(3)),
+        restriction(space, range(3)),
+        restriction(space, range(6)),
+        restriction(space, range(3, 6)),
+        restriction(space, range(2, 5)),
+    ]
+    with pytest.raises(SolverError, match="after 1 iterations"):
+        solve_modulus_explicit(space, fam, 3.0, max_iter=1)
+    with pytest.raises(SolverError, match="after 1 iterations"):
+        solve_content(space, fam, 1.5, max_iter=1)
+    sol = solve_modulus_explicit(space, fam, 3.0)
+    assert solve_content(space, fam, 1.5).value ** 3 == pytest.approx(sol.value, rel=1e-9)

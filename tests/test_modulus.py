@@ -215,3 +215,73 @@ def test_constraint_generation_matches_enumeration():
     cg = solve_modulus_paths(space, left, right, 2.0, gap_tol=1e-11)
     assert cg.value == pytest.approx(full.value, rel=1e-8)
     assert len(cg.paths) <= len(fam.measures)
+
+
+def test_path_modulus_with_zero_mass_endpoint():
+    # Paths through the massless corner cost nothing, so the oracle must
+    # route around it, and f must still block them once returned.
+    from modcap.families import MeasureFamily, enumerate_family
+    from modcap.space import build_grid_space, grid_node
+
+    weights = np.ones(9)
+    weights[grid_node(3, 0, 0)] = 0.0
+    space = build_grid_space(3, 3, weights)
+    left = [grid_node(3, 0, y) for y in range(3)]
+    right = [grid_node(3, 2, y) for y in range(3)]
+    fam = enumerate_family(
+        space,
+        MeasureFamily("lr", "paths", source=tuple(left), target=tuple(right)),
+    )
+    full = solve_modulus_explicit(space, fam.measures, 2.0, gap_tol=1e-11)
+    assert full.dropped
+    cg = solve_modulus_paths(space, left, right, 2.0, gap_tol=1e-11)
+    assert cg.value == pytest.approx(full.value, rel=1e-9)
+    assert all(grid_node(3, 0, 0) not in path for path in cg.paths)
+    assert shortest_weighted_path(space, cg.f, left, right)[1] >= 1.0 - 1e-9
+
+
+def test_path_family_blocked_by_zero_mass_column_is_null():
+    from modcap.space import build_grid_space, grid_node
+
+    weights = np.ones(9)
+    weights[[grid_node(3, 1, y) for y in range(3)]] = 0.0
+    space = build_grid_space(3, 3, weights)
+    left = [grid_node(3, 0, y) for y in range(3)]
+    right = [grid_node(3, 2, y) for y in range(3)]
+    sol = solve_modulus_paths(space, left, right, 2.0)
+    assert sol.value == 0.0
+    assert not sol.empty_family
+    assert shortest_weighted_path(space, sol.f, left, right)[1] >= 1.0
+
+
+def test_barrier_fallback_certifies_when_face_polish_fails(monkeypatch):
+    import modcap.modulus as mod
+    from modcap.modulus import _constraint_matrix, _PlanProblem
+
+    inst = generate_random_instance(3, n_points=20, n_measures=30)
+    measures = inst.families["random"].measures
+    ref = solve_modulus_explicit(inst.space, measures, 3.0, gap_tol=1e-12)
+
+    # The barrier path alone gets close from the uniform plan ...
+    prob = _PlanProblem(inst.space, _constraint_matrix(inst.space, measures), 3.0)
+    w, steps = prob.barrier(np.full(len(measures), 1.0 / len(measures)), 0.0, 10000)
+    assert 0 < steps < 10000
+    assert prob.evaluate(w)[2] <= 1e-8
+
+    # ... and when the first-order phase hands over at once with a failed
+    # polish, barrier plus polish on its support certify the solve.
+    monkeypatch.setattr(mod, "_FIRST_POLISH", 1)
+    monkeypatch.setattr(mod, "_FIRST_ORDER_CAP", 1)
+    polish = _PlanProblem.face_newton
+    calls = []
+
+    def polish_after_barrier(self, w):
+        calls.append(len(calls))
+        return polish(self, w) if len(calls) > 1 else None
+
+    monkeypatch.setattr(_PlanProblem, "face_newton", polish_after_barrier)
+    sol = solve_modulus_explicit(inst.space, measures, 3.0, gap_tol=1e-13)
+    assert len(calls) == 2
+    assert sol.iterations > 1
+    assert sol.gap <= 1e-12
+    assert sol.value == pytest.approx(ref.value, rel=1e-10)
