@@ -3,7 +3,8 @@
 Commands: ``solve``, ``duality``, ``curve resample|jmap|mmap|mult``,
 ``plan check|improve|stretch``, ``grad check``, ``gen``, ``selftest``.
 Exit codes: 0 success, 2 invalid input, 3 solver non-convergence,
-4 failed certificate.  The seed is echoed in every output.
+4 failed certificate, 5 internal error.  The seed is echoed in every
+output.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +34,7 @@ from .errors import (
     NoBarycenterError,
     SolverError,
 )
-from .families import MeasureFamily, enumerate_family
+from .families import MeasureFamily, enumerate_family, path_line_measure
 from .gradients import check_w1p_pair, modulus_of_violating_family
 from .instance import (
     Instance,
@@ -44,7 +46,7 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .modulus import solve_modulus_explicit, solve_modulus_paths
+from .modulus import PathModulusSolution, solve_modulus_explicit, solve_modulus_paths
 from .plans import improve_barycenter, stretch_average, testplan_check
 from .selftest import run_selftest
 
@@ -52,6 +54,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_CERT_FAILED = 4
+EXIT_INTERNAL = 5
 
 
 def _require(condition: bool, message: str) -> None:
@@ -83,6 +86,8 @@ def _family_curves(inst: Instance, fam: MeasureFamily) -> list[ParametricCurve]:
         return [inst.curves[n] for n in fam.curve_names]
     if fam.kind == "paths":
         enum = enumerate_family(inst.space, fam, curves_by_name=inst.curves)
+        if enum.truncated:
+            print(f"warning: family truncated to {len(enum.paths)} paths")
         return [
             ParametricCurve(path, tuple(np.linspace(0.0, 1.0, len(path))))
             for path in enum.paths
@@ -106,22 +111,28 @@ def _emit(args: argparse.Namespace, record: ResultRecord) -> None:
         print(f"wrote {args.out}")
 
 
+def _solve_paths(
+    args: argparse.Namespace, inst: Instance, fam: MeasureFamily
+) -> PathModulusSolution:
+    psol = solve_modulus_paths(
+        inst.space,
+        fam.source,
+        fam.target,
+        args.p,
+        fam.max_hops,
+        gap_tol=args.tol,
+        max_outer=args.max_iter,
+    )
+    print(f"generated paths: {len(psol.paths)}")
+    return psol
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load(args)
     fam_name, fam = _pick_family(inst, args.family)
     t0 = time.perf_counter()
     if fam.kind == "paths":
-        psol = solve_modulus_paths(
-            inst.space,
-            fam.source,
-            fam.target,
-            args.p,
-            fam.max_hops,
-            gap_tol=args.tol,
-            max_outer=args.max_iter,
-        )
-        sol = psol.solution
-        print(f"generated paths: {len(psol.paths)}")
+        sol = _solve_paths(args, inst, fam).solution
     else:
         measures = enumerate_family(
             inst.space, fam, curves_by_name=inst.curves
@@ -149,11 +160,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_duality(args: argparse.Namespace) -> int:
     inst = _load(args)
     fam_name, fam = _pick_family(inst, args.family)
-    measures = enumerate_family(inst.space, fam, curves_by_name=inst.curves).measures
     t0 = time.perf_counter()
-    sol = solve_modulus_explicit(
-        inst.space, measures, args.p, gap_tol=args.tol, max_iter=args.max_iter
-    )
+    if fam.kind == "paths":
+        # The oracle has shown that f integrates to at least 1 - tol on
+        # every path, so the certificate on the final working paths
+        # brackets the modulus of the whole family, without enumerating it.
+        psol = _solve_paths(args, inst, fam)
+        sol = psol.solution
+        measures = [path_line_measure(inst.space, path) for path in psol.paths]
+    else:
+        measures = enumerate_family(
+            inst.space, fam, curves_by_name=inst.curves
+        ).measures
+        sol = solve_modulus_explicit(
+            inst.space, measures, args.p, gap_tol=args.tol, max_iter=args.max_iter
+        )
     content = solve_content(inst.space, measures, args.p / (args.p - 1.0))
     cert = check_duality(inst.space, sol, content, args.p, tol=args.cert_tol)
     opt = check_optimality_conditions(inst.space, sol, content, args.p, tol=args.cert_tol)
@@ -184,7 +205,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _save_variant(args: argparse.Namespace, inst: Instance, variant: Instance) -> None:
+def _save_variant(args: argparse.Namespace, variant: Instance) -> None:
     if args.out:
         save_instance(variant, args.out)
         print(f"wrote {args.out}")
@@ -211,7 +232,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
             dict(inst.plans),
             dict(inst.columns),
         )
-        _save_variant(args, inst, variant)
+        _save_variant(args, variant)
         return EXIT_OK
     if args.action in ("jmap", "mmap"):
         mu = (j_map if args.action == "jmap" else m_map)(inst.space, curve)
@@ -315,7 +336,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             {**inst.plans, f"{name}.improved": NamedPlan(tuple(names), res.plan)},
             dict(inst.columns),
         )
-        _save_variant(args, inst, variant)
+        _save_variant(args, variant)
         if not res.barycenter_ok:
             print("barycenter certificate FAILED")
             return EXIT_CERT_FAILED
@@ -341,7 +362,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         {**inst.plans, f"{name}.stretch": NamedPlan(tuple(names), res.plan)},
         dict(inst.columns),
     )
-    _save_variant(args, inst, variant)
+    _save_variant(args, variant)
     if not res.marginal_ok:
         print("marginal certificate FAILED")
         return EXIT_CERT_FAILED
@@ -492,6 +513,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NoBarycenterError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except np.linalg.LinAlgError as exc:  # a ValueError, but never bad input
+        return _internal_error(exc)
     except (InvalidInstanceError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -501,6 +524,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> int:
+    traceback.print_exc(file=sys.stderr)
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

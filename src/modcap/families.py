@@ -106,10 +106,17 @@ def _enumerate_paths(
 def path_line_measure(
     space: MetricMeasureSpace, path: tuple[int, ...]
 ) -> DiscreteMeasure:
-    """Node-projected line measure of a simple path (mass = path length)."""
-    n = len(path)
-    times = (0.0, 1.0) if n == 1 else tuple(i / (n - 1) for i in range(n))
-    return j_map(space, ParametricCurve(tuple(path), times))
+    """Node-projected line measure of a simple path (mass = path length).
+
+    Half of each edge's length lands on each endpoint: the ``j_map`` of
+    the path at any parameterization, without building the curve.
+    """
+    acc: dict[int, float] = {}
+    for u, v in zip(path, path[1:]):
+        half = 0.5 * space.edge_length(u, v)
+        acc[u] = acc.get(u, 0.0) + half
+        acc[v] = acc.get(v, 0.0) + half
+    return DiscreteMeasure.from_dict(acc)
 
 
 def enumerate_family(

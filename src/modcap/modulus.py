@@ -668,69 +668,117 @@ def shortest_weighted_path(
     """Path minimizing the curvilinear integral of f, or None if cut off.
 
     Edge (u, v) costs length * (f_u + f_v) / 2, so the path cost equals
-    the integral of f against the path's node-projected line measure.
-    Ties break to the lexicographically smallest node sequence.  With
-    ``max_hops``, a layered relaxation bounds the edge count.
+    the integral of f against the path's node-projected line measure,
+    accumulated edge by edge from the source; ``inf`` in f makes a point
+    impassable at infinite cost.  Ties: the Dijkstra heap settles equal
+    distances in point-id order, each point keeps the first predecessor
+    that reaches its final distance, and the first target settled is
+    returned, so its path crosses no other target.  With ``max_hops``, a
+    layered relaxation bounds the edge count: each point keeps the
+    cheapest route with the fewest hops (the first found, relaxing from
+    points in id order), and the answer is the cheapest target, then the
+    fewest hops, then the smallest id.
+    """
+    found = _cheapest_paths(space, f, source, target, max_hops, first=True)
+    if not found:
+        return None
+    cost, path = found[0]
+    return path, cost
+
+
+def _cheapest_paths(
+    space: MetricMeasureSpace,
+    f: Sequence[float],
+    source: Sequence[int],
+    target: Sequence[int],
+    max_hops: int | None = None,
+    *,
+    first: bool = False,
+    bound: float | None = None,
+) -> list[tuple[float, tuple[int, ...]]]:
+    """Cheapest path to each reachable target, as (cost, path) by cost.
+
+    One Dijkstra pass from all sources at once (the layered relaxation
+    under ``max_hops``), with the costs and tie rule documented in
+    ``shortest_weighted_path``.  The path to one target may cross
+    another; its constraint is then weaker than that of its prefix.
+    ``first`` keeps the first target only; ``bound`` keeps the targets
+    cheaper than it, and ends the pass once the settled distance
+    reaches it.
     """
     vals = np.asarray(f, dtype=float)
     if np.any(vals < 0):
         raise ValueError("path weights need a nonnegative density")
+    half = (0.5 * vals).tolist()
     targets = set(target)
+    sources = sorted(set(source))
 
-    def wt(u: int, v: int, ell: float) -> float:
-        return ell * 0.5 * (vals[u] + vals[v])
+    if max_hops is not None:
+        best = {s: (0.0, (s,)) for s in sources}
+        frontier = sources
+        for _ in range(max_hops):
+            nxt: dict[int, tuple[float, tuple[int, ...]]] = {}
+            for u in frontier:
+                du, pu = best[u]
+                for v, ell in space.neighbors(u):
+                    cost = du + ell * (half[u] + half[v])
+                    cur = nxt.get(v, best.get(v))
+                    if cur is None or cost < cur[0]:
+                        nxt[v] = (cost, pu + (v,))
+            best.update(nxt)
+            frontier = sorted(nxt)
+        found = sorted(
+            (cost, len(path), t, path) for t, (cost, path) in best.items()
+            if t in targets and (bound is None or cost < bound)
+        )
+        return [(cost, path) for cost, _, _, path in (found[:1] if first else found)]
 
-    if max_hops is None:
-        heap: list[tuple[float, tuple[int, ...]]] = [
-            (0.0, (s,)) for s in sorted(set(source))
-        ]
-        heapq.heapify(heap)
-        settled: set[int] = set()
-        while heap:
-            dist, path = heapq.heappop(heap)
-            node = path[-1]
-            if node in settled:
-                continue
-            settled.add(node)
-            if node in targets:
-                return path, dist
-            for nbr, ell in space.neighbors(node):
-                if nbr not in settled:
-                    heapq.heappush(heap, (dist + wt(node, nbr, ell), path + (nbr,)))
-        return None
-
-    best: dict[int, tuple[float, tuple[int, ...]]] = {
-        s: (0.0, (s,)) for s in set(source)
-    }
-    answer: tuple[float, tuple[int, ...]] | None = None
-    frontier = dict(best)
-    for _ in range(max_hops):
-        nxt: dict[int, tuple[float, tuple[int, ...]]] = {}
-        for node, (dist, path) in frontier.items():
-            for nbr, ell in space.neighbors(node):
-                cand = (dist + wt(node, nbr, ell), path + (nbr,))
-                cur = nxt.get(nbr)
-                if cur is None or cand < cur:
-                    nxt[nbr] = cand
-        frontier = {}
-        for node, cand in nxt.items():
-            cur = best.get(node)
-            if cur is None or cand < cur:
-                best[node] = cand
-                frontier[node] = cand
-        for t in targets:
-            if t in frontier and (answer is None or frontier[t] < answer):
-                answer = frontier[t]
-    for t in targets:
-        if t in best and (answer is None or best[t] < answer):
-            answer = best[t]
-    if answer is None:
-        return None
-    return answer[1], answer[0]
+    n = space.n_points
+    dist: list[float | None] = [None] * n
+    pred = [-1] * n
+    done = bytearray(n)
+    for s in sources:
+        dist[s] = 0.0
+    heap = [(0.0, s) for s in sources]
+    out: list[tuple[float, tuple[int, ...]]] = []
+    left = len(targets)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        if bound is not None and d >= bound:
+            break
+        done[u] = 1
+        if u in targets:
+            path = [u]
+            while pred[path[-1]] >= 0:
+                path.append(pred[path[-1]])
+            out.append((d, tuple(reversed(path))))
+            left -= 1
+            if first or not left:
+                break
+        hu = half[u]
+        for v, ell in space.neighbors(u):
+            if not done[v]:
+                cost = d + ell * (hu + half[v])
+                old = dist[v]
+                if old is None or cost < old:
+                    dist[v], pred[v] = cost, u
+                    heapq.heappush(heap, (cost, v))
+    return out
 
 
 @dataclass(frozen=True)
 class PathModulusSolution:
+    """Result of ``solve_modulus_paths``.
+
+    ``paths`` is the final working set, aligned with
+    ``solution.multipliers``: the paths of the last plan solve, including
+    those its plan leaves at weight 0.  Each ends at a target and may
+    cross other targets; the modulus of the family equals that of these
+    paths up to the solve's tolerances.
+    """
+
     solution: ModulusSolution
     paths: tuple[tuple[int, ...], ...]
     outer_iterations: int
@@ -758,16 +806,21 @@ def solve_modulus_paths(
 ) -> PathModulusSolution:
     """Modulus of the family of simple source-target paths.
 
-    Constraint generation: solve on a working set of paths, then ask a
-    shortest-path separation oracle (edge weight f * length) for the
-    most violated constraint; stop when every path integrates f to at
-    least 1 - feas_tol.  Each round runs the plan solve of
-    ``solve_modulus_explicit``, warm-started from the previous plan with
-    the new path at weight 0; ``iterations`` counts its steps over all
-    rounds.  Disconnected endpoints give value 0 with the
-    ``empty_family`` flag set.  Zero-mass points block paths for free
-    (see ``_block_null_points``), so a family whose every path crosses
-    one has modulus 0 and no working paths.
+    Constraint generation (Albin, Brunner, Perez, Poggi-Corradini &
+    Wiens 2015): solve on a working set of paths, then run one Dijkstra
+    pass (edge weight f * length) that finds the cheapest path to every
+    target; stop when every path integrates f to at least 1 - feas_tol.
+    Otherwise the round drops the working paths at plan weight exactly 0
+    and adds every violated path not yet present.  Dropping inactive
+    constraints leaves the working problem's unique optimal f unchanged,
+    and each added path is violated by that f, so the working modulus
+    rises strictly every round and no working set repeats.  Each round
+    runs the plan solve of ``solve_modulus_explicit``, warm-started from
+    the previous plan with the new paths at weight 0; ``iterations``
+    counts its steps over all rounds.  Disconnected endpoints give value
+    0 with the ``empty_family`` flag set.  Zero-mass points block paths
+    for free (see ``_block_null_points``), so a family whose every path
+    crosses one has modulus 0 and no working paths.
     """
     p = _check_p(p)
     for pt in (*source, *target):
@@ -796,22 +849,33 @@ def solve_modulus_paths(
         w, it = prob.solve(w, gap_tol, max_iter=100000)
         total_it += it
         sol = prob.solution(w, total_it, range(len(working)), len(working))
-        path, val = shortest_weighted_path(
-            space, np.where(null, np.inf, sol.f), source, target, max_hops
+        violated = _cheapest_paths(
+            space, np.where(null, np.inf, sol.f), source, target, max_hops,
+            bound=1.0 - feas_tol,
         )
-        if val >= 1.0 - feas_tol or (path in working and val >= 1.0 - 10 * feas_tol):
-            return PathModulusSolution(
-                _block_null_points(space, sol), tuple(working), outer
-            )
-        if path in working:
+        present = set(working)
+        new = [path for _, path in violated if path not in present]
+        if not new:
+            worst = violated[0][0] if violated else 1.0
+            if worst >= 1.0 - 10 * feas_tol:
+                return PathModulusSolution(
+                    _block_null_points(space, sol), tuple(working), outer
+                )
             raise SolverError(
                 f"constraint generation stalled on a repeated path "
-                f"(integral {val:.12f})",
-                gap=1.0 - val,
+                f"(integral {worst:.12f})",
+                gap=1.0 - worst,
             )
-        working.append(path)
-        U = np.vstack([U, _constraint_matrix(space, [path_line_measure(space, path)])])
-        w = np.append(w, 0.0)
+        keep = w > 0
+        n_keep = int(keep.sum())
+        U_next = np.empty((n_keep + len(new), U.shape[1]))
+        np.compress(keep, U, axis=0, out=U_next[:n_keep])
+        U_next[n_keep:] = _constraint_matrix(
+            space, [path_line_measure(space, path) for path in new]
+        )
+        U = U_next
+        working = [path for path, k in zip(working, keep) if k] + new
+        w = np.concatenate([w[keep], np.zeros(len(new))])
     raise SolverError(
         f"constraint generation did not converge within {max_outer} rounds",
         gap=None,

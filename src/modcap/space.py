@@ -19,7 +19,6 @@ from .errors import InvalidInstanceError
 __all__ = [
     "MetricMeasureSpace",
     "DiscreteMeasure",
-    "measure_total",
     "build_grid_space",
     "grid_node",
     "trapezoid_grid_weights",
@@ -199,11 +198,6 @@ class DiscreteMeasure:
     def integrate(self, values: Sequence[float]) -> float:
         """Integral of a per-point function against this measure."""
         return math.fsum(w * float(values[i]) for i, w in self.items)
-
-
-def measure_total(mu: DiscreteMeasure) -> float:
-    """Exact total mass of a measure."""
-    return mu.total
 
 
 def grid_node(nx: int, x: int, y: int) -> int:

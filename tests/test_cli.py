@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from modcap.cli import main
@@ -137,3 +138,68 @@ def test_selftest_subset_runs(capsys):
     text = capsys.readouterr().out
     assert "criterion 1 PASS" in text
     assert "all 1 criteria passed" in text
+
+
+@pytest.fixture
+def grid6_instance(tmp_path):
+    # Far more than the enumeration limit of 100000 simple left-right
+    # paths, so only constraint generation can certify this family.
+    from modcap.families import MeasureFamily
+    from modcap.instance import Instance, save_instance
+    from modcap.space import build_grid_space, grid_node
+
+    space = build_grid_space(6, 6)
+    left = tuple(grid_node(6, 0, y) for y in range(6))
+    right = tuple(grid_node(6, 5, y) for y in range(6))
+    inst = Instance(
+        "grid6", space, {"lr": MeasureFamily("lr", "paths", source=left, target=right)},
+        columns={"zero": np.zeros(36), "one": np.ones(36)},
+    )
+    path = tmp_path / "grid6.json"
+    save_instance(inst, path)
+    return str(path)
+
+
+def test_duality_on_path_family_skips_enumeration(grid6_instance, monkeypatch, capsys):
+    import modcap.cli as cli
+    from modcap.modulus import solve_modulus_paths
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("duality enumerated the path family")
+
+    monkeypatch.setattr(cli, "enumerate_family", no_enumeration)
+    assert main(["duality", "--instance", grid6_instance]) == 0
+    text = capsys.readouterr().out
+    inst = load_instance(grid6_instance)
+    fam = inst.families["lr"]
+    expected = solve_modulus_paths(inst.space, fam.source, fam.target, 2.0).value
+    assert f"modulus: {expected!r}" in text
+    assert "duality certificate ok" in text
+
+
+def test_truncated_path_family_warns(grid6_instance, monkeypatch, capsys):
+    import modcap.cli as cli
+
+    enumerate_family = cli.enumerate_family
+    monkeypatch.setattr(
+        cli, "enumerate_family",
+        lambda space, fam, **kw: enumerate_family(space, fam, limit=3, **kw),
+    )
+    assert main(["grad", "check", "--instance", grid6_instance,
+                 "--f", "zero", "--g", "one"]) == 0
+    text = capsys.readouterr().out
+    assert "warning: family truncated to 3 paths" in text
+    assert "curves checked: 3" in text
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, RuntimeError])
+def test_internal_errors_exit_5(gen_instance, monkeypatch, capsys, error):
+    import modcap.cli as cli
+
+    def broken(*args, **kwargs):
+        raise error("Singular matrix")
+
+    monkeypatch.setattr(cli, "solve_modulus_explicit", broken)
+    assert main(["solve", "--instance", gen_instance]) == 5
+    err = capsys.readouterr().err
+    assert "internal error" in err and "invalid input" not in err

@@ -180,6 +180,137 @@ def test_hop_bound_cuts_long_routes():
     assert shortest_weighted_path(space, np.ones(4), [0], [3], max_hops=0) is None
 
 
+def accumulated_cost(space, f, path):
+    """Integral of f along the path, summed edge by edge from its start."""
+    cost = 0.0
+    for u, v in zip(path, path[1:]):
+        cost += space.edge_length(u, v) * (f[u] + f[v]) / 2
+    return cost
+
+
+def random_oracle_case(rng):
+    """A 3x3..5x5 grid, f with zeros, repeats and inf, few endpoints."""
+    from modcap.space import build_grid_space
+
+    nx, ny = (int(k) for k in rng.integers(3, 6, size=2))
+    space = build_grid_space(nx, ny)
+    f = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, math.inf], size=nx * ny,
+                   p=[0.25, 0.2, 0.2, 0.15, 0.1, 0.1])
+    points = rng.permutation(nx * ny)
+    n_src, n_tgt = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+    source = tuple(int(x) for x in points[:n_src])
+    # Targets may overlap the sources.
+    target = tuple(int(x) for x in points[n_src - 1 : n_src - 1 + n_tgt])
+    return space, f, source, target
+
+
+def cheapest_enumerated(space, f, source, target, max_hops=None):
+    """Least accumulated cost over the enumerated family, or None if empty."""
+    from modcap.families import MeasureFamily, enumerate_family
+
+    fam = MeasureFamily("t", "paths", source=source, target=target, max_hops=max_hops)
+    paths = enumerate_family(space, fam).paths
+    return min((accumulated_cost(space, f, path) for path in paths), default=None)
+
+
+def assert_simple_path(space, f, path, cost, source, target):
+    assert path[0] in source and path[-1] in target
+    assert len(set(path)) == len(path)
+    assert all(space.has_edge(u, v) for u, v in zip(path, path[1:]))
+    assert accumulated_cost(space, f, path) == cost
+
+
+@pytest.mark.parametrize("max_hops", [None, 2, 5])
+def test_oracle_is_exact_against_enumeration(max_hops):
+    from modcap.modulus import _cheapest_paths
+
+    rng = np.random.default_rng([11, max_hops or 0])
+    for _ in range(25):
+        space, f, source, target = random_oracle_case(rng)
+        best = cheapest_enumerated(space, f, source, target, max_hops)
+        found = shortest_weighted_path(space, f, source, target, max_hops)
+        if best is None:
+            assert found is None
+            continue
+        path, cost = found
+        assert cost == best
+        assert_simple_path(space, f, path, cost, source, target)
+        assert not set(path[:-1]) & set(target)
+
+        per_target = _cheapest_paths(space, f, source, target, max_hops)
+        assert [c for c, _ in per_target] == sorted(c for c, _ in per_target)
+        reached = {}
+        for t in sorted(set(target)):
+            best_t = cheapest_enumerated(space, f, source, (t,), max_hops)
+            if best_t is not None:
+                reached[t] = best_t
+        assert {p[-1]: c for c, p in per_target} == reached
+        for c, p in per_target:
+            assert_simple_path(space, f, p, c, source, target)
+        assert per_target[0][0] == cost
+
+
+def test_path_line_measure_is_the_j_map_of_the_path():
+    from modcap.curves import ParametricCurve, j_map
+
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        n = int(rng.integers(4, 12))
+        edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+        edges |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False))))
+                  for _ in range(n)}
+        space = MetricMeasureSpace(
+            n, [(u, v, float(rng.uniform(0.05, 2.0))) for u, v in edges], np.ones(n)
+        )
+        path = [int(rng.integers(n))]
+        while True:
+            step = [v for v, _ in space.neighbors(path[-1]) if v not in path]
+            if not step or rng.random() < 0.1:
+                break
+            path.append(int(rng.choice(step)))
+        path = tuple(path)
+        times = (0.0, 1.0) if len(path) == 1 else tuple(
+            i / (len(path) - 1) for i in range(len(path))
+        )
+        assert path_line_measure(space, path).items == j_map(
+            space, ParametricCurve(path, times)
+        ).items
+
+
+@pytest.mark.parametrize("zero_mass", [False, True])
+def test_constraint_generation_matches_enumeration_on_random_grid(zero_mass):
+    from modcap.families import MeasureFamily, enumerate_family
+    from modcap.space import build_grid_space, grid_node
+
+    rng = np.random.default_rng([4, zero_mass])
+    weights = rng.uniform(0.1, 1.0, size=16)
+    if zero_mass:
+        weights[grid_node(4, 1, 2)] = 0.0
+    space = build_grid_space(4, 4, weights)
+    left = tuple(grid_node(4, 0, y) for y in range(4))
+    right = tuple(grid_node(4, 3, y) for y in range(4))
+    fam = enumerate_family(
+        space, MeasureFamily("lr", "paths", source=left, target=right)
+    )
+    for p in (1.5, 2.0, 3.0):
+        full = solve_modulus_explicit(space, fam.measures, p, gap_tol=1e-11)
+        cg = solve_modulus_paths(space, left, right, p, gap_tol=1e-11, feas_tol=1e-11)
+        assert cg.value == pytest.approx(full.value, rel=1e-9)
+
+
+def test_grid16_certifies_in_few_rounds():
+    # The 16x16 benchmark grid: one path per round needed 61 rounds.
+    from modcap.space import build_grid_space, grid_node
+
+    weights = np.random.default_rng([7, 16]).uniform(0.1, 1.0, size=256)
+    space = build_grid_space(16, 16, weights)
+    left = [grid_node(16, 0, y) for y in range(16)]
+    right = [grid_node(16, 15, y) for y in range(16)]
+    sol = solve_modulus_paths(space, left, right, 2.0)
+    assert sol.outer_iterations < 40
+    assert shortest_weighted_path(space, sol.f, left, right)[1] >= 1.0 - 1e-9
+
+
 def test_path_modulus_single_route():
     space = MetricMeasureSpace(
         3, [(0, 1, 0.5), (1, 2, 0.5)], [0.2, 0.3, 0.5]
