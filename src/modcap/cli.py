@@ -15,6 +15,7 @@ import math
 import sys
 import time
 import traceback
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ from .instance import (
     save_instance,
 )
 from .modulus import PathModulusSolution, solve_modulus_explicit, solve_modulus_paths
-from .plans import improve_barycenter, stretch_average, testplan_check
+from .plans import CurvePlan, improve_barycenter, stretch_average, testplan_check
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -205,7 +206,30 @@ def cmd_duality(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _save_variant(args: argparse.Namespace, variant: Instance) -> None:
+def _save_variant(
+    args: argparse.Namespace,
+    inst: Instance,
+    *,
+    curves: dict[str, ParametricCurve] | None = None,
+    family: MeasureFamily | None = None,
+    plan: tuple[str, CurvePlan] | None = None,
+) -> None:
+    """Save (or print) the instance with named curves, a family or a plan added.
+
+    A plan (name, CurvePlan) brings its curves along, named name.0,
+    name.1, ...
+    """
+    curves = {**inst.curves, **(curves or {})}
+    families = dict(inst.families)
+    plans = dict(inst.plans)
+    if family is not None:
+        families[family.name] = family
+    if plan is not None:
+        name, cplan = plan
+        names = tuple(f"{name}.{i}" for i in range(len(cplan.curves)))
+        curves.update(zip(names, cplan.curves))
+        plans[name] = NamedPlan(names, cplan)
+    variant = replace(inst, families=families, curves=curves, plans=plans)
     if args.out:
         save_instance(variant, args.out)
         print(f"wrote {args.out}")
@@ -224,15 +248,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if args.action == "resample":
         rep = constant_speed_reparam(inst.space, curve)
         print(f"length: {rep.length!r}  nodes: {list(rep.rep.nodes)}")
-        variant = Instance(
-            inst.name,
-            inst.space,
-            dict(inst.families),
-            {**inst.curves, f"{args.curve}.resampled": rep.rep},
-            dict(inst.plans),
-            dict(inst.columns),
-        )
-        _save_variant(args, variant)
+        _save_variant(args, inst, curves={f"{args.curve}.resampled": rep.rep})
         return EXIT_OK
     if args.action in ("jmap", "mmap"):
         mu = (j_map if args.action == "jmap" else m_map)(inst.space, curve)
@@ -242,16 +258,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
             fam = MeasureFamily(
                 f"{args.curve}.{args.action}", "explicit", measures=(mu,)
             )
-            variant = Instance(
-                inst.name,
-                inst.space,
-                {**inst.families, fam.name: fam},
-                dict(inst.curves),
-                dict(inst.plans),
-                dict(inst.columns),
-            )
-            save_instance(variant, args.out)
-            print(f"wrote {args.out}")
+            _save_variant(args, inst, family=fam)
         return EXIT_OK
     mult = edge_multiplicity(inst.space, curve)
     doc = {
@@ -322,21 +329,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             f"(bound 1/z = {1.0 / res.z!r})"
         )
         print(f"energy: {res.energy_new!r}  closed-form bound: {res.energy_formula!r}")
-        new_curves = dict(inst.curves)
-        names = []
-        for i, c in enumerate(res.plan.curves):
-            cname = f"{name}.improved.{i}"
-            new_curves[cname] = c
-            names.append(cname)
-        variant = Instance(
-            inst.name,
-            inst.space,
-            dict(inst.families),
-            new_curves,
-            {**inst.plans, f"{name}.improved": NamedPlan(tuple(names), res.plan)},
-            dict(inst.columns),
-        )
-        _save_variant(args, variant)
+        _save_variant(args, inst, plan=(f"{name}.improved", res.plan))
         if not res.barycenter_ok:
             print("barycenter certificate FAILED")
             return EXIT_CERT_FAILED
@@ -348,21 +341,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"certified bound C(1+eps)/eps: {res.bound!r} + correction {res.correction!r}")
     print(f"exact averaged marginal sup: {res.exact_sup!r}")
     print(f"output plan marginal constant: {res.output_c_min!r}")
-    new_curves = dict(inst.curves)
-    names = []
-    for i, c in enumerate(res.plan.curves):
-        cname = f"{name}.stretch.{i}"
-        new_curves[cname] = c
-        names.append(cname)
-    variant = Instance(
-        inst.name,
-        inst.space,
-        dict(inst.families),
-        new_curves,
-        {**inst.plans, f"{name}.stretch": NamedPlan(tuple(names), res.plan)},
-        dict(inst.columns),
-    )
-    _save_variant(args, variant)
+    _save_variant(args, inst, plan=(f"{name}.stretch", res.plan))
     if not res.marginal_ok:
         print("marginal certificate FAILED")
         return EXIT_CERT_FAILED

@@ -256,6 +256,26 @@ def curve_integral(
     return total
 
 
+def _occupation(
+    curve: ParametricCurve, ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node weights of the curve at each of the times ts, in [0, 1].
+
+    Returns arrays u, v, theta: the curve sits on u with weight
+    1 - theta and on v with weight theta, where theta interpolates
+    linearly inside a segment.  At a breakpoint, on a plateau (u == v)
+    and at t = 1, theta is 0, so all weight is on u.
+    """
+    # A sentinel segment past t = 1 repeats the last node, so t = 1
+    # falls on a plateau.
+    times = np.array(curve.times + (2.0,))
+    nodes = np.array(curve.nodes + curve.nodes[-1:])
+    i = np.searchsorted(times, ts, side="right") - 1
+    u, v = nodes[i], nodes[i + 1]
+    theta = np.where(u != v, (ts - times[i]) / (times[i + 1] - times[i]), 0.0)
+    return u, v, theta
+
+
 def occupation_at(
     space: MetricMeasureSpace, curve: ParametricCurve, t: float
 ) -> list[tuple[int, float]]:
@@ -266,27 +286,10 @@ def occupation_at(
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"time {t} outside [0, 1]")
-    times = curve.times
-    i = bisect_right(times, t) - 1
-    if i >= curve.n_segments:
-        return [(curve.nodes[-1], 1.0)]
-    if times[i] == t:
-        return [(curve.nodes[i], 1.0)]
-    theta = (t - times[i]) / (times[i + 1] - times[i])
-    u, v = curve.nodes[i], curve.nodes[i + 1]
-    if u == v:
+    u, v, theta = (x[0].item() for x in _occupation(curve, np.array([t])))
+    if theta == 0.0:
         return [(u, 1.0)]
     return [(u, 1.0 - theta), (v, theta)]
-
-
-def _snap(curve: ParametricCurve, t: float) -> int:
-    """Node nearest to the curve position at time t (ties go forward)."""
-    times = curve.times
-    i = bisect_right(times, t) - 1
-    if i >= curve.n_segments:
-        return curve.nodes[-1]
-    theta = (t - times[i]) / (times[i + 1] - times[i])
-    return curve.nodes[i] if theta < 0.5 else curve.nodes[i + 1]
 
 
 def stretch(
@@ -306,12 +309,14 @@ def stretch(
     span = b - a
     lo = bisect_right(times, a)
     hi = bisect_left(times, b)
-    nodes = [_snap(curve, a)]
+    u, v, theta = _occupation(curve, np.array([a, b]))
+    first, last = np.where(theta < 0.5, u, v).tolist()
+    nodes = [first]
     out_times = [0.0]
     for k in range(lo, hi):
         nodes.append(curve.nodes[k])
         out_times.append((times[k] - a) / span)
-    nodes.append(_snap(curve, b))
+    nodes.append(last)
     out_times.append(1.0)
     if len(nodes) == 2 and nodes[0] == nodes[1]:
         return constant_curve(nodes[0])
@@ -330,8 +335,12 @@ def curves_equivalent(
     exactly and breakpoint times within tol.  A curve and its reversal
     are not equivalent.
     """
-    r1 = constant_speed_reparam(space, c1).rep
-    r2 = constant_speed_reparam(space, c2).rep
-    if r1.nodes != r2.nodes:
-        return False
-    return max(abs(s - t) for s, t in zip(r1.times, r2.times)) <= tol
+    r1, r2 = (constant_speed_reparam(space, c).rep for c in (c1, c2))
+    return _same_rep(r1, r2, tol)
+
+
+def _same_rep(r1: ParametricCurve, r2: ParametricCurve, tol: float) -> bool:
+    """Whether two constant-speed representatives name the same curve."""
+    return r1.nodes == r2.nodes and all(
+        abs(s - t) <= tol for s, t in zip(r1.times, r2.times)
+    )

@@ -288,22 +288,27 @@ def check_optimality_conditions(
         defaulting to the primal density).
     """
     p = _check_p(p)
-    if primal.f is None or dual.plan is None:
+    if primal.f is None or (dual.plan is None and primal.value != 0.0):
         raise ValueError("optimality audit needs finite solved instances")
     mod = primal.value
     f = primal.f
     violated: list[str] = []
+    msk = space.positive_mask
+    # Modulus 0 without a plan (no member admits a barycenter) charges
+    # no measure and has the zero barycenter.
+    charged = []
+    g = np.zeros(space.n_points)
+    if dual.plan is not None:
+        charged = [
+            mu for w, mu in zip(dual.plan.probabilities, dual.plan.support)
+            if w > 1e-6
+        ]
+        g, _ = plan_barycenter(space, dual.plan)
 
-    sat_dev = 0.0
-    weights = np.asarray(dual.plan.probabilities)
-    for w, mu in zip(weights, dual.plan.support):
-        if w > 1e-6:
-            sat_dev = max(sat_dev, abs(mu.integrate(f) - 1.0))
+    sat_dev = max((abs(mu.integrate(f) - 1.0) for mu in charged), default=0.0)
     if sat_dev > tol:
         violated.append("saturation")
 
-    msk = space.positive_mask
-    g, _ = plan_barycenter(space, dual.plan)
     target = np.zeros(space.n_points)
     target[msk] = f[msk] ** (p - 1.0) / mod if mod > 0 else 0.0
     bary_dev = float(np.max(np.abs(g[msk] - target[msk]), initial=0.0))
@@ -311,11 +316,7 @@ def check_optimality_conditions(
         violated.append("barycenter")
 
     probe = f if f_alt is None else np.asarray(f_alt, dtype=float)
-    charged_ok = all(
-        abs(mu.integrate(probe) - 1.0) <= tol
-        for w, mu in zip(weights, dual.plan.support)
-        if w > 1e-6
-    )
+    charged_ok = all(abs(mu.integrate(probe) - 1.0) <= tol for mu in charged)
     converse_value = float(np.dot(space.measure[msk], probe[msk] ** p))
     converse_ok = (not charged_ok) or converse_value >= mod - tol
     if not converse_ok:

@@ -77,16 +77,24 @@ def _check_p(p: float) -> float:
 def _split_measures(
     space: MetricMeasureSpace, measures: Sequence[DiscreteMeasure]
 ) -> tuple[list[int], list[int], bool]:
-    """Partition indices into kept / dropped-on-null; detect zero measures."""
+    """Partition indices into kept / dropped-on-null; detect zero measures.
+
+    Raises ValueError for a measure that charges a point outside the space.
+    """
     m = space.measure
     kept: list[int] = []
     dropped: list[int] = []
     has_zero = False
     for i, mu in enumerate(measures):
+        outside = [idx for idx, _ in mu.items if not 0 <= idx < space.n_points]
+        if outside:
+            raise ValueError(
+                f"measure {i} charges point {outside[0]} outside the space"
+            )
         if mu.total == 0:
             has_zero = True
             continue
-        if any(m[idx] == 0 or idx >= space.n_points for idx, _ in mu.items):
+        if any(m[idx] == 0 for idx, _ in mu.items):
             dropped.append(i)
         else:
             kept.append(i)

@@ -16,9 +16,8 @@ construction, and the constant-speed pushforward.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,11 +29,11 @@ from .curves import (
     j_map,
     m_map,
     metric_speed,
-    occupation_at,
     stretch,
+    _occupation,
+    _same_rep,
 )
-from .duality import build_measure_plan
-from .errors import NoBarycenterError
+from .duality import MeasurePlan, build_measure_plan, plan_barycenter
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -107,27 +106,13 @@ def parametric_barycenter(
 ) -> ParametricBarycenter:
     """Occupation density h of the plan and its L^q(m) norm.
 
-    h_x = (sum_gamma rho(gamma) m_map(gamma)(x)) / m_x.  Raises
+    h_x = (sum_gamma rho(gamma) m_map(gamma)(x)) / m_x, the barycenter
+    of the occupation measures under the plan's probabilities.  Raises
     NoBarycenterError if occupation mass sits on a zero-mass point.
     """
-    if not q > 1:
-        raise ValueError(f"barycenter exponent must satisfy q > 1, got {q}")
-    mass = np.zeros(space.n_points)
-    for w, c in plan.support():
-        for idx, val in m_map(space, c).items:
-            mass[idx] += w * val
-    m = space.measure
-    bad = np.nonzero((mass > 0) & (m == 0))[0]
-    if bad.size:
-        raise NoBarycenterError(
-            f"plan occupation puts mass {mass[bad[0]]:g} on zero-mass "
-            f"point {int(bad[0])}"
-        )
-    h = np.zeros(space.n_points)
-    msk = space.positive_mask
-    h[msk] = mass[msk] / m[msk]
-    norm = float(np.dot(m[msk], h[msk] ** q)) ** (1.0 / q)
-    return ParametricBarycenter(h, norm)
+    occupations = tuple(m_map(space, c) for c in plan.curves)
+    mplan = MeasurePlan(occupations, plan.probabilities, q)
+    return ParametricBarycenter(*plan_barycenter(space, mplan))
 
 
 def q_energy(space: MetricMeasureSpace, plan: CurvePlan, q: float) -> float:
@@ -159,22 +144,46 @@ def testplan_check(
     for _, c in plan.support():
         grid.update(c.times)
     grid.update(float(t) for t in extra_times if 0.0 <= t <= 1.0)
+    times = np.array(sorted(grid))
+    c_min, k, x = _marginal_sup(
+        space, times, lambda ts: ((w, c, ts) for w, c in plan.support())
+    )
+    return TestPlanReport(math.isfinite(c_min), c_min, float(times[k]), x)
+
+
+_BLOCK = 256  # times per block; a block holds a (block x n_points) mass array
+
+
+def _marginal_sup(
+    space: MetricMeasureSpace,
+    times: np.ndarray,
+    terms: Callable[[np.ndarray], Iterable[tuple[float, ParametricCurve, np.ndarray]]],
+) -> tuple[float, int, int]:
+    """Supremum over times and points of a marginal density mass / m.
+
+    ``terms(ts)`` yields (w, curve, s) for a block ts of the times: the
+    mass at ts[j] gains w times the occupation of the curve at s[j], in
+    term order.  Mass on a point with m = 0 has infinite density.
+    Returns the supremum with the time index and point of its first
+    attainment in (time, point) order ((0.0, 0, -1) without mass).
+    """
     m = space.measure
-    c_min = 0.0
-    worst_t = 0.0
-    worst_x = -1
-    for t in sorted(grid):
-        mass = np.zeros(space.n_points)
-        for w, c in plan.support():
-            for idx, frac in occupation_at(space, c, t):
-                mass[idx] += w * frac
-        for idx in np.nonzero(mass > 0)[0]:
-            dens = mass[idx] / m[idx] if m[idx] > 0 else math.inf
-            if dens > c_min:
-                c_min = float(dens)
-                worst_t = t
-                worst_x = int(idx)
-    return TestPlanReport(math.isfinite(c_min), c_min, worst_t, worst_x)
+    best, best_k, best_x = 0.0, 0, -1
+    for start in range(0, len(times), _BLOCK):
+        ts = times[start:start + _BLOCK]
+        rows = np.arange(len(ts))
+        mass = np.zeros((len(ts), space.n_points))
+        for w, c, s in terms(ts):
+            u, v, theta = _occupation(c, s)
+            mass[rows, u] += w * (1.0 - theta)
+            mass[rows, v] += w * theta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens = np.where(mass > 0, mass / m, 0.0)
+        flat = int(np.argmax(dens))
+        if dens.flat[flat] > best:
+            best = float(dens.flat[flat])
+            best_k, best_x = divmod(start * space.n_points + flat, space.n_points)
+    return best, best_k, best_x
 
 
 @dataclass(frozen=True)
@@ -363,27 +372,20 @@ def stretch_average(
                 t = (1.0 + eps) * tk - tau
                 if 0.0 < t < 1.0:
                     eval_times.add(t)
-    m = space.measure
-    pos = np.nonzero(m > 0)[0]
-    tau_arr = np.asarray(taus)
-    exact_sup = 0.0
-    for t in sorted(eval_times):
-        mass = np.zeros(space.n_points)
-        for w, c in plan.support():
-            times = np.asarray(c.times)
-            nodes = np.asarray(c.nodes)
-            s = (t + tau_arr) / (1.0 + eps)
-            seg = np.clip(np.searchsorted(times, s, side="right") - 1, 0, len(times) - 2)
-            theta = np.clip((s - times[seg]) / (times[seg + 1] - times[seg]), 0.0, 1.0)
-            np.add.at(mass, nodes[seg], w / n_tau * (1.0 - theta))
-            np.add.at(mass, nodes[seg + 1], w / n_tau * theta)
-        if pos.size:
-            exact_sup = max(exact_sup, float((mass[pos] / m[pos]).max()))
+    exact_sup, _, _ = _marginal_sup(
+        space,
+        np.array(sorted(eval_times)),
+        lambda ts: (
+            (w / n_tau, c, (ts + tau) / (1.0 + eps))
+            for w, c in plan.support()
+            for tau in taus
+        ),
+    )
 
     dtau = eps / n_tau
     corr = 0.0
-    msk = space.positive_mask
-    for x in np.nonzero(msk)[0]:
+    m = space.measure
+    for x in np.nonzero(space.positive_mask)[0]:
         tv = math.fsum(
             w * _occupation_tv(c, int(x)) for w, c in plan.support()
         )
@@ -415,9 +417,7 @@ def constant_speed_pushforward(
     for w, c in plan.support():
         rep = constant_speed_reparam(space, c).rep
         for i, (other, acc) in enumerate(groups):
-            if other.nodes == rep.nodes and all(
-                abs(s - t) <= 1e-9 for s, t in zip(other.times, rep.times)
-            ):
+            if _same_rep(other, rep, 1e-9):
                 groups[i] = (other, acc + w)
                 break
         else:

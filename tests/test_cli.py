@@ -203,3 +203,42 @@ def test_internal_errors_exit_5(gen_instance, monkeypatch, capsys, error):
     assert main(["solve", "--instance", gen_instance]) == 5
     err = capsys.readouterr().err
     assert "internal error" in err and "invalid input" not in err
+
+
+def write_instance(tmp_path, space, families):
+    path = tmp_path / "null.json"
+    doc = {"name": "null", "space": space, "families": families}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "space, family",
+    [
+        # The endpoints lie in different components.
+        (
+            {"n_points": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]],
+             "measure": [1.0, 1.0, 1.0, 1.0]},
+            {"kind": "paths", "source": [0], "target": [3]},
+        ),
+        # The only path crosses a zero-mass point.
+        (
+            {"n_points": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+             "measure": [1.0, 0.0, 1.0]},
+            {"kind": "paths", "source": [0], "target": [2]},
+        ),
+        # Every measure charges a zero-mass point.
+        (
+            {"n_points": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+             "measure": [1.0, 0.0, 1.0]},
+            {"kind": "explicit", "measures": [[[1, 1.0]], [[0, 0.5], [1, 0.5]]]},
+        ),
+    ],
+    ids=["disconnected", "zero-mass-path", "zero-mass-measures"],
+)
+def test_duality_certifies_modulus_zero(tmp_path, capsys, space, family):
+    inst = write_instance(tmp_path, space, {"fam": family})
+    assert main(["duality", "--instance", inst]) == 0
+    text = capsys.readouterr().out
+    assert "modulus: 0.0  content: 0.0" in text
+    assert "duality certificate ok" in text

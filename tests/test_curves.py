@@ -130,6 +130,11 @@ def test_occupation_at_interpolates():
     assert occupation_at(space, c, 1.0) == [(2, 1.0)]
     with pytest.raises(ValueError):
         occupation_at(space, c, 1.5)
+    # A plateau keeps its node with weight exactly 1 at every time.
+    flat = ParametricCurve((0, 1, 1, 2), (0.0, 0.4, 0.7, 1.0))
+    for t in (0.4, 0.55, 0.7 - 1e-12):
+        assert occupation_at(space, flat, t) == [(1, 1.0)]
+    assert occupation_at(space, flat, 0.85) == [(1, 0.5), (2, 0.5)]
 
 
 def test_line_measure_invariant_occupation_not():

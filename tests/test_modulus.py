@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from modcap.duality import solve_content
 from modcap.errors import SolverError
 from modcap.families import path_line_measure
 from modcap.instance import generate_random_instance
@@ -55,6 +56,16 @@ def test_zero_measure_forces_infinite_modulus():
     )
     assert math.isinf(sol.value)
     assert sol.f is None
+
+
+@pytest.mark.parametrize("point", [4, 9, -1])
+def test_measure_outside_the_space_is_rejected(point):
+    space = interval_space(4)
+    family = [restriction(space, range(2)), DiscreteMeasure(((point, 1.0),))]
+    with pytest.raises(ValueError, match=f"measure 1 charges point {point} "):
+        solve_modulus_explicit(space, family, 2.0)
+    with pytest.raises(ValueError, match=f"measure 1 charges point {point} "):
+        solve_content(space, family, 2.0)
 
 
 def test_null_supported_measures_are_dropped():

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from modcap.curves import ParametricCurve, constant_speed_reparam, m_map
+from modcap.curves import (
+    ParametricCurve, constant_curve, constant_speed_reparam, m_map, occupation_at
+)
 from modcap.errors import NoBarycenterError
 from modcap.instance import random_walk_curve
 from modcap.plans import (
@@ -213,3 +215,101 @@ def test_bridge_inequality_on_random_plans():
         rep = bridge_inequality(space, plan, q)
         assert rep.ok, rep
         assert rep.c_q <= rep.rhs + 1e-6
+
+
+def scalar_testplan(space, plan, extra_times=()):
+    """Reference marginal loop: one occupation_at call per time and curve."""
+    grid = {0.0, 1.0}
+    for _, c in plan.support():
+        grid.update(c.times)
+    grid.update(float(t) for t in extra_times if 0.0 <= t <= 1.0)
+    m = space.measure
+    c_min, worst_t, worst_x = 0.0, 0.0, -1
+    for t in sorted(grid):
+        mass = np.zeros(space.n_points)
+        for w, c in plan.support():
+            for idx, frac in occupation_at(space, c, t):
+                mass[idx] += w * frac
+        for idx in np.nonzero(mass > 0)[0]:
+            dens = mass[idx] / m[idx] if m[idx] > 0 else math.inf
+            if dens > c_min:
+                c_min, worst_t, worst_x = float(dens), t, int(idx)
+    return c_min, worst_t, worst_x
+
+
+def messy_plan(space, rng, n_curves):
+    """Walks with plateaus and shared breakpoints, plus constant curves."""
+    curves = []
+    for _ in range(n_curves):
+        if rng.random() < 0.2:
+            curves.append(constant_curve(int(rng.integers(space.n_points))))
+            continue
+        walk = random_walk_curve(space, rng, int(rng.integers(1, 7))).nodes
+        nodes = [x for x in walk for _ in range(1 + (rng.random() < 0.3))]
+        if len(nodes) < 2:
+            nodes.append(nodes[0])
+        # Breakpoints on a grid of eighths (when there is room) coincide
+        # across curves, so densities tie across times and points.
+        pool = np.arange(1, 8) / 8 if len(nodes) <= 8 else rng.uniform(0, 1, 40)
+        inner = np.sort(rng.choice(pool, size=len(nodes) - 2, replace=False))
+        curves.append(ParametricCurve(tuple(nodes), (0.0, *inner, 1.0)))
+    w = rng.uniform(0.2, 1.0, size=n_curves)
+    return CurvePlan(tuple(curves), tuple(float(x) for x in w / w.sum()))
+
+
+def test_testplan_check_matches_scalar_occupation_loop():
+    for s in range(60):
+        rng = np.random.default_rng(900 + s)
+        side = 3 + s % 3
+        weights = [
+            np.ones(side * side),
+            rng.uniform(0.1, 1.0, side * side),
+            rng.uniform(0.1, 1.0, side * side) * (rng.random(side * side) > 0.2),
+        ][s % 3]
+        space = build_grid_space(side, side, weights)
+        plan = messy_plan(space, rng, 1 + s % 5)
+        extra = rng.uniform(-0.2, 1.2, size=s % 7) if s % 2 else ()
+        rep = marginal_check(space, plan, extra_times=extra)
+        assert (rep.c_min, rep.worst_time, rep.worst_point) == scalar_testplan(
+            space, plan, extra
+        )
+
+
+def test_stretch_outputs_match_scalar_occupation_loop():
+    for s in range(8):
+        rng = np.random.default_rng(960 + s)
+        space = build_grid_space(4, 4, rng.uniform(0.1, 1.0, 16))
+        plan = messy_plan(space, rng, 2 + s % 3)
+        res = stretch_average(space, plan, 0.25, n_tau=(8, 16)[s % 2])
+        ref = scalar_testplan(space, res.plan)
+        assert res.output_c_min == ref[0]
+        rep = marginal_check(space, res.plan)
+        assert (rep.c_min, rep.worst_time, rep.worst_point) == ref
+
+
+def test_stretch_exact_sup_matches_brute_force_tau_average():
+    eps = 0.25
+    for s in range(6):
+        rng = np.random.default_rng(980 + s)
+        space = build_grid_space(4, 4, rng.uniform(0.1, 1.0, 16))
+        plan = messy_plan(space, rng, 2 + s % 3)
+        n_tau = (8, 16)[s % 2]
+        res = stretch_average(space, plan, eps, n_tau=n_tau)
+        taus = [(j + 0.5) * eps / n_tau for j in range(n_tau)]
+        # The averaged marginal is piecewise linear between the shifted
+        # breakpoints (1 + eps) t_k - tau, so its supremum sits on them.
+        grid = {0.0, 1.0}
+        for _, c in plan.support():
+            grid.update(
+                t for tk in c.times for tau in taus
+                if 0.0 < (t := (1.0 + eps) * tk - tau) < 1.0
+            )
+        brute = 0.0
+        for t in sorted(grid):
+            mass = np.zeros(space.n_points)
+            for w, c in plan.support():
+                for tau in taus:
+                    for idx, frac in occupation_at(space, c, (t + tau) / (1.0 + eps)):
+                        mass[idx] += w / n_tau * frac
+            brute = max(brute, float((mass / space.measure).max()))
+        assert res.exact_sup == pytest.approx(brute, rel=1e-12, abs=0.0)
