@@ -4,197 +4,23 @@ The package solves the discrete p-modulus problem for families of
 measures and of polyline curves, certifies the duality with plans whose
 barycenter lies in L^q, manipulates curve plans (barycenter improvement,
 stretch averaging, test-plan checks), and verifies upper-gradient pairs.
+
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports them all.
 """
 
-from .curves import (
-    NonParamCurve,
-    ParametricCurve,
-    constant_curve,
-    constant_speed_reparam,
-    curve_energy,
-    curve_integral,
-    curve_length,
-    curves_equivalent,
-    edge_multiplicity,
-    j_edge_measure,
-    j_map,
-    m_map,
-    metric_speed,
-    occupation_at,
-    stretch,
-    time_average,
-)
-from .duality import (
-    ContentSolution,
-    DualityCertificate,
-    MeasurePlan,
-    OptimalityReport,
-    build_measure_plan,
-    check_duality,
-    check_optimality_conditions,
-    content_of_curve_family,
-    plan_barycenter,
-    plan_from_multipliers,
-    solve_content,
-)
-from .errors import (
-    InvalidInstanceError,
-    ModcapError,
-    NoBarycenterError,
-    SolverError,
-)
-from .families import (
-    EnumeratedFamily,
-    MeasureFamily,
-    enumerate_family,
-    path_line_measure,
-)
-from .gradients import (
-    EquivalenceRecord,
-    GradientCheckReport,
-    PlanViolation,
-    W1pReport,
-    check_upper_gradient,
-    check_w1p_pair,
-    equivalence_experiment,
-    modulus_of_violating_family,
-)
-from .instance import (
-    GENERATOR_POINT_CAP,
-    RESULT_COLUMNS,
-    Instance,
-    NamedPlan,
-    ResultRecord,
-    emit_results,
-    generate_random_instance,
-    instance_from_dict,
-    instance_to_dict,
-    load_instance,
-    random_walk_curve,
-    save_instance,
-)
-from .modulus import (
-    ModPropertiesReport,
-    ModulusSolution,
-    PathModulusSolution,
-    SaturatedSubfamily,
-    brute_force_lattice,
-    mod_properties_check,
-    saturated_subfamily,
-    shortest_weighted_path,
-    solve_modulus_explicit,
-    solve_modulus_paths,
-    solve_modulus_primal,
-)
-from .plans import (
-    BridgeReport,
-    CurvePlan,
-    ImproveResult,
-    ParametricBarycenter,
-    StretchResult,
-    TestPlanReport,
-    bridge_inequality,
-    constant_speed_pushforward,
-    improve_barycenter,
-    parametric_barycenter,
-    plan_lipschitz,
-    q_energy,
-    stretch_average,
-    testplan_check,
-)
-from .space import (
-    DiscreteMeasure,
-    MetricMeasureSpace,
-    build_grid_space,
-    grid_node,
-    trapezoid_grid_weights,
-)
+from . import curves, duality, errors, families, gradients, instance, modulus, plans, space
+from .curves import *  # noqa: F401,F403
+from .duality import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .families import *  # noqa: F401,F403
+from .gradients import *  # noqa: F401,F403
+from .instance import *  # noqa: F401,F403
+from .modulus import *  # noqa: F401,F403
+from .plans import *  # noqa: F401,F403
+from .space import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BridgeReport",
-    "ContentSolution",
-    "CurvePlan",
-    "DiscreteMeasure",
-    "DualityCertificate",
-    "EnumeratedFamily",
-    "EquivalenceRecord",
-    "GENERATOR_POINT_CAP",
-    "GradientCheckReport",
-    "ImproveResult",
-    "Instance",
-    "InvalidInstanceError",
-    "MeasureFamily",
-    "MeasurePlan",
-    "MetricMeasureSpace",
-    "ModPropertiesReport",
-    "ModcapError",
-    "ModulusSolution",
-    "NamedPlan",
-    "NoBarycenterError",
-    "NonParamCurve",
-    "OptimalityReport",
-    "ParametricBarycenter",
-    "ParametricCurve",
-    "PathModulusSolution",
-    "PlanViolation",
-    "RESULT_COLUMNS",
-    "ResultRecord",
-    "SaturatedSubfamily",
-    "SolverError",
-    "StretchResult",
-    "TestPlanReport",
-    "W1pReport",
-    "build_grid_space",
-    "build_measure_plan",
-    "brute_force_lattice",
-    "check_duality",
-    "check_optimality_conditions",
-    "check_upper_gradient",
-    "check_w1p_pair",
-    "constant_curve",
-    "constant_speed_pushforward",
-    "constant_speed_reparam",
-    "content_of_curve_family",
-    "curve_energy",
-    "curve_integral",
-    "curve_length",
-    "curves_equivalent",
-    "edge_multiplicity",
-    "emit_results",
-    "enumerate_family",
-    "equivalence_experiment",
-    "generate_random_instance",
-    "grid_node",
-    "improve_barycenter",
-    "instance_from_dict",
-    "instance_to_dict",
-    "j_edge_measure",
-    "j_map",
-    "load_instance",
-    "m_map",
-    "metric_speed",
-    "mod_properties_check",
-    "modulus_of_violating_family",
-    "occupation_at",
-    "parametric_barycenter",
-    "path_line_measure",
-    "plan_barycenter",
-    "plan_from_multipliers",
-    "plan_lipschitz",
-    "q_energy",
-    "random_walk_curve",
-    "saturated_subfamily",
-    "save_instance",
-    "shortest_weighted_path",
-    "solve_content",
-    "solve_modulus_explicit",
-    "solve_modulus_paths",
-    "solve_modulus_primal",
-    "stretch",
-    "stretch_average",
-    "testplan_check",
-    "time_average",
-    "trapezoid_grid_weights",
-]
+_MODULES = (curves, duality, errors, families, gradients, instance, modulus, plans, space)
+__all__ = [name for module in _MODULES for name in module.__all__]

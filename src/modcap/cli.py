@@ -47,9 +47,10 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .modulus import PathModulusSolution, solve_modulus_explicit, solve_modulus_paths
+from .modulus import ModulusSolution, solve_modulus_explicit, solve_modulus_paths
 from .plans import CurvePlan, improve_barycenter, stretch_average, testplan_check
 from .selftest import run_selftest
+from .space import DiscreteMeasure
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -112,35 +113,37 @@ def _emit(args: argparse.Namespace, record: ResultRecord) -> None:
         print(f"wrote {args.out}")
 
 
-def _solve_paths(
+def _solve(
     args: argparse.Namespace, inst: Instance, fam: MeasureFamily
-) -> PathModulusSolution:
-    psol = solve_modulus_paths(
-        inst.space,
-        fam.source,
-        fam.target,
-        args.p,
-        fam.max_hops,
-        gap_tol=args.tol,
-        max_outer=args.max_iter,
+) -> tuple[ModulusSolution, Sequence[DiscreteMeasure]]:
+    """Modulus of the family and the measures that certify it."""
+    if fam.kind == "paths":
+        psol = solve_modulus_paths(
+            inst.space,
+            fam.source,
+            fam.target,
+            args.p,
+            fam.max_hops,
+            gap_tol=args.tol,
+            max_outer=args.max_iter,
+        )
+        print(f"generated paths: {len(psol.paths)}")
+        # The oracle has shown that f integrates to at least 1 - tol on
+        # every path, so the certificate on the final working paths
+        # brackets the modulus of the whole family, without enumerating it.
+        return psol.solution, [path_line_measure(inst.space, path) for path in psol.paths]
+    measures = enumerate_family(inst.space, fam, curves_by_name=inst.curves).measures
+    sol = solve_modulus_explicit(
+        inst.space, measures, args.p, gap_tol=args.tol, max_iter=args.max_iter
     )
-    print(f"generated paths: {len(psol.paths)}")
-    return psol
+    return sol, measures
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load(args)
     fam_name, fam = _pick_family(inst, args.family)
     t0 = time.perf_counter()
-    if fam.kind == "paths":
-        sol = _solve_paths(args, inst, fam).solution
-    else:
-        measures = enumerate_family(
-            inst.space, fam, curves_by_name=inst.curves
-        ).measures
-        sol = solve_modulus_explicit(
-            inst.space, measures, args.p, gap_tol=args.tol, max_iter=args.max_iter
-        )
+    sol, _ = _solve(args, inst, fam)
     wall_ms = (time.perf_counter() - t0) * 1e3
     print(f"instance: {inst.name}  family: {fam_name}  p: {args.p}  seed: {args.seed}")
     print(f"modulus: {sol.value!r}")
@@ -162,20 +165,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
     inst = _load(args)
     fam_name, fam = _pick_family(inst, args.family)
     t0 = time.perf_counter()
-    if fam.kind == "paths":
-        # The oracle has shown that f integrates to at least 1 - tol on
-        # every path, so the certificate on the final working paths
-        # brackets the modulus of the whole family, without enumerating it.
-        psol = _solve_paths(args, inst, fam)
-        sol = psol.solution
-        measures = [path_line_measure(inst.space, path) for path in psol.paths]
-    else:
-        measures = enumerate_family(
-            inst.space, fam, curves_by_name=inst.curves
-        ).measures
-        sol = solve_modulus_explicit(
-            inst.space, measures, args.p, gap_tol=args.tol, max_iter=args.max_iter
-        )
+    sol, measures = _solve(args, inst, fam)
     content = solve_content(inst.space, measures, args.p / (args.p - 1.0))
     cert = check_duality(inst.space, sol, content, args.p, tol=args.cert_tol)
     opt = check_optimality_conditions(inst.space, sol, content, args.p, tol=args.cert_tol)

@@ -23,7 +23,6 @@ from .space import DiscreteMeasure, MetricMeasureSpace
 
 __all__ = [
     "ParametricCurve",
-    "NonParamCurve",
     "constant_curve",
     "metric_speed",
     "curve_length",
@@ -62,6 +61,8 @@ class ParametricCurve:
             )
         if len(nodes) < 2:
             raise InvalidInstanceError("curve needs at least one node")
+        if min(nodes) < 0:
+            raise InvalidInstanceError(f"curve has negative node {min(nodes)}")
         if times[0] != 0.0 or times[-1] != 1.0:
             raise InvalidInstanceError("curve times must start at 0 and end at 1")
         for a, b in zip(times, times[1:]):

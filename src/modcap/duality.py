@@ -22,16 +22,11 @@ import numpy as np
 
 from .curves import ParametricCurve, j_map
 from .errors import NoBarycenterError, SolverError
-from .modulus import (
-    ModulusSolution, _check_p, _constraint_matrix, _PlanProblem, _split_measures
-)
+from .modulus import ModulusSolution, _check_p, solve_modulus_explicit
 from .space import DiscreteMeasure, MetricMeasureSpace
 
 __all__ = [
     "MeasurePlan",
-    "ContentSolution",
-    "DualityCertificate",
-    "OptimalityReport",
     "plan_barycenter",
     "build_measure_plan",
     "plan_from_multipliers",
@@ -165,38 +160,29 @@ def solve_content(
 ) -> ContentSolution:
     """Maximize 1 / c_q over plans on the family.
 
-    Minimizes the convex map lam -> ||sum_i lam_i mu_i / m||_q over the
-    probability simplex with the engine of ``solve_modulus_explicit``.
-    The plan is certified by the weak-duality bracket against the
-    density read off its barycenter: its relative width is at most tol,
-    or SolverError is raised.
+    The optimal plan is the one ``solve_modulus_explicit`` solves for at
+    p = q / (q - 1): its multipliers p w_i / s^(p-1) are proportional
+    to the plan weights w.  The plan is certified by that solve's
+    weak-duality bracket: its relative width is at most tol, or
+    SolverError is raised.
     """
     if not (q > 1 and math.isfinite(q)):
         raise ValueError(f"content exponent must satisfy q > 1, got {q}")
-    kept, excluded_l, has_zero = _split_measures(space, measures)
-    excluded = tuple(excluded_l)
-    if has_zero:
-        w = np.zeros(len(measures))
-        for i, mu in enumerate(measures):
-            if mu.total == 0:
-                w[i] = 1.0
-                break
-        plan = build_measure_plan(space, measures, w, q)
-        return ContentSolution(math.inf, plan, 0, excluded)
-    if not kept:
+    sol = solve_modulus_explicit(
+        space, measures, q / (q - 1.0), gap_tol=tol, max_iter=max_iter
+    )
+    if sol.value == 0.0:
         return ContentSolution(
-            0.0, None, 0, excluded, no_admissible_plan=len(measures) > 0
+            0.0, None, sol.iterations, sol.dropped, no_admissible_plan=len(measures) > 0
         )
-
-    U = _constraint_matrix(space, [measures[i] for i in kept])
-    prob = _PlanProblem(space, U, q / (q - 1.0))
-    lam, it = prob.solve(np.full(len(kept), 1.0 / len(kept)), tol, max_iter)
-
-    weights = np.zeros(len(measures))
-    weights[kept] = lam / lam.sum()
+    if math.isinf(sol.value):  # the delta on the first zero measure
+        weights = np.zeros(len(measures))
+        weights[next(i for i, mu in enumerate(measures) if mu.total == 0)] = 1.0
+    else:
+        weights = sol.multipliers / sol.multipliers.sum()
     plan = build_measure_plan(space, measures, weights, q)
     value = 1.0 / plan.c_q if plan.c_q > 0 else math.inf
-    return ContentSolution(value, plan, it, excluded)
+    return ContentSolution(value, plan, sol.iterations, sol.dropped)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ModcapError", "InvalidInstanceError", "SolverError", "NoBarycenterError"]
+
 
 class ModcapError(Exception):
     """Base class for errors raised by this package."""

@@ -9,7 +9,7 @@ from .curves import ParametricCurve, j_map, m_map
 from .errors import InvalidInstanceError
 from .space import DiscreteMeasure, MetricMeasureSpace
 
-__all__ = ["MeasureFamily", "EnumeratedFamily", "enumerate_family"]
+__all__ = ["MeasureFamily", "enumerate_family", "path_line_measure"]
 
 _KINDS = ("explicit", "paths", "curves")
 

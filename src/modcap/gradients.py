@@ -22,10 +22,6 @@ from .plans import CurvePlan, testplan_check
 from .space import MetricMeasureSpace
 
 __all__ = [
-    "GradientCheckReport",
-    "PlanViolation",
-    "W1pReport",
-    "EquivalenceRecord",
     "check_upper_gradient",
     "modulus_of_violating_family",
     "check_w1p_pair",

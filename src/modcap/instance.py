@@ -36,6 +36,8 @@ __all__ = [
     "generate_random_instance",
     "random_walk_curve",
     "emit_results",
+    "GENERATOR_POINT_CAP",
+    "RESULT_COLUMNS",
 ]
 
 GENERATOR_POINT_CAP = 200
@@ -164,8 +166,11 @@ def _parse_curve(name: str, data: Any, space: MetricMeasureSpace) -> ParametricC
         times = tuple(float(t) for t in data["times"])
     try:
         curve = ParametricCurve(nodes, times)
-    except ValueError as exc:
+    except InvalidInstanceError as exc:
         raise InvalidInstanceError(f"{where}: {exc}") from exc
+    outside = [x for x in curve.nodes if x >= space.n_points]
+    if outside:
+        raise InvalidInstanceError(f"{where}: node {outside[0]} is not a point")
     for k in range(curve.n_segments):
         u, v = curve.nodes[k], curve.nodes[k + 1]
         if u != v and not space.has_edge(u, v):

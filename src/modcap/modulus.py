@@ -33,8 +33,6 @@ from .space import DiscreteMeasure, MetricMeasureSpace
 __all__ = [
     "ModulusSolution",
     "PathModulusSolution",
-    "ModPropertiesReport",
-    "SaturatedSubfamily",
     "solve_modulus_explicit",
     "solve_modulus_primal",
     "brute_force_lattice",
@@ -63,7 +61,6 @@ class ModulusSolution:
     iterations: int
     gap: float
     dual_value: float
-    active_set: tuple[int, ...] = ()
     dropped: tuple[int, ...] = ()
     empty_family: bool = False
 
@@ -86,7 +83,7 @@ def _split_measures(
     dropped: list[int] = []
     has_zero = False
     for i, mu in enumerate(measures):
-        outside = [idx for idx, _ in mu.items if not 0 <= idx < space.n_points]
+        outside = [idx for idx, _ in mu.items if idx >= space.n_points]
         if outside:
             raise ValueError(
                 f"measure {i} charges point {outside[0]} outside the space"
@@ -381,7 +378,6 @@ class _PlanProblem:
         iterations: int,
         kept: Sequence[int],
         n_measures: int,
-        kkt_tol: float = 1e-8,
         dropped: tuple[int, ...] = (),
     ) -> ModulusSolution:
         """Modulus solution read off plan weights w over the measures ``kept``.
@@ -404,7 +400,6 @@ class _PlanProblem:
         f_out[msk] = f
         mults = np.zeros(n_measures)
         mults[kept] = p * w / s ** (p - 1.0)
-        slack = self.U @ f - 1.0
         return ModulusSolution(
             value=value,
             f=f_out,
@@ -412,7 +407,6 @@ class _PlanProblem:
             iterations=iterations,
             gap=max(value - lower, 0.0) / value + _ROUNDING * p,
             dual_value=lower,
-            active_set=tuple(i for row, i in enumerate(kept) if slack[row] <= kkt_tol),
             dropped=dropped,
         )
 
@@ -423,7 +417,6 @@ def solve_modulus_explicit(
     p: float,
     *,
     gap_tol: float = 1e-9,
-    kkt_tol: float = 1e-8,
     max_iter: int = 100000,
 ) -> ModulusSolution:
     """Modulus of an explicit family, read off its optimal plan.
@@ -444,7 +437,7 @@ def solve_modulus_explicit(
 
     prob = _PlanProblem(space, _constraint_matrix(space, [measures[i] for i in kept]), p)
     w, it = prob.solve(np.full(len(kept), 1.0 / len(kept)), gap_tol, max_iter)
-    return prob.solution(w, it, kept, len(measures), kkt_tol, dropped)
+    return prob.solution(w, it, kept, len(measures), dropped)
 
 
 def _dykstra_project(

@@ -38,11 +38,6 @@ from .space import MetricMeasureSpace
 
 __all__ = [
     "CurvePlan",
-    "ParametricBarycenter",
-    "TestPlanReport",
-    "ImproveResult",
-    "StretchResult",
-    "BridgeReport",
     "parametric_barycenter",
     "q_energy",
     "plan_lipschitz",

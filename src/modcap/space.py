@@ -156,6 +156,8 @@ class DiscreteMeasure:
         seen: dict[int, float] = {}
         for idx, w in self.items:
             i, wf = int(idx), float(w)
+            if i < 0:
+                raise InvalidInstanceError(f"negative point id {i} in measure")
             if wf < 0 or not math.isfinite(wf):
                 raise InvalidInstanceError(f"measure weight {wf!r} at point {i}")
             if i in seen:

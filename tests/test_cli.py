@@ -242,3 +242,18 @@ def test_duality_certifies_modulus_zero(tmp_path, capsys, space, family):
     text = capsys.readouterr().out
     assert "modulus: 0.0  content: 0.0" in text
     assert "duality certificate ok" in text
+
+
+@pytest.mark.parametrize("nodes", [[-1], [7, 7]], ids=["negative", "plateau-outside"])
+def test_curve_node_outside_the_space_exits_2(tmp_path, capsys, nodes):
+    path = tmp_path / "bad_node.json"
+    doc = {
+        "name": "bad_node",
+        "space": {"n_points": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+                  "measure": [1.0, 1.0, 1.0]},
+        "curves": {"a": {"nodes": nodes}},
+        "plans": {"pl": {"curves": ["a"], "probs": [1.0]}},
+    }
+    path.write_text(json.dumps(doc))
+    assert main(["plan", "check", "--instance", str(path)]) == 2
+    assert "invalid input: curves['a']:" in capsys.readouterr().err

@@ -40,6 +40,8 @@ def test_curve_validation():
         ParametricCurve((0, 1), (0.1, 1.0))
     with pytest.raises(InvalidInstanceError, match="3 nodes but 2 times"):
         ParametricCurve((0, 1, 2), (0.0, 1.0))
+    with pytest.raises(InvalidInstanceError, match="negative node -1"):
+        ParametricCurve((0, -1), (0.0, 1.0))
     c = constant_curve(4)
     assert c.is_constant() and c.nodes == (4, 4)
 
