@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modcap.duality import solve_content
-from modcap.errors import SolverError
+from modcap.errors import InvalidInstanceError, SolverError
 from modcap.families import path_line_measure
 from modcap.instance import generate_random_instance
 from modcap.modulus import (
@@ -58,9 +58,14 @@ def test_zero_measure_forces_infinite_modulus():
     assert sol.f is None
 
 
-@pytest.mark.parametrize("point", [4, 9])
+@pytest.mark.parametrize("point", [4, 9, -1])
 def test_measure_outside_the_space_is_rejected(point):
     space = interval_space(4)
+    if point < 0:
+        # a negative id never becomes a measure the solvers could see
+        with pytest.raises(InvalidInstanceError, match=f"negative point id {point}"):
+            DiscreteMeasure(((point, 1.0),))
+        return
     family = [restriction(space, range(2)), DiscreteMeasure(((point, 1.0),))]
     with pytest.raises(ValueError, match=f"measure 1 charges point {point} "):
         solve_modulus_explicit(space, family, 2.0)

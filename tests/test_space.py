@@ -54,8 +54,6 @@ def test_measure_rejects_negative_and_duplicate_points():
         DiscreteMeasure(((3, -1.0),))
     with pytest.raises(InvalidInstanceError, match="duplicate point 1"):
         DiscreteMeasure(((1, 0.5), (1, 0.25)))
-    with pytest.raises(InvalidInstanceError, match="negative point id -1"):
-        DiscreteMeasure(((-1, 1.0),))
 
 
 def test_measure_array_round_trip_and_integration():
