@@ -28,7 +28,7 @@ from .curves import (
     j_map,
     m_map,
 )
-from .duality import check_duality, check_optimality_conditions, solve_content
+from .duality import check_duality, check_optimality_conditions, content_from_multipliers
 from .errors import (
     InvalidInstanceError,
     ModcapError,
@@ -166,7 +166,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
     fam_name, fam = _pick_family(inst, args.family)
     t0 = time.perf_counter()
     sol, measures = _solve(args, inst, fam)
-    content = solve_content(inst.space, measures, args.p / (args.p - 1.0))
+    content = content_from_multipliers(inst.space, measures, sol, args.p / (args.p - 1.0))
     cert = check_duality(inst.space, sol, content, args.p, tol=args.cert_tol)
     opt = check_optimality_conditions(inst.space, sol, content, args.p, tol=args.cert_tol)
     wall_ms = (time.perf_counter() - t0) * 1e3

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import ParametricCurve, j_map
-from .errors import NoBarycenterError, SolverError
+from .errors import NoBarycenterError
 from .modulus import ModulusSolution, _check_p, solve_modulus_explicit
 from .space import DiscreteMeasure, MetricMeasureSpace
 
@@ -29,7 +29,7 @@ __all__ = [
     "MeasurePlan",
     "plan_barycenter",
     "build_measure_plan",
-    "plan_from_multipliers",
+    "content_from_multipliers",
     "solve_content",
     "check_duality",
     "check_optimality_conditions",
@@ -104,29 +104,6 @@ def build_measure_plan(
     return MeasurePlan(plan.support, plan.probabilities, q, g, c_q)
 
 
-def plan_from_multipliers(
-    space: MetricMeasureSpace,
-    measures: Sequence[DiscreteMeasure],
-    solution: ModulusSolution,
-    p: float,
-) -> MeasurePlan:
-    """Optimal plan read off the primal multipliers: lam_i = alpha_i / (p Mod).
-
-    Stationarity makes these weights sum to 1 at optimality; the
-    resulting barycenter is f^(p-1) / ||f||_p^p.
-    """
-    p = _check_p(p)
-    if solution.multipliers is None or not (0 < solution.value < math.inf):
-        raise ValueError("multiplier plan needs a finite positive solved modulus")
-    lam = solution.multipliers / (p * solution.value)
-    total = float(lam.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise SolverError(
-            f"multiplier weights sum to {total:.9f}, not a probability", gap=None
-        )
-    return build_measure_plan(space, measures, lam / total, p / (p - 1.0))
-
-
 @dataclass(frozen=True)
 class ContentSolution:
     """Optimal content value and the plan achieving it.
@@ -160,9 +137,8 @@ def solve_content(
 ) -> ContentSolution:
     """Maximize 1 / c_q over plans on the family.
 
-    The optimal plan is the one ``solve_modulus_explicit`` solves for at
-    p = q / (q - 1): its multipliers p w_i / s^(p-1) are proportional
-    to the plan weights w.  The plan is certified by that solve's
+    The plan is read off ``solve_modulus_explicit`` at p = q / (q - 1)
+    (see ``content_from_multipliers``) and certified by that solve's
     weak-duality bracket: its relative width is at most tol, or
     SolverError is raised.
     """
@@ -171,18 +147,37 @@ def solve_content(
     sol = solve_modulus_explicit(
         space, measures, q / (q - 1.0), gap_tol=tol, max_iter=max_iter
     )
-    if sol.value == 0.0:
+    return content_from_multipliers(space, measures, sol, q)
+
+
+def content_from_multipliers(
+    space: MetricMeasureSpace,
+    measures: Sequence[DiscreteMeasure],
+    solution: ModulusSolution,
+    q: float,
+) -> ContentSolution:
+    """Content and optimal plan read off a modulus solution of the family.
+
+    The multipliers p w_i / s^(p-1) are proportional to the plan weights
+    w, so the plan is the multipliers divided by their sum.  Modulus 0
+    gives no plan; an infinite modulus gives the delta on the first zero
+    measure.  The pair is certified by ``check_duality``.
+    """
+    if solution.value == 0.0:
         return ContentSolution(
-            0.0, None, sol.iterations, sol.dropped, no_admissible_plan=len(measures) > 0
+            0.0, None, solution.iterations, solution.dropped,
+            no_admissible_plan=len(measures) > 0,
         )
-    if math.isinf(sol.value):  # the delta on the first zero measure
+    if math.isinf(solution.value):
         weights = np.zeros(len(measures))
         weights[next(i for i, mu in enumerate(measures) if mu.total == 0)] = 1.0
+    elif solution.multipliers is None:
+        raise ValueError("content read-off needs a solution with multipliers")
     else:
-        weights = sol.multipliers / sol.multipliers.sum()
+        weights = solution.multipliers / solution.multipliers.sum()
     plan = build_measure_plan(space, measures, weights, q)
     value = 1.0 / plan.c_q if plan.c_q > 0 else math.inf
-    return ContentSolution(value, plan, sol.iterations, sol.dropped)
+    return ContentSolution(value, plan, solution.iterations, solution.dropped)
 
 
 @dataclass(frozen=True)
@@ -274,6 +269,9 @@ def check_optimality_conditions(
         defaulting to the primal density).
     """
     p = _check_p(p)
+    if math.isinf(primal.value) and math.isinf(dual.value):
+        # No density is admissible, so there is no condition to audit.
+        return OptimalityReport(0.0, 0.0, math.inf, True, (), True)
     if primal.f is None or (dual.plan is None and primal.value != 0.0):
         raise ValueError("optimality audit needs finite solved instances")
     mod = primal.value

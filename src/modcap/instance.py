@@ -51,6 +51,13 @@ def _require_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None
             raise InvalidInstanceError(f"{where}: unknown key {key!r}")
 
 
+def _integer(value: Any, where: str) -> int:
+    """A JSON integer: floats such as 1.7 and bools are rejected, not truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInstanceError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class NamedPlan:
     curve_names: tuple[str, ...]
@@ -72,16 +79,13 @@ def _parse_space(data: Any) -> MetricMeasureSpace:
     for key in ("n_points", "edges", "measure"):
         if key not in data:
             raise InvalidInstanceError(f"space: missing key {key!r}")
-    n = data["n_points"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidInstanceError("space.n_points: expected an integer")
+    n = _integer(data["n_points"], "space.n_points")
     edges = []
     for i, e in enumerate(data["edges"]):
+        where = f"space.edges[{i}]"
         if not (isinstance(e, Sequence) and len(e) == 3):
-            raise InvalidInstanceError(
-                f"space.edges[{i}]: expected [u, v, length]"
-            )
-        edges.append((e[0], e[1], float(e[2])))
+            raise InvalidInstanceError(f"{where}: expected [u, v, length]")
+        edges.append((_integer(e[0], where), _integer(e[1], where), float(e[2])))
     measure = data["measure"]
     if not isinstance(measure, Sequence) or len(measure) != n:
         raise InvalidInstanceError(
@@ -108,7 +112,7 @@ def _parse_measure(entry: Any, where: str) -> DiscreteMeasure:
     for j, pair in enumerate(entry):
         if not (isinstance(pair, Sequence) and len(pair) == 2):
             raise InvalidInstanceError(f"{where}[{j}]: expected [point, weight]")
-        items.append((pair[0], float(pair[1])))
+        items.append((_integer(pair[0], f"{where}[{j}]"), float(pair[1])))
     try:
         return DiscreteMeasure(tuple(items))
     except (ValueError, InvalidInstanceError) as exc:
@@ -135,9 +139,13 @@ def _parse_family(name: str, data: Any) -> MeasureFamily:
             return MeasureFamily(
                 name,
                 "paths",
-                source=tuple(data.get("source", ())),
-                target=tuple(data.get("target", ())),
-                max_hops=None if hops is None else int(hops),
+                source=tuple(
+                    _integer(v, f"{where}.source") for v in data.get("source", ())
+                ),
+                target=tuple(
+                    _integer(v, f"{where}.target") for v in data.get("target", ())
+                ),
+                max_hops=None if hops is None else _integer(hops, f"{where}.max_hops"),
             )
         if kind == "curves":
             return MeasureFamily(
@@ -156,7 +164,7 @@ def _parse_curve(name: str, data: Any, space: MetricMeasureSpace) -> ParametricC
     _require_keys(data, {"nodes", "times"}, where)
     if "nodes" not in data:
         raise InvalidInstanceError(f"{where}: missing key 'nodes'")
-    nodes = tuple(int(v) for v in data["nodes"])
+    nodes = tuple(_integer(v, f"{where}.nodes") for v in data["nodes"])
     if data.get("times") is None:
         k = max(len(nodes) - 1, 1)
         times = tuple(i / k for i in range(len(nodes)))

@@ -23,7 +23,7 @@ from .curves import (
     m_map,
     metric_speed,
 )
-from .duality import check_duality, check_optimality_conditions, solve_content
+from .duality import check_duality, check_optimality_conditions, content_from_multipliers
 from .families import MeasureFamily, enumerate_family
 from .gradients import (
     check_upper_gradient,
@@ -131,7 +131,7 @@ def criterion_duality_random() -> CriterionResult:
         space = inst.space
         measures = inst.families["random"].measures
         sol = solve_modulus_explicit(space, measures, p, gap_tol=1e-11)
-        content = solve_content(space, measures, p / (p - 1.0))
+        content = content_from_multipliers(space, measures, sol, p / (p - 1.0))
         root = sol.value ** (1.0 / p)
         dv = abs(root - content.value) / max(1.0, root)
         worst_val = max(worst_val, dv)

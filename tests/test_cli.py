@@ -177,6 +177,18 @@ def test_duality_on_path_family_skips_enumeration(grid6_instance, monkeypatch, c
     assert "duality certificate ok" in text
 
 
+@pytest.mark.parametrize("fixture", ["gen_instance", "grid6_instance"])
+def test_duality_reads_content_off_the_modulus_solve(request, monkeypatch, capsys, fixture):
+    import modcap.duality
+
+    def second_solve(*args, **kwargs):
+        raise AssertionError("duality solved the plan problem twice")
+
+    monkeypatch.setattr(modcap.duality, "solve_modulus_explicit", second_solve)
+    assert main(["duality", "--instance", request.getfixturevalue(fixture)]) == 0
+    assert "duality certificate ok" in capsys.readouterr().out
+
+
 def test_truncated_path_family_warns(grid6_instance, monkeypatch, capsys):
     import modcap.cli as cli
 
@@ -242,6 +254,70 @@ def test_duality_certifies_modulus_zero(tmp_path, capsys, space, family):
     text = capsys.readouterr().out
     assert "modulus: 0.0  content: 0.0" in text
     assert "duality certificate ok" in text
+
+
+@pytest.mark.parametrize(
+    "space, family",
+    [
+        # The family holds the zero measure.
+        (
+            {"n_points": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+             "measure": [1.0, 1.0, 1.0]},
+            {"kind": "explicit", "measures": [[[0, 1.0]], []]},
+        ),
+        # A source that is also a target gives a one-point path.
+        (
+            {"n_points": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+             "measure": [1.0, 1.0, 1.0]},
+            {"kind": "paths", "source": [0], "target": [0, 2]},
+        ),
+    ],
+    ids=["zero-measure", "one-point-path"],
+)
+def test_duality_certifies_infinite_modulus(tmp_path, capsys, space, family):
+    inst = write_instance(tmp_path, space, {"fam": family})
+    assert main(["duality", "--instance", inst]) == 0
+    text = capsys.readouterr().out
+    assert "modulus: inf  content: inf" in text
+    assert "duality certificate ok" in text
+
+
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("edge", [0, 1.7, 1.0], "space.edges[0]"),
+        ("n_points", True, "space.n_points"),
+        ("measure", [[0.9, 1.0]], "families['fam'].measures[0][0]"),
+        ("source", [0.5], "families['fam'].source"),
+        ("source", ["a"], "families['fam'].source"),
+        ("target", [2.0], "families['fam'].target"),
+        ("max_hops", 2.5, "families['fam'].max_hops"),
+        ("nodes", [0.2, 1, 2.9], "curves['c'].nodes"),
+    ],
+    ids=["edge", "n_points", "measure", "source-float", "source-string",
+         "target-float", "max_hops", "nodes"],
+)
+def test_non_integer_ids_exit_2(tmp_path, capsys, field, value, where):
+    space = {"n_points": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+             "measure": [1.0, 1.0, 1.0]}
+    family = {"kind": "paths", "source": [0], "target": [2]}
+    curve = {"nodes": [0, 1, 2]}
+    if field == "edge":
+        space["edges"] = [value]
+    elif field == "n_points":
+        space["n_points"] = value
+    elif field == "measure":
+        family = {"kind": "explicit", "measures": [value]}
+    elif field == "nodes":
+        curve["nodes"] = value
+    else:
+        family[field] = value
+    path = tmp_path / "ids.json"
+    doc = {"name": "ids", "space": space, "families": {"fam": family},
+           "curves": {"c": curve}}
+    path.write_text(json.dumps(doc))
+    assert main(["duality", "--instance", str(path)]) == 2
+    assert f"invalid input: {where}: expected an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("nodes", [[-1], [7, 7]], ids=["negative", "plateau-outside"])

@@ -11,14 +11,14 @@ from modcap.duality import (
     build_measure_plan,
     check_duality,
     check_optimality_conditions,
+    content_from_multipliers,
     content_of_curve_family,
     plan_barycenter,
-    plan_from_multipliers,
     solve_content,
 )
 from modcap.errors import NoBarycenterError, SolverError
 from modcap.instance import generate_random_instance
-from modcap.modulus import solve_modulus_explicit
+from modcap.modulus import solve_modulus_explicit, solve_modulus_primal
 from modcap.space import DiscreteMeasure, MetricMeasureSpace
 
 
@@ -133,18 +133,46 @@ def test_duality_certificate_for_infinite_pair():
     cert = check_duality(space, primal, dual, 2.0)
     assert cert.ok
     assert math.isinf(cert.modulus) and math.isinf(cert.content)
+    # No density is admissible, so the optimality audit has nothing to flag.
+    opt = check_optimality_conditions(space, primal, dual, 2.0)
+    assert opt.ok and opt.violated == ()
+    assert math.isinf(opt.converse_value)
 
 
-def test_plan_from_multipliers_matches_content_plan():
+def test_content_from_multipliers_matches_content_solve():
+    # One modulus solve carries the content: its read-off is the plan and
+    # value of solve_content, bit for bit.
     for seed in (0, 1, 2, 3):
         inst = generate_random_instance(seed=seed, n_points=7, n_measures=4)
         measures = inst.families["random"].measures
-        p = 2.0
-        primal = solve_modulus_explicit(inst.space, measures, p, gap_tol=1e-11)
-        plan = plan_from_multipliers(inst.space, measures, primal, p)
-        assert math.fsum(plan.probabilities) == pytest.approx(1.0, abs=1e-9)
-        dual = solve_content(inst.space, measures, 2.0)
-        assert 1.0 / plan.c_q == pytest.approx(dual.value, rel=1e-6)
+        primal = solve_modulus_explicit(inst.space, measures, 2.0, gap_tol=1e-11)
+        read = content_from_multipliers(inst.space, measures, primal, 2.0)
+        assert math.fsum(read.plan.probabilities) == pytest.approx(1.0, abs=1e-12)
+        dual = solve_content(inst.space, measures, 2.0, tol=1e-11)
+        assert read.plan.probabilities == dual.plan.probabilities
+        assert read.value == dual.value
+
+    space = MetricMeasureSpace(3, [(0, 1, 1.0), (1, 2, 1.0)], [1.0, 1.0, 0.0])
+    ghost = DiscreteMeasure(((2, 1.0),))
+    zero = content_from_multipliers(
+        space, [ghost], solve_modulus_explicit(space, [ghost], 2.0), 2.0
+    )
+    assert zero.value == 0.0 and zero.plan is None and zero.no_admissible_plan
+    assert zero.excluded == (0,)
+
+    fam = [DiscreteMeasure(((0, 1.0),)), DiscreteMeasure.zero()]
+    inf = content_from_multipliers(space, fam, solve_modulus_explicit(space, fam, 2.0), 2.0)
+    assert math.isinf(inf.value)
+    assert inf.plan.probabilities == (0.0, 1.0)
+
+
+def test_content_from_multipliers_needs_multipliers():
+    # The primal oracle's solutions carry no multipliers to read a plan off.
+    inst = generate_random_instance(seed=0, n_points=7, n_measures=4)
+    measures = inst.families["random"].measures
+    primal = solve_modulus_primal(inst.space, measures, 2.0)
+    with pytest.raises(ValueError, match="multipliers"):
+        content_from_multipliers(inst.space, measures, primal, 2.0)
 
 
 def test_optimality_converse_flags_cheaper_admissible_density():
