@@ -196,6 +196,13 @@ def cmd_duality(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
+
+
 def _save_variant(
     args: argparse.Namespace,
     inst: Instance,
@@ -204,7 +211,7 @@ def _save_variant(
     family: MeasureFamily | None = None,
     plan: tuple[str, CurvePlan] | None = None,
 ) -> None:
-    """Save (or print) the instance with named curves, a family or a plan added.
+    """Save (or print) the instance, with any named curves, family or plan added.
 
     A plan (name, CurvePlan) brings its curves along, named name.0,
     name.1, ...
@@ -259,10 +266,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     }
     print(json.dumps(doc, indent=2))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, doc)
     return EXIT_OK
 
 
@@ -291,22 +295,17 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(f"test plan: {rep.is_test_plan}  marginal constant: {rep.c_min!r}")
         print(f"worst time: {rep.worst_time!r}  worst point: {rep.worst_point}")
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(
-                    {
-                        "plan": name,
-                        "is_test_plan": rep.is_test_plan,
-                        "c_min": "inf" if math.isinf(rep.c_min) else rep.c_min,
-                        "worst_time": rep.worst_time,
-                        "worst_point": rep.worst_point,
-                        "seed": args.seed,
-                    },
-                    fh,
-                    indent=2,
-                    sort_keys=True,
-                )
-                fh.write("\n")
-            print(f"wrote {args.out}")
+            _write_json(
+                args.out,
+                {
+                    "plan": name,
+                    "is_test_plan": rep.is_test_plan,
+                    "c_min": "inf" if math.isinf(rep.c_min) else rep.c_min,
+                    "worst_time": rep.worst_time,
+                    "worst_point": rep.worst_point,
+                    "seed": args.seed,
+                },
+            )
         return EXIT_OK
 
     q = _conjugate(args)
@@ -386,11 +385,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         f"generated: {inst.name}  points: {inst.space.n_points}  "
         f"measures: {len(inst.families['random'].measures)}  seed: {args.seed}"
     )
-    if args.out:
-        save_instance(inst, args.out)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(instance_to_dict(inst), indent=2, sort_keys=True))
+    _save_variant(args, inst)
     return EXIT_OK
 
 

@@ -37,6 +37,21 @@ __all__ = [
 ]
 
 
+def _check_probabilities(
+    support: Sequence[object], probabilities: Sequence[float], member: str
+) -> None:
+    """One finite, nonnegative weight per support member, summing to 1."""
+    if len(support) != len(probabilities):
+        raise ValueError(f"plan needs one probability per {member}")
+    if len(support) == 0:
+        raise ValueError("plan needs a nonempty support")
+    if not all(w >= 0 and math.isfinite(w) for w in probabilities):
+        raise ValueError("plan probabilities must be finite and nonnegative")
+    total = math.fsum(probabilities)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"plan probabilities sum to {total!r}, expected 1")
+
+
 @dataclass(frozen=True)
 class MeasurePlan:
     """Probability vector over a measure family, with barycenter data.
@@ -52,15 +67,7 @@ class MeasurePlan:
     c_q: float | None = None
 
     def __post_init__(self) -> None:
-        if len(self.support) != len(self.probabilities):
-            raise ValueError("plan needs one probability per measure")
-        if len(self.support) == 0:
-            raise ValueError("plan needs a nonempty support")
-        if any(w < 0 for w in self.probabilities):
-            raise ValueError("plan probabilities must be nonnegative")
-        total = math.fsum(self.probabilities)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"plan probabilities sum to {total!r}, expected 1")
+        _check_probabilities(self.support, self.probabilities, "measure")
         if not self.q > 1:
             raise ValueError(f"plan exponent must satisfy q > 1, got {self.q}")
 

@@ -11,7 +11,7 @@ the second.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -94,14 +94,7 @@ def modulus_of_violating_family(
     else:
         measures = [j_map(space, curves[i]) for i in report.violating]
         value = solve_modulus_explicit(space, measures, p, gap_tol=gap_tol).value
-    return GradientCheckReport(
-        report.n_curves,
-        report.n_violations,
-        report.violating,
-        report.worst_residual,
-        report.tol,
-        modulus_of_violations=value,
-    )
+    return replace(report, modulus_of_violations=value)
 
 
 @dataclass(frozen=True)

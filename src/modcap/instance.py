@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -43,12 +44,29 @@ __all__ = [
 GENERATOR_POINT_CAP = 200
 
 
-def _require_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    if not isinstance(obj, Mapping):
+def _object(data: Any, where: str, required=(), optional=None) -> Mapping[str, Any]:
+    """A JSON object with the required keys and, if ``optional`` is given, no others."""
+    if not isinstance(data, Mapping):
         raise InvalidInstanceError(f"{where}: expected an object")
-    for key in obj:
-        if key not in allowed:
-            raise InvalidInstanceError(f"{where}: unknown key {key!r}")
+    if optional is not None:
+        for key in data:
+            if key not in required and key not in optional:
+                raise InvalidInstanceError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in data:
+            raise InvalidInstanceError(f"{where}: missing key {key!r}")
+    return data
+
+
+def _array(value: Any, where: str, length: int | None = None) -> list[Any]:
+    """A JSON list (a string is not one), of the given length if one is given."""
+    if not isinstance(value, list):
+        raise InvalidInstanceError(f"{where}: expected a list, got {value!r}")
+    if length is not None and len(value) != length:
+        raise InvalidInstanceError(
+            f"{where}: expected {length} entries, got {len(value)}"
+        )
+    return value
 
 
 def _integer(value: Any, where: str) -> int:
@@ -56,6 +74,40 @@ def _integer(value: Any, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidInstanceError(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+def _point(value: Any, where: str, n_points: int) -> int:
+    """A point id: a JSON integer in 0..n_points-1."""
+    i = _integer(value, where)
+    if not 0 <= i < n_points:
+        raise InvalidInstanceError(f"{where}: point {i} is outside the space")
+    return i
+
+
+def _number(value: Any, where: str) -> float:
+    """A finite JSON number: bools, strings, NaN and Infinity are rejected."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (ok and abs(value) <= sys.float_info.max):  # NaN and huge ints fail too
+        raise InvalidInstanceError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _per_point(value: Any, where: str, n_points: int) -> list[float]:
+    """One finite number per point: the reference measure or a column."""
+    values = _array(value, where)
+    if len(values) != n_points:
+        raise InvalidInstanceError(
+            f"{where}: expected {n_points} per-point values, got {len(values)}"
+        )
+    return [_number(x, where) for x in values]
+
+
+def _curve_names(value: Any, where: str, curves: Mapping[str, Any]) -> tuple[str, ...]:
+    names = tuple(_array(value, where))
+    for c in names:
+        if not isinstance(c, str) or c not in curves:
+            raise InvalidInstanceError(f"{where}: unknown curve name {c!r}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -75,112 +127,44 @@ class Instance:
 
 
 def _parse_space(data: Any) -> MetricMeasureSpace:
-    _require_keys(data, {"n_points", "edges", "measure", "coords"}, "space")
-    for key in ("n_points", "edges", "measure"):
-        if key not in data:
-            raise InvalidInstanceError(f"space: missing key {key!r}")
+    _object(data, "space", ("n_points", "edges", "measure"), ("coords",))
     n = _integer(data["n_points"], "space.n_points")
     edges = []
-    for i, e in enumerate(data["edges"]):
+    for i, e in enumerate(_array(data["edges"], "space.edges")):
         where = f"space.edges[{i}]"
-        if not (isinstance(e, Sequence) and len(e) == 3):
-            raise InvalidInstanceError(f"{where}: expected [u, v, length]")
-        edges.append((_integer(e[0], where), _integer(e[1], where), float(e[2])))
-    measure = data["measure"]
-    if not isinstance(measure, Sequence) or len(measure) != n:
-        raise InvalidInstanceError(
-            f"space.measure: expected {n} entries, got "
-            f"{len(measure) if isinstance(measure, Sequence) else type(measure).__name__}"
-        )
-    coords = None
-    if data.get("coords") is not None:
-        coords = [tuple(float(c) for c in xy) for xy in data["coords"]]
-        if len(coords) != n:
-            raise InvalidInstanceError(
-                f"space.coords: expected {n} entries, got {len(coords)}"
-            )
+        u, v, length = _array(e, where, 3)
+        edges.append((_point(u, where, n), _point(v, where, n), _number(length, where)))
+    coords = data.get("coords")
+    if coords is not None:
+        coords = [
+            tuple(_number(c, "space.coords") for c in _array(xy, "space.coords", 2))
+            for xy in _array(coords, "space.coords", n)
+        ]
+    measure = _per_point(data["measure"], "space.measure", n)
     try:
         return MetricMeasureSpace(n, edges, measure, coords=coords)
-    except (ValueError, InvalidInstanceError) as exc:
+    except InvalidInstanceError as exc:
         raise InvalidInstanceError(f"space: {exc}") from exc
-
-
-def _parse_measure(entry: Any, where: str) -> DiscreteMeasure:
-    if not isinstance(entry, Sequence):
-        raise InvalidInstanceError(f"{where}: expected a list of [point, weight]")
-    items = []
-    for j, pair in enumerate(entry):
-        if not (isinstance(pair, Sequence) and len(pair) == 2):
-            raise InvalidInstanceError(f"{where}[{j}]: expected [point, weight]")
-        items.append((_integer(pair[0], f"{where}[{j}]"), float(pair[1])))
-    try:
-        return DiscreteMeasure(tuple(items))
-    except (ValueError, InvalidInstanceError) as exc:
-        raise InvalidInstanceError(f"{where}: {exc}") from exc
-
-
-def _parse_family(name: str, data: Any) -> MeasureFamily:
-    where = f"families[{name!r}]"
-    _require_keys(
-        data,
-        {"kind", "measures", "source", "target", "max_hops", "curve_names", "curve_map"},
-        where,
-    )
-    kind = data.get("kind")
-    try:
-        if kind == "explicit":
-            measures = tuple(
-                _parse_measure(entry, f"{where}.measures[{i}]")
-                for i, entry in enumerate(data.get("measures", []))
-            )
-            return MeasureFamily(name, "explicit", measures=measures)
-        if kind == "paths":
-            hops = data.get("max_hops")
-            return MeasureFamily(
-                name,
-                "paths",
-                source=tuple(
-                    _integer(v, f"{where}.source") for v in data.get("source", ())
-                ),
-                target=tuple(
-                    _integer(v, f"{where}.target") for v in data.get("target", ())
-                ),
-                max_hops=None if hops is None else _integer(hops, f"{where}.max_hops"),
-            )
-        if kind == "curves":
-            return MeasureFamily(
-                name,
-                "curves",
-                curve_names=tuple(data.get("curve_names", ())),
-                curve_map=data.get("curve_map", "J"),
-            )
-    except ValueError as exc:
-        raise InvalidInstanceError(f"{where}: {exc}") from exc
-    raise InvalidInstanceError(f"{where}.kind: unknown family kind {kind!r}")
 
 
 def _parse_curve(name: str, data: Any, space: MetricMeasureSpace) -> ParametricCurve:
     where = f"curves[{name!r}]"
-    _require_keys(data, {"nodes", "times"}, where)
-    if "nodes" not in data:
-        raise InvalidInstanceError(f"{where}: missing key 'nodes'")
-    nodes = tuple(_integer(v, f"{where}.nodes") for v in data["nodes"])
-    if data.get("times") is None:
-        k = max(len(nodes) - 1, 1)
-        times = tuple(i / k for i in range(len(nodes)))
-        if len(nodes) == 1:
-            times = (0.0,)
-    else:
-        times = tuple(float(t) for t in data["times"])
+    _object(data, where, ("nodes",), ("times",))
+    at = f"{where}.nodes"
+    nodes = [_integer(v, at) for v in _array(data["nodes"], at)]
+    times = data.get("times")
+    if times is None:
+        times = [i / max(len(nodes) - 1, 1) for i in range(len(nodes))]
+    at = f"{where}.times"
+    times = [_number(t, at) for t in _array(times, at)]
     try:
-        curve = ParametricCurve(nodes, times)
+        curve = ParametricCurve(tuple(nodes), tuple(times))
     except InvalidInstanceError as exc:
         raise InvalidInstanceError(f"{where}: {exc}") from exc
     outside = [x for x in curve.nodes if x >= space.n_points]
     if outside:
         raise InvalidInstanceError(f"{where}: node {outside[0]} is not a point")
-    for k in range(curve.n_segments):
-        u, v = curve.nodes[k], curve.nodes[k + 1]
+    for u, v in zip(curve.nodes, curve.nodes[1:]):
         if u != v and not space.has_edge(u, v):
             raise InvalidInstanceError(
                 f"{where}: consecutive nodes ({u}, {v}) are not adjacent"
@@ -188,81 +172,95 @@ def _parse_curve(name: str, data: Any, space: MetricMeasureSpace) -> ParametricC
     return curve
 
 
+def _parse_measure(entry: Any, where: str, n_points: int) -> DiscreteMeasure:
+    items = []
+    for j, pair in enumerate(_array(entry, where)):
+        at = f"{where}[{j}]"
+        point, weight = _array(pair, at, 2)
+        items.append((_point(point, at, n_points), _number(weight, at)))
+    try:
+        return DiscreteMeasure(tuple(items))
+    except InvalidInstanceError as exc:
+        raise InvalidInstanceError(f"{where}: {exc}") from exc
+
+
+_FAMILY_KEYS = {  # kind: (required keys, optional keys)
+    "explicit": (("kind", "measures"), ()),
+    "paths": (("kind", "source", "target"), ("max_hops",)),
+    "curves": (("kind", "curve_names"), ("curve_map",)),
+}
+
+
+def _parse_family(
+    name: str, data: Any, n_points: int, curves: Mapping[str, ParametricCurve]
+) -> MeasureFamily:
+    where = f"families[{name!r}]"
+    kind = _object(data, where, ("kind",))["kind"]
+    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
+        raise InvalidInstanceError(f"{where}.kind: unknown family kind {kind!r}")
+    _object(data, where, *_FAMILY_KEYS[kind])
+    if kind == "explicit":
+        measures = tuple(
+            _parse_measure(entry, f"{where}.measures[{i}]", n_points)
+            for i, entry in enumerate(_array(data["measures"], f"{where}.measures"))
+        )
+        return MeasureFamily(name, kind, measures=measures)
+    if kind == "paths":
+        ends = {}
+        for key in ("source", "target"):
+            at = f"{where}.{key}"
+            ends[key] = tuple(_point(v, at, n_points) for v in _array(data[key], at))
+        hops = data.get("max_hops")
+        hops = None if hops is None else _integer(hops, f"{where}.max_hops")
+        return MeasureFamily(name, kind, **ends, max_hops=hops)
+    names = _curve_names(data["curve_names"], f"{where}.curve_names", curves)
+    curve_map = data.get("curve_map", "J")
+    return MeasureFamily(name, kind, curve_names=names, curve_map=curve_map)
+
+
 def _parse_plan(
     name: str, data: Any, curves: Mapping[str, ParametricCurve]
 ) -> NamedPlan:
     where = f"plans[{name!r}]"
-    _require_keys(data, {"curves", "probs"}, where)
-    for key in ("curves", "probs"):
-        if key not in data:
-            raise InvalidInstanceError(f"{where}: missing key {key!r}")
-    names = tuple(str(c) for c in data["curves"])
-    for c in names:
-        if c not in curves:
-            raise InvalidInstanceError(f"{where}: unknown curve name {c!r}")
-    probs = tuple(float(w) for w in data["probs"])
+    _object(data, where, ("curves", "probs"), ())
+    names = _curve_names(data["curves"], f"{where}.curves", curves)
+    at = f"{where}.probs"
+    probs = [_number(w, at) for w in _array(data["probs"], at)]
     try:
-        plan = CurvePlan(tuple(curves[c] for c in names), probs)
+        plan = CurvePlan(tuple(curves[c] for c in names), tuple(probs))
     except ValueError as exc:
         raise InvalidInstanceError(f"{where}: {exc}") from exc
     return NamedPlan(names, plan)
 
 
 def instance_from_dict(data: Any, name: str = "instance") -> Instance:
-    """Validate a parsed JSON document into a fully constructed instance."""
-    _require_keys(
-        data, {"name", "space", "families", "curves", "plans", "columns"}, "instance"
-    )
-    if "space" not in data:
-        raise InvalidInstanceError("instance: missing key 'space'")
-    label = data.get("name", name)
-    space = _parse_space(data["space"])
-    families = {
-        str(k): _parse_family(str(k), v)
-        for k, v in (data.get("families") or {}).items()
-    }
-    curves = {
-        str(k): _parse_curve(str(k), v, space)
-        for k, v in (data.get("curves") or {}).items()
-    }
-    plans = {
-        str(k): _parse_plan(str(k), v, curves)
-        for k, v in (data.get("plans") or {}).items()
-    }
-    columns: dict[str, np.ndarray] = {}
-    for k, v in (data.get("columns") or {}).items():
-        where = f"columns[{k!r}]"
-        if not isinstance(v, Sequence) or len(v) != space.n_points:
-            raise InvalidInstanceError(
-                f"{where}: expected {space.n_points} per-point values"
-            )
-        arr = np.asarray([float(x) for x in v])
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInstanceError(f"{where}: entries must be finite")
-        columns[str(k)] = arr
+    """Validate a parsed JSON document into a fully constructed instance.
 
-    for fname, fam in families.items():
-        if fam.kind == "paths":
-            for pt in (*fam.source, *fam.target):
-                if not (0 <= pt < space.n_points):
-                    raise InvalidInstanceError(
-                        f"families[{fname!r}]: endpoint {pt} is not a point"
-                    )
-        if fam.kind == "curves":
-            for cname in fam.curve_names:
-                if cname not in curves:
-                    raise InvalidInstanceError(
-                        f"families[{fname!r}]: unknown curve name {cname!r}"
-                    )
-        if fam.kind == "explicit":
-            for i, mu in enumerate(fam.measures):
-                for idx, _ in mu.items:
-                    if idx >= space.n_points:
-                        raise InvalidInstanceError(
-                            f"families[{fname!r}].measures[{i}]: "
-                            f"unknown point {idx}"
-                        )
-    return Instance(str(label), space, families, curves, plans, columns)
+    Each field is read once, in the order space, curves, families, plans,
+    columns, so every point id and curve name is checked where it is read.
+    Null top-level sections count as empty.
+    """
+    sections = ("families", "curves", "plans", "columns")
+    _object(data, "instance", ("space",), ("name", *sections))
+    named = {
+        key: _object({} if data.get(key) is None else data[key], key).items()
+        for key in sections
+    }
+    space = _parse_space(data["space"])
+    n = space.n_points
+    curves = {str(k): _parse_curve(str(k), v, space) for k, v in named["curves"]}
+    families = {
+        str(k): _parse_family(str(k), v, n, curves) for k, v in named["families"]
+    }
+    plans = {str(k): _parse_plan(str(k), v, curves) for k, v in named["plans"]}
+    columns = {
+        str(k): np.asarray(_per_point(v, f"columns[{k!r}]", n))
+        for k, v in named["columns"]
+    }
+    label = data.get("name", name)
+    if not isinstance(label, str):
+        raise InvalidInstanceError(f"name: expected a string, got {label!r}")
+    return Instance(label, space, families, curves, plans, columns)
 
 
 def load_instance(path: str | Path) -> Instance:

@@ -33,7 +33,12 @@ from .curves import (
     _occupation,
     _same_rep,
 )
-from .duality import MeasurePlan, build_measure_plan, plan_barycenter
+from .duality import (
+    MeasurePlan,
+    _check_probabilities,
+    build_measure_plan,
+    plan_barycenter,
+)
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -57,15 +62,7 @@ class CurvePlan:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.curves) != len(self.probabilities):
-            raise ValueError("plan needs one probability per curve")
-        if not self.curves:
-            raise ValueError("plan needs a nonempty support")
-        if any(w < 0 for w in self.probabilities):
-            raise ValueError("plan probabilities must be nonnegative")
-        total = math.fsum(self.probabilities)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"plan probabilities sum to {total!r}, expected 1")
+        _check_probabilities(self.curves, self.probabilities, "curve")
 
     def support(self):
         """Pairs (probability, curve) with positive probability."""

@@ -320,6 +320,51 @@ def test_non_integer_ids_exit_2(tmp_path, capsys, field, value, where):
     assert f"invalid input: {where}: expected an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("families", "fam", "source"), 0, "families['fam'].source"),
+        (("space", "edges"), 5, "space.edges"),
+        (("space", "coords"), 5, "space.coords"),
+        (("families", "ex", "measures"), 5, "families['ex'].measures"),
+        (("families", "cv", "curve_names"), 5, "families['cv'].curve_names"),
+        (("curves", "c", "nodes"), 5, "curves['c'].nodes"),
+        (("curves", "c", "times"), 3, "curves['c'].times"),
+        (("plans", "pl", "probs"), 1.0, "plans['pl'].probs"),
+        (("families",), 5, "families"),
+        (("plans", "pl", "curves"), "c", "plans['pl'].curves"),
+        (("space", "measure"), [1, True, 1], "space.measure"),
+        (("plans", "pl", "probs"), [float("nan")], "plans['pl'].probs"),
+        (("space", "edges", 0, 2), "x", "space.edges[0]"),
+    ],
+    ids=["source-int", "edges-int", "coords-int", "measures-int", "curve_names-int",
+         "nodes-int", "times-int", "probs-float", "families-int", "plan-curves-string",
+         "measure-bool", "probs-nan", "edge-length-string"],
+)
+def test_malformed_fields_exit_2(tmp_path, capsys, path, value, where):
+    doc = {
+        "name": "fields",
+        "space": {"n_points": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+                  "measure": [1.0, 1.0, 1.0]},
+        "families": {
+            "fam": {"kind": "paths", "source": [0], "target": [2]},
+            "ex": {"kind": "explicit", "measures": [[[0, 1.0]]]},
+            "cv": {"kind": "curves", "curve_names": ["c"]},
+        },
+        "curves": {"c": {"nodes": [0, 1, 2]}},
+        "plans": {"pl": {"curves": ["c"], "probs": [1.0]}},
+    }
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    inst = tmp_path / "fields.json"
+    inst.write_text(json.dumps(doc))  # a NaN is written as the NaN token
+    assert main(["duality", "--instance", str(inst), "--family", "fam"]) == 2
+    assert f"invalid input: {where}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("nodes", [[-1], [7, 7]], ids=["negative", "plateau-outside"])
 def test_curve_node_outside_the_space_exits_2(tmp_path, capsys, nodes):
     path = tmp_path / "bad_node.json"

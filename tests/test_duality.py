@@ -40,6 +40,8 @@ def test_measure_plan_validation():
         MeasurePlan((), (), 2.0)
     with pytest.raises(ValueError, match="nonnegative"):
         MeasurePlan((mu, mu), (1.5, -0.5), 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        MeasurePlan((mu,), (math.nan,), 2.0)
     with pytest.raises(ValueError, match="sum to"):
         MeasurePlan((mu, mu), (0.5, 0.4), 2.0)
     with pytest.raises(ValueError, match="q > 1"):

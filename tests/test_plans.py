@@ -49,6 +49,8 @@ def test_curve_plan_validation():
         CurvePlan((), ())
     with pytest.raises(ValueError, match="nonnegative"):
         CurvePlan((c, c), (1.25, -0.25))
+    with pytest.raises(ValueError, match="finite"):
+        CurvePlan((c,), (math.nan,))
     with pytest.raises(ValueError, match="sum to"):
         CurvePlan((c,), (0.9,))
 
