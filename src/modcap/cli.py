@@ -16,7 +16,7 @@ import sys
 import time
 import traceback
 from dataclasses import replace
-from typing import Sequence
+from typing import Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,12 +29,7 @@ from .curves import (
     m_map,
 )
 from .duality import check_duality, check_optimality_conditions, content_from_multipliers
-from .errors import (
-    InvalidInstanceError,
-    ModcapError,
-    NoBarycenterError,
-    SolverError,
-)
+from .errors import InvalidInstanceError, ModcapError, SolverError
 from .families import MeasureFamily, enumerate_family, path_line_measure
 from .gradients import check_w1p_pair, modulus_of_violating_family
 from .instance import (
@@ -58,6 +53,8 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_CERT_FAILED = 4
 EXIT_INTERNAL = 5
 
+_T = TypeVar("_T")
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -69,18 +66,18 @@ def _load(args: argparse.Namespace) -> Instance:
     return load_instance(args.instance)
 
 
-def _pick_family(inst: Instance, name: str | None) -> tuple[str, MeasureFamily]:
+def _pick(table: Mapping[str, _T], name: str | None, what: str, flag: str) -> tuple[str, _T]:
+    """The entry called name, or the only entry when no name was given."""
+    whats = what[:-1] + "ies" if what.endswith("y") else what + "s"
+    _require(bool(table), f"instance has no {whats}")
     if name is None:
         _require(
-            len(inst.families) == 1,
-            f"instance has families {sorted(inst.families)}; pick one with --family",
+            len(table) == 1,
+            f"instance has {whats} {sorted(table)}; pick one with {flag}",
         )
-        name = next(iter(inst.families))
-    _require(
-        name in inst.families,
-        f"no family named {name!r}; instance has {sorted(inst.families)}",
-    )
-    return name, inst.families[name]
+        name = next(iter(table))
+    _require(name in table, f"no {what} named {name!r}; instance has {sorted(table)}")
+    return name, table[name]
 
 
 def _family_curves(inst: Instance, fam: MeasureFamily) -> list[ParametricCurve]:
@@ -100,7 +97,7 @@ def _family_curves(inst: Instance, fam: MeasureFamily) -> list[ParametricCurve]:
 
 
 def _conjugate(args: argparse.Namespace) -> float:
-    if getattr(args, "q", None) is not None:
+    if args.q is not None:
         _require(args.q > 1, f"q must exceed 1, got {args.q}")
         return args.q
     _require(args.p > 1, f"p must exceed 1, got {args.p}")
@@ -141,7 +138,7 @@ def _solve(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load(args)
-    fam_name, fam = _pick_family(inst, args.family)
+    fam_name, fam = _pick(inst.families, args.family, "family", "--family")
     t0 = time.perf_counter()
     sol, _ = _solve(args, inst, fam)
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -163,7 +160,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_duality(args: argparse.Namespace) -> int:
     inst = _load(args)
-    fam_name, fam = _pick_family(inst, args.family)
+    fam_name, fam = _pick(inst.families, args.family, "family", "--family")
     t0 = time.perf_counter()
     sol, measures = _solve(args, inst, fam)
     content = content_from_multipliers(inst.space, measures, sol, args.p / (args.p - 1.0))
@@ -236,11 +233,7 @@ def _save_variant(
 
 def cmd_curve(args: argparse.Namespace) -> int:
     inst = _load(args)
-    _require(
-        args.curve in inst.curves,
-        f"no curve named {args.curve!r}; instance has {sorted(inst.curves)}",
-    )
-    curve = inst.curves[args.curve]
+    _, curve = _pick(inst.curves, args.curve, "curve", "--curve")
     print(f"instance: {inst.name}  curve: {args.curve}  seed: {args.seed}")
     if args.action == "resample":
         rep = constant_speed_reparam(inst.space, curve)
@@ -270,24 +263,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _named_plan(inst: Instance, name: str | None) -> tuple[str, NamedPlan]:
-    _require(bool(inst.plans), "instance has no plans")
-    if name is None:
-        _require(
-            len(inst.plans) == 1,
-            f"instance has plans {sorted(inst.plans)}; pick one with --plan",
-        )
-        name = next(iter(inst.plans))
-    _require(
-        name in inst.plans,
-        f"no plan named {name!r}; instance has {sorted(inst.plans)}",
-    )
-    return name, inst.plans[name]
-
-
 def cmd_plan(args: argparse.Namespace) -> int:
     inst = _load(args)
-    name, named = _named_plan(inst, args.plan)
+    name, named = _pick(inst.plans, args.plan, "plan", "--plan")
     plan = named.plan
     print(f"instance: {inst.name}  plan: {name}  seed: {args.seed}")
     if args.action == "check":
@@ -339,15 +317,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_grad(args: argparse.Namespace) -> int:
     inst = _load(args)
-    for col in (args.f, args.g):
-        _require(
-            col in inst.columns,
-            f"no column named {col!r}; instance has {sorted(inst.columns)}",
-        )
-    fam_name, fam = _pick_family(inst, args.family)
+    _, f = _pick(inst.columns, args.f, "column", "--f")
+    _, g = _pick(inst.columns, args.g, "column", "--g")
+    fam_name, fam = _pick(inst.families, args.family, "family", "--family")
     curves = _family_curves(inst, fam)
-    f = inst.columns[args.f]
-    g = inst.columns[args.g]
     rep = modulus_of_violating_family(inst.space, f, g, curves, args.p, tol=args.tol)
     print(f"instance: {inst.name}  family: {fam_name}  seed: {args.seed}")
     print(f"curves checked: {rep.n_curves}  violations: {rep.n_violations}")
@@ -355,11 +328,8 @@ def cmd_grad(args: argparse.Namespace) -> int:
     print(f"modulus of violating family: {rep.modulus_of_violations!r}")
     code = EXIT_OK
     if args.plans:
-        for pname in args.plans:
-            _require(pname in inst.plans, f"no plan named {pname!r}")
-        w1p = check_w1p_pair(
-            inst.space, f, g, [inst.plans[p].plan for p in args.plans], args.tol
-        )
+        plans = [_pick(inst.plans, p, "plan", "--plans")[1].plan for p in args.plans]
+        w1p = check_w1p_pair(inst.space, f, g, plans, args.tol)
         for pname, entry in zip(args.plans, w1p.per_plan):
             print(
                 f"plan {pname}: test plan {entry.is_test_plan}, "
@@ -405,19 +375,20 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--instance", help="path to an instance JSON file")
-    common.add_argument("--p", type=float, default=2.0, help="modulus exponent (> 1)")
-    common.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
-    common.add_argument("--max-iter", type=int, default=100000)
-    common.add_argument("--seed", type=int, default=0, help="seed echoed in output")
-    common.add_argument("--out", help="output file path")
-    common.add_argument(
-        "--format", choices=("csv", "ndjson"), default="csv",
-        help="result record format for --out",
-    )
+_FLAGS = {
+    "--instance": dict(help="path to an instance JSON file"),
+    "--p": dict(type=float, default=2.0, help="modulus exponent (> 1)"),
+    "--tol": dict(type=float, default=1e-9, help="solver tolerance"),
+    "--max-iter": dict(type=int, default=100000),
+    "--seed": dict(type=int, default=0, help="seed echoed in output"),
+    "--out": dict(help="output file path"),
+    "--format": dict(
+        choices=("csv", "ndjson"), default="csv", help="result record format for --out"
+    ),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="modcap",
         description="p-modulus, plan duality, and curve-plan tooling "
@@ -425,45 +396,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", parents=[common], help="modulus of a family")
-    sp.add_argument("--family", help="family name (defaults to the only one)")
-    sp.set_defaults(func=cmd_solve)
+    def command(name, func, flags, help):
+        parser = sub.add_parser(name, help=help)
+        for flag in flags:
+            parser.add_argument(flag, **_FLAGS[flag])
+        parser.set_defaults(func=func)
+        return parser
 
-    dp = sub.add_parser("duality", parents=[common], help="modulus-content certificate")
+    # solve and duality read every shared flag; the others a few of them.
+    sp = command("solve", cmd_solve, _FLAGS, "modulus of a family")
+    sp.add_argument("--family", help="family name (defaults to the only one)")
+
+    dp = command("duality", cmd_duality, _FLAGS, "modulus-content certificate")
     dp.add_argument("--family")
     dp.add_argument("--cert-tol", type=float, default=1e-6)
-    dp.set_defaults(func=cmd_duality)
 
-    cp = sub.add_parser("curve", parents=[common], help="curve calculus")
+    cp = command("curve", cmd_curve, ("--instance", "--seed", "--out"), "curve calculus")
     cp.add_argument("action", choices=("resample", "jmap", "mmap", "mult"))
     cp.add_argument("--curve", required=True, help="curve name in the instance")
-    cp.set_defaults(func=cmd_curve)
 
-    pp = sub.add_parser("plan", parents=[common], help="curve-plan operations")
+    pp = command(
+        "plan", cmd_plan, ("--instance", "--p", "--seed", "--out"), "curve-plan operations"
+    )
     pp.add_argument("action", choices=("check", "improve", "stretch"))
     pp.add_argument("--plan", help="plan name (defaults to the only one)")
     pp.add_argument("--q", type=float, help="energy exponent (default p/(p-1))")
     pp.add_argument("--eps", type=float, default=0.25)
     pp.add_argument("--n-tau", type=int, default=64)
-    pp.set_defaults(func=cmd_plan)
 
-    gp = sub.add_parser("grad", parents=[common], help="upper-gradient checks")
+    gp = command(
+        "grad", cmd_grad, ("--instance", "--p", "--tol", "--seed"), "upper-gradient checks"
+    )
     gp.add_argument("action", choices=("check",))
     gp.add_argument("--f", required=True, help="column holding the function")
     gp.add_argument("--g", required=True, help="column holding the gradient candidate")
     gp.add_argument("--family", help="curve or path family to check against")
     gp.add_argument("--plans", nargs="*", default=(), help="plan names to audit")
-    gp.set_defaults(func=cmd_grad)
 
-    ggp = sub.add_parser("gen", parents=[common], help="generate a random instance")
+    ggp = command("gen", cmd_gen, ("--seed", "--out"), "generate a random instance")
     ggp.add_argument("--n-points", type=int, default=30)
     ggp.add_argument("--n-measures", type=int, default=8)
     ggp.add_argument("--sparsity", type=float, default=0.25)
-    ggp.set_defaults(func=cmd_gen)
 
-    st = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
+    st = command("selftest", cmd_selftest, ("--seed",), "run the acceptance suite")
     st.add_argument("--criteria", help="comma-separated criterion numbers")
-    st.set_defaults(func=cmd_selftest)
     return ap
 
 
@@ -474,16 +450,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver failed to converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except NoBarycenterError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except np.linalg.LinAlgError as exc:  # a ValueError, but never bad input
         return _internal_error(exc)
-    except (InvalidInstanceError, ValueError) as exc:
+    except (ModcapError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ModcapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

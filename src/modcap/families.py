@@ -129,14 +129,14 @@ def enumerate_family(
 
     Ordering is deterministic: explicit families keep their order, path
     families enumerate lexicographically by node sequence, curve
-    families follow the listed names.  ``truncated`` reports whether the
-    limit cut the enumeration short.
+    families follow the listed names.  Explicit and curve families come
+    back whole; ``limit`` caps the number of enumerated paths and
+    ``truncated`` reports whether it cut the enumeration short.
     """
     if limit < 1:
         raise ValueError("enumeration limit must be positive")
     if family.kind == "explicit":
-        ms = family.measures[:limit]
-        return EnumeratedFamily(tuple(ms), truncated=len(family.measures) > limit)
+        return EnumeratedFamily(family.measures)
     if family.kind == "paths":
         for pt in (*family.source, *family.target):
             if not (0 <= pt < space.n_points):
@@ -152,7 +152,7 @@ def enumerate_family(
     if curves_by_name is None:
         curves_by_name = {}
     out = []
-    for name in family.curve_names[:limit]:
+    for name in family.curve_names:
         try:
             curve = curves_by_name[name]
         except KeyError:
@@ -162,6 +162,4 @@ def enumerate_family(
         out.append(
             j_map(space, curve) if family.curve_map == "J" else m_map(space, curve)
         )
-    return EnumeratedFamily(
-        tuple(out), truncated=len(family.curve_names) > limit
-    )
+    return EnumeratedFamily(tuple(out))

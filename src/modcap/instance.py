@@ -274,6 +274,15 @@ def load_instance(path: str | Path) -> Instance:
     return instance_from_dict(data, name=path.stem)
 
 
+def _to_json(value: Any) -> Any:
+    """A family field as JSON: measures as [[point, weight], ...], tuples as lists."""
+    if isinstance(value, DiscreteMeasure):
+        return [[idx, w] for idx, w in value.items]
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
 def instance_to_dict(inst: Instance) -> dict[str, Any]:
     """Canonical JSON-ready form; inverse of instance_from_dict."""
     space: dict[str, Any] = {
@@ -285,30 +294,13 @@ def instance_to_dict(inst: Instance) -> dict[str, Any]:
         space["coords"] = [[x, y] for x, y in inst.space.coords]
     doc: dict[str, Any] = {"name": inst.name, "space": space}
     if inst.families:
-        fams: dict[str, Any] = {}
-        for k in sorted(inst.families):
-            fam = inst.families[k]
-            if fam.kind == "explicit":
-                fams[k] = {
-                    "kind": "explicit",
-                    "measures": [
-                        [[idx, w] for idx, w in mu.items] for mu in fam.measures
-                    ],
-                }
-            elif fam.kind == "paths":
-                fams[k] = {
-                    "kind": "paths",
-                    "source": list(fam.source),
-                    "target": list(fam.target),
-                    "max_hops": fam.max_hops,
-                }
-            else:
-                fams[k] = {
-                    "kind": "curves",
-                    "curve_names": list(fam.curve_names),
-                    "curve_map": fam.curve_map,
-                }
-        doc["families"] = fams
+        doc["families"] = {
+            k: {
+                key: _to_json(getattr(fam, key))
+                for key in sum(_FAMILY_KEYS[fam.kind], ())
+            }
+            for k, fam in sorted(inst.families.items())
+        }
     if inst.curves:
         doc["curves"] = {
             k: {

@@ -25,7 +25,6 @@ from .curves import (
     ParametricCurve,
     constant_speed_reparam,
     curve_energy,
-    curve_length,
     j_map,
     m_map,
     metric_speed,
@@ -69,12 +68,6 @@ class CurvePlan:
         return [
             (w, c) for w, c in zip(self.probabilities, self.curves) if w > 0
         ]
-
-    def lengths(self, space: MetricMeasureSpace) -> tuple[float, ...]:
-        return tuple(curve_length(space, c) for c in self.curves)
-
-    def energies(self, space: MetricMeasureSpace, q: float) -> tuple[float, ...]:
-        return tuple(curve_energy(space, c, q) for c in self.curves)
 
 
 def plan_lipschitz(space: MetricMeasureSpace, plan: CurvePlan) -> float:
@@ -337,22 +330,15 @@ def stretch_average(
     c_in = float(bary.density.max(initial=0.0))
     taus = [(j + 0.5) * eps / n_tau for j in range(n_tau)]
 
-    atoms: dict[tuple, tuple[int, float]] = {}
-    order = 0
+    atoms: dict[tuple, float] = {}  # in order of first appearance
     for w, c in plan.support():
         for tau in taus:
             piece = stretch(space, c, tau / (1.0 + eps), (1.0 + tau) / (1.0 + eps))
             key = (piece.nodes, piece.times)
-            if key in atoms:
-                pos, acc = atoms[key]
-                atoms[key] = (pos, acc + w / n_tau)
-            else:
-                atoms[key] = (order, w / n_tau)
-                order += 1
-    entries = sorted(atoms.items(), key=lambda kv: kv[1][0])
+            atoms[key] = atoms.get(key, 0.0) + w / n_tau
     out = CurvePlan(
-        tuple(ParametricCurve(nodes, times) for (nodes, times), _ in entries),
-        tuple(wt for _, (_, wt) in entries),
+        tuple(ParametricCurve(nodes, times) for nodes, times in atoms),
+        tuple(atoms.values()),
     )
 
     # Exact tau-grid marginal through the source curves: breakpoints of

@@ -133,6 +133,36 @@ def test_grad_check_flags_charged_violations(capsys):
     assert "violations: 0" in capsys.readouterr().out
 
 
+# Each command rejects the shared flags its cmd_* never reads.
+UNREAD_FLAGS = [
+    *(("curve", f) for f in ("--p", "--tol", "--max-iter", "--format")),
+    *(("plan", f) for f in ("--tol", "--max-iter", "--format")),
+    *(("grad", f) for f in ("--max-iter", "--out", "--format")),
+    *(("gen", f) for f in ("--instance", "--p", "--tol", "--max-iter", "--format")),
+    *(("selftest", f)
+      for f in ("--instance", "--p", "--tol", "--max-iter", "--out", "--format")),
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_unread_flags_exit_2(tmp_path, capsys, command, flag):
+    argv = {
+        "curve": ["curve", "mult", "--instance", DEMO, "--curve", "c0"],
+        "plan": ["plan", "check", "--instance", DEMO],
+        "grad": ["grad", "check", "--instance", DEMO, "--family", "traced",
+                 "--f", "zero", "--g", "one"],
+        "gen": ["gen", "--n-points", "6", "--n-measures", "2"],
+        "selftest": ["selftest", "--criteria", "1"],
+    }[command]
+    value = {"--instance": DEMO, "--out": str(tmp_path / "out"),
+             "--format": "ndjson"}.get(flag, "3")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_selftest_subset_runs(capsys):
     assert main(["selftest", "--criteria", "1"]) == 0
     text = capsys.readouterr().out

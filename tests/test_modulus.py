@@ -229,6 +229,32 @@ def cheapest_enumerated(space, f, source, target, max_hops=None):
     return min((accumulated_cost(space, f, path) for path in paths), default=None)
 
 
+def test_enumeration_limit_caps_paths_only():
+    from modcap.curves import ParametricCurve
+    from modcap.families import MeasureFamily, enumerate_family
+    from modcap.space import DiscreteMeasure, build_grid_space, grid_node
+
+    space = build_grid_space(3, 3)
+    measures = tuple(DiscreteMeasure.from_dict({x: 1.0}) for x in range(3))
+    curves = {
+        f"c{y}": ParametricCurve((grid_node(3, 0, y), grid_node(3, 1, y)), (0.0, 1.0))
+        for y in range(3)
+    }
+    families = [
+        MeasureFamily("e", "explicit", measures=measures),
+        MeasureFamily("c", "curves", curve_names=tuple(curves)),
+    ]
+    for fam in families:
+        enum = enumerate_family(space, fam, limit=2, curves_by_name=curves)
+        assert len(enum.measures) == 3 and not enum.truncated
+
+    left = tuple(grid_node(3, 0, y) for y in range(3))
+    right = tuple(grid_node(3, 2, y) for y in range(3))
+    paths = MeasureFamily("lr", "paths", source=left, target=right)
+    enum = enumerate_family(space, paths, limit=2)
+    assert len(enum.paths) == len(enum.measures) == 2 and enum.truncated
+
+
 def assert_simple_path(space, f, path, cost, source, target):
     assert path[0] in source and path[-1] in target
     assert len(set(path)) == len(path)
