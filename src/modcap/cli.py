@@ -385,6 +385,18 @@ _FLAGS = {
     "--format": dict(
         choices=("csv", "ndjson"), default="csv", help="result record format for --out"
     ),
+    "--plan": dict(help="plan name (defaults to the only one)"),
+    "--q": dict(type=float, help="energy exponent (default p/(p-1))"),
+    "--eps": dict(type=float, default=0.25),
+    "--n-tau": dict(type=int, default=64),
+}
+_SOLVE_FLAGS = ("--instance", "--p", "--tol", "--max-iter", "--seed", "--out", "--format")
+_PLAN_FLAGS = ("--instance", "--seed", "--out", "--plan")
+# The flags each plan action reads besides _PLAN_FLAGS.
+_PLAN_ACTIONS = {
+    "check": (),
+    "improve": ("--p", "--q", "--eps"),
+    "stretch": ("--p", "--q", "--eps", "--n-tau"),
 }
 
 
@@ -396,18 +408,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, func, flags, help):
-        parser = sub.add_parser(name, help=help)
+    # No abbreviations: plan check would read --p as its --plan.
+    def command(name, func, flags, help, group=sub):
+        parser = group.add_parser(name, help=help, allow_abbrev=False)
         for flag in flags:
             parser.add_argument(flag, **_FLAGS[flag])
         parser.set_defaults(func=func)
         return parser
 
-    # solve and duality read every shared flag; the others a few of them.
-    sp = command("solve", cmd_solve, _FLAGS, "modulus of a family")
+    sp = command("solve", cmd_solve, _SOLVE_FLAGS, "modulus of a family")
     sp.add_argument("--family", help="family name (defaults to the only one)")
 
-    dp = command("duality", cmd_duality, _FLAGS, "modulus-content certificate")
+    dp = command("duality", cmd_duality, _SOLVE_FLAGS, "modulus-content certificate")
     dp.add_argument("--family")
     dp.add_argument("--cert-tol", type=float, default=1e-6)
 
@@ -415,14 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("action", choices=("resample", "jmap", "mmap", "mult"))
     cp.add_argument("--curve", required=True, help="curve name in the instance")
 
-    pp = command(
-        "plan", cmd_plan, ("--instance", "--p", "--seed", "--out"), "curve-plan operations"
-    )
-    pp.add_argument("action", choices=("check", "improve", "stretch"))
-    pp.add_argument("--plan", help="plan name (defaults to the only one)")
-    pp.add_argument("--q", type=float, help="energy exponent (default p/(p-1))")
-    pp.add_argument("--eps", type=float, default=0.25)
-    pp.add_argument("--n-tau", type=int, default=64)
+    plan = sub.add_parser("plan", help="curve-plan operations")
+    actions = plan.add_subparsers(dest="action", required=True)
+    for action, flags in _PLAN_ACTIONS.items():
+        command(action, cmd_plan, (*_PLAN_FLAGS, *flags), f"plan {action}", actions)
 
     gp = command(
         "grad", cmd_grad, ("--instance", "--p", "--tol", "--seed"), "upper-gradient checks"

@@ -100,8 +100,8 @@ def _split_measures(
 
 # Projected-gradient steps before the first face polish (the interval
 # then doubles), the step count after which a failed polish hands over to
-# the barrier, and the rounding allowance per unit of p in a reported
-# bracket width, whose two ends are evaluated along different paths.
+# the barrier, and the rounding allowance per unit of exponent in phi or
+# in a bracket width, whose two ends are evaluated along different paths.
 _FIRST_POLISH = 16
 _FIRST_ORDER_CAP = 2000
 _ROUNDING = 8 * float(np.finfo(float).eps)
@@ -217,12 +217,13 @@ class _PlanProblem:
     ) -> tuple[np.ndarray, int]:
         """Plan weights with bracket gap <= gap_tol, from the plan w.
 
-        Projected gradient (Barzilai-Borwein steps, Armijo backtracking)
-        with a Newton polish on the face it reaches; when that stalls, a
-        log-barrier Newton path finds the support and the polish finishes
-        on it.  ``max_iter`` bounds the gradient and barrier steps
-        together.  Returns the weights and the step count, or raises
-        SolverError when the gap stays above gap_tol.
+        Projected gradient (Barzilai-Borwein steps, Armijo backtracking),
+        polished by projected Newton (``face_newton``) after 16, 32, 64, ...
+        steps; a polish is kept when it narrows the gap or keeps phi.  When
+        polishing fails, a log-barrier Newton path finds the support and
+        the polish finishes on it.  ``max_iter`` bounds the gradient and
+        barrier steps together.  Returns the weights and the step count, or
+        raises SolverError when the gap stays above gap_tol.
         """
         phi, G, gap = self.evaluate(w)
 
@@ -275,55 +276,61 @@ class _PlanProblem:
         return w, it
 
     def face_newton(self, w: np.ndarray) -> np.ndarray | None:
-        """Active-set Newton refinement on the face of the support of w.
+        """Projected Newton refinement of the plan w (Bertsekas 1982).
 
-        The Hessian of phi is a small k-by-k matrix, so a handful of Newton
-        steps on the current face reach machine precision where projected
-        gradient crawls.  A step stops at the first face it leaves,
-        dropping the weights that reach zero; at a stationary point on the
-        face the most blocked measure is freed.  Returns the refined
-        weights or None if the face collapses.
+        phi is q-homogeneous, so its minimum over the simplex is that of
+        phi(w) / (sum w)^q over w >= 0, where projecting is clipping at 0.
+        Each step solves the Newton KKT system of phi on an epsilon-active
+        set: the support plus each zero weight whose reduced gradient
+        gphi_i + nu (nu the multiplier of sum w = 1) is below -eps, eps the
+        largest |gphi_i + nu| on the support.  It follows the projection
+        arc t -> [w + t dw]^+ / sum, halving t from 1 (and trying the
+        arc's first kink) until phi decreases to rounding, so every weight
+        the step zeroes leaves and every blocked row enters at once.
+        Returns weights that meet the simplex KKT conditions (gphi + nu
+        zero on the support, nonnegative off it) to rounding, or None when
+        no step lowers phi or a step returns to a support it left (at
+        large p, optimal weights can lie below what Newton resolves).
         """
-        k = len(w)
-        w = w.copy()
-        free = w > 1e-12 * max(float(w.max()), 1.0)
-        nu = 0.0
-        for _ in range(3 * k + 8):
-            for _ in range(40):
-                if not free.any():
-                    return None
-                gphi = self.q * self.evaluate(w)[1]
-                Hf = self.hessian(w, free)
-                nf = Hf.shape[0]
-                Hf[np.diag_indices(nf)] += 1e-14 * max(float(np.trace(Hf)) / nf, 1.0)
-                step = _kkt_solve(Hf, -(gphi[free] + nu), 1.0 - float(w[free].sum()))
-                if step is None:
-                    return None
-                dw, dnu = step
-                wf = w[free]
-                ratio = np.full(nf, np.inf)
-                neg = dw < 0
-                ratio[neg] = -wf[neg] / dw[neg]
-                t = min(1.0, float(ratio.min()))
-                w[free] = np.where(ratio <= t, 0.0, wf + t * dw)
-                nu += dnu
-                tiny = free & (w <= 1e-15)
-                if tiny.any():
-                    w[tiny], free[tiny] = 0.0, False
-                    continue
-                scale = max(1.0, float(np.abs(gphi).max()))
-                feas = abs(1.0 - float(w.sum()))
-                stat = float(np.abs(gphi[free] + nu).max())
-                if feas <= 1e-15 and stat <= 1e-13 * scale:
+        w = w / w.sum()
+        phi, G, _ = self.evaluate(w)
+        gphi = self.q * G
+        nu = -self.q * phi  # = -w . gphi, the multiplier were w stationary
+        stat = float(np.abs(gphi[w > 0] + nu).max())
+        face, left = np.packbits(w > 0).tobytes(), set()
+        for _ in range(3 * len(w) + 8):
+            scale = float(np.abs(gphi).max())  # no floor: phi can be 1e-20 at p=1.1
+            free = (w > 0) | (gphi + nu < -max(stat, 1e-12 * scale))
+            Hf = self.hessian(w, free)
+            nf = Hf.shape[0]
+            Hf[np.diag_indices(nf)] += 1e-14 * float(np.trace(Hf)) / nf
+            step = _kkt_solve(Hf, -gphi[free], 1.0 - float(w.sum()))
+            if step is None:
+                return None
+            dw, nu = step
+            wf, v, t = w[free], np.zeros_like(w), 1.0
+            kink = float((-wf[dw < 0] / dw[dw < 0]).min(initial=np.inf))
+            for _ in range(60):
+                v[free] = np.maximum(wf + t * dw, 0.0)
+                v /= v.sum()
+                phi_v, G_v, _ = self.evaluate(v)
+                if phi_v <= phi * (1.0 + _ROUNDING * self.q):
                     break
-                if float(np.abs(t * dw).max()) <= 1e-16:
-                    break
-            gphi = self.q * self.evaluate(w)[1]
-            scale = max(1.0, float(np.abs(gphi).max()))
-            blocked = (~free) & (gphi + nu < -1e-12 * scale)
-            if not blocked.any():
+                t = kink if t / 2 < kink < t else t / 2
+            else:
+                return None
+            key = np.packbits(v > 0).tobytes()
+            if key != face and key in left:
+                return None
+            left.add(face)
+            face = key
+            w, phi, gphi = v, phi_v, self.q * G_v
+            red = gphi + nu
+            stat = float(np.abs(red[w > 0]).max())
+            if float(red.min()) >= -1e-12 * scale and (
+                stat <= 1e-13 * scale or t * float(np.abs(dw).max()) <= 1e-16
+            ):
                 return w
-            free[int(np.argmin(np.where(blocked, gphi, np.inf)))] = True
         return None
 
     def barrier(
@@ -810,7 +817,9 @@ def solve_modulus_paths(
     Constraint generation (Albin, Brunner, Perez, Poggi-Corradini &
     Wiens 2015): solve on a working set of paths, then run one Dijkstra
     pass (edge weight f * length) that finds the cheapest path to every
-    target; stop when every path integrates f to at least 1 - feas_tol.
+    target; stop when every path integrates f to at least 1 - feas_tol,
+    then divide f by the least integral that pass found, so that ``value``,
+    ``dual_value`` and ``gap`` bracket the modulus of the whole family.
     Otherwise the round drops the working paths at plan weight exactly 0
     and adds every violated path not yet present.  Dropping inactive
     constraints leaves the working problem's unique optimal f unchanged,
@@ -850,22 +859,27 @@ def solve_modulus_paths(
         w, it = prob.solve(w, gap_tol, max_iter=100000)
         total_it += it
         sol = prob.solution(w, total_it, range(len(working)), len(working))
-        violated = _cheapest_paths(
-            space, np.where(null, np.inf, sol.f), source, target, max_hops,
-            bound=1.0 - feas_tol,
+        found = _cheapest_paths(
+            space, np.where(null, np.inf, sol.f), source, target, max_hops, bound=1.0
         )
         present = set(working)
-        new = [path for _, path in violated if path not in present]
+        new = [pth for c, pth in found if c < 1.0 - feas_tol and pth not in present]
         if not new:
-            worst = violated[0][0] if violated else 1.0
-            if worst >= 1.0 - 10 * feas_tol:
+            low = found[0][0] if found else 1.0  # the family minimum, if below 1
+            if low >= 1.0 - 10 * feas_tol:  # f / low is admissible for the family
+                value = sol.value / low**p
+                sol = replace(
+                    sol, value=value, f=sol.f / low,
+                    multipliers=sol.multipliers / low ** (p - 1.0),
+                    gap=max(value - sol.dual_value, 0.0) / value + _ROUNDING * p,
+                )
                 return PathModulusSolution(
                     _block_null_points(space, sol), tuple(working), outer
                 )
             raise SolverError(
                 f"constraint generation stalled on a repeated path "
-                f"(integral {worst:.12f})",
-                gap=1.0 - worst,
+                f"(integral {low:.12f})",
+                gap=1.0 - low,
             )
         keep = w > 0
         n_keep = int(keep.sum())

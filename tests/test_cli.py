@@ -136,7 +136,8 @@ def test_grad_check_flags_charged_violations(capsys):
 # Each command rejects the shared flags its cmd_* never reads.
 UNREAD_FLAGS = [
     *(("curve", f) for f in ("--p", "--tol", "--max-iter", "--format")),
-    *(("plan", f) for f in ("--tol", "--max-iter", "--format")),
+    *(("plan", f)
+      for f in ("--tol", "--max-iter", "--format", "--p", "--q", "--eps", "--n-tau")),
     *(("grad", f) for f in ("--max-iter", "--out", "--format")),
     *(("gen", f) for f in ("--instance", "--p", "--tol", "--max-iter", "--format")),
     *(("selftest", f)

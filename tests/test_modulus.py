@@ -458,3 +458,83 @@ def test_barrier_fallback_certifies_when_face_polish_fails(monkeypatch):
     assert sol.iterations > 1
     assert sol.gap <= 1e-12
     assert sol.value == pytest.approx(ref.value, rel=1e-10)
+
+
+def test_path_bracket_holds_for_the_whole_family():
+    # A loose feas_tol ends constraint generation while some path still
+    # integrates f to less than 1.  f is then divided by the family's
+    # minimum, so that value, dual_value and gap bracket the modulus of
+    # the whole family and not only of the working paths.
+    from modcap.families import MeasureFamily, enumerate_family
+    from modcap.space import build_grid_space, grid_node
+
+    rng = np.random.default_rng([1, 4])
+    space = build_grid_space(4, 4, rng.uniform(0.1, 1.0, 16))
+    left = tuple(grid_node(4, 0, y) for y in range(4))
+    right = tuple(grid_node(4, 3, y) for y in range(4))
+    sol = solve_modulus_paths(space, left, right, 2.0, feas_tol=0.1)
+    assert shortest_weighted_path(space, sol.f, left, right)[1] >= 1.0 - 1e-12
+    assert sol.value == pytest.approx(float(np.dot(space.measure, sol.f**2)), rel=1e-12)
+    fam = enumerate_family(space, MeasureFamily("lr", "paths", source=left, target=right))
+    exact = solve_modulus_explicit(space, fam.measures, 2.0, gap_tol=1e-12).value
+    lower, gap = sol.solution.dual_value, sol.solution.gap
+    assert lower <= exact * (1 + 1e-12) and exact <= sol.value * (1 + 1e-12)
+    assert gap >= (sol.value - lower) / sol.value
+
+
+@pytest.mark.parametrize("seed, p", [(0, 2.0), (0, 3.0), (1, 2.0), (1, 3.0), (0, 1.1)])
+def test_face_polish_returns_kkt_points(monkeypatch, seed, p):
+    # Every plan the polish hands back satisfies the simplex KKT
+    # conditions: G_i = phi on the support and G_i >= phi off it, with
+    # G = grad phi / q and phi = w . G.
+    from modcap.modulus import _PlanProblem
+
+    polish, returned = _PlanProblem.face_newton, []
+
+    def recorded(self, w):
+        out = polish(self, w)
+        if out is not None:
+            phi, G, _ = self.evaluate(out)
+            returned.append((out > 0, G / phi - 1.0))
+        return out
+
+    monkeypatch.setattr(_PlanProblem, "face_newton", recorded)
+    inst = generate_random_instance(seed, n_points=200, n_measures=800)
+    solve_modulus_explicit(inst.space, inst.families["random"].measures, p)
+    assert returned
+    for support, rel in returned:
+        assert np.abs(rel[support]).max() <= 1e-9
+        assert rel[~support].min(initial=0.0) >= -1e-9
+
+
+@pytest.mark.parametrize(
+    "seed, shape, p",
+    [
+        (748, dict(n_points=9, n_measures=28, sparsity=0.5808231501795296), 1.1),
+        (11, dict(n_points=16, n_measures=8), 12.0),
+    ],
+)
+def test_barrier_certifies_at_both_ends_of_p(seed, shape, p):
+    # At p = 1.1 and p = 12 these seeded families (found by a search over
+    # seeds) defeat the face polish, so the solve reaches the barrier on
+    # its own.  The certified bracket must agree with the primal solver.
+    from modcap.modulus import _constraint_matrix, _PlanProblem
+
+    class BarrierCount(_PlanProblem):
+        calls = 0
+
+        def barrier(self, *args):
+            self.calls += 1
+            return super().barrier(*args)
+
+    inst = generate_random_instance(seed, **shape)
+    measures = inst.families["random"].measures
+    k = len(measures)
+    prob = BarrierCount(inst.space, _constraint_matrix(inst.space, measures), p)
+    prob.solve(np.full(k, 1.0 / k), 1e-9, 100000)
+    assert prob.calls == 1
+    sol = solve_modulus_explicit(inst.space, measures, p)
+    assert sol.gap <= 1e-9
+    primal = solve_modulus_primal(inst.space, measures, p).value
+    assert primal >= sol.dual_value * (1.0 - 1e-12)
+    assert primal == pytest.approx(sol.value, rel=1e-6)
