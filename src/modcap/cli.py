@@ -115,7 +115,7 @@ def _solve(
 ) -> tuple[ModulusSolution, Sequence[DiscreteMeasure]]:
     """Modulus of the family and the measures that certify it."""
     if fam.kind == "paths":
-        psol = solve_modulus_paths(
+        sol = solve_modulus_paths(
             inst.space,
             fam.source,
             fam.target,
@@ -124,11 +124,11 @@ def _solve(
             gap_tol=args.tol,
             max_outer=args.max_iter,
         )
-        print(f"generated paths: {len(psol.paths)}")
+        print(f"generated paths: {len(sol.paths)}")
         # The oracle has shown that f integrates to at least 1 - tol on
         # every path, so the certificate on the final working paths
         # brackets the modulus of the whole family, without enumerating it.
-        return psol.solution, [path_line_measure(inst.space, path) for path in psol.paths]
+        return sol, [path_line_measure(inst.space, path) for path in sol.paths]
     measures = enumerate_family(inst.space, fam, curves_by_name=inst.curves).measures
     sol = solve_modulus_explicit(
         inst.space, measures, args.p, gap_tol=args.tol, max_iter=args.max_iter

@@ -231,17 +231,11 @@ def time_average(
 ) -> float:
     """Time integral of a per-point function along the curve.
 
-    Matches integration against ``m_map`` exactly: segments use the
-    trapezoid value (f(u) + f(v)) / 2.
+    This is the integral against the occupation measure ``m_map``: each
+    segment contributes the trapezoid value (f(u) + f(v)) / 2 per unit
+    of time.
     """
-    _segment_lengths(space, curve)
-    times = curve.times
-    vals = np.asarray(values, dtype=float)
-    total = 0.0
-    for i in range(curve.n_segments):
-        dt = times[i + 1] - times[i]
-        total += dt * 0.5 * (vals[curve.nodes[i]] + vals[curve.nodes[i + 1]])
-    return total
+    return m_map(space, curve).integrate(values)
 
 
 def curve_integral(

@@ -32,7 +32,6 @@ from .space import DiscreteMeasure, MetricMeasureSpace
 
 __all__ = [
     "ModulusSolution",
-    "PathModulusSolution",
     "solve_modulus_explicit",
     "solve_modulus_primal",
     "brute_force_lattice",
@@ -48,11 +47,13 @@ class ModulusSolution:
     """Result of a modulus solve.
 
     ``value`` may be ``inf`` (zero measure present); ``f`` is None in
-    that case.  ``multipliers`` align with the input measure list;
-    dropped or inactive measures carry 0.  The stationarity relation is
+    that case.  ``multipliers`` align with the input measure list (with
+    ``paths`` for a path family); dropped or inactive measures carry 0.
+    The stationarity relation is
     p * m_x * f_x^(p-1) = sum_i multipliers[i] * mu_i(x) on {m > 0}.
     ``dual_value <= Mod <= value`` is a weak-duality bracket and ``gap``
-    its relative width (both NaN from the primal oracle).
+    its relative width (both NaN from the primal oracle).  Only path
+    solves fill ``paths`` and ``outer_iterations``.
     """
 
     value: float
@@ -63,39 +64,14 @@ class ModulusSolution:
     dual_value: float
     dropped: tuple[int, ...] = ()
     empty_family: bool = False
+    paths: tuple[tuple[int, ...], ...] = ()
+    outer_iterations: int = 0
 
 
 def _check_p(p: float) -> float:
     if not (p > 1 and math.isfinite(p)):
         raise ValueError(f"modulus exponent must satisfy p > 1, got {p}")
     return float(p)
-
-
-def _split_measures(
-    space: MetricMeasureSpace, measures: Sequence[DiscreteMeasure]
-) -> tuple[list[int], list[int], bool]:
-    """Partition indices into kept / dropped-on-null; detect zero measures.
-
-    Raises ValueError for a measure that charges a point outside the space.
-    """
-    m = space.measure
-    kept: list[int] = []
-    dropped: list[int] = []
-    has_zero = False
-    for i, mu in enumerate(measures):
-        outside = [idx for idx, _ in mu.items if idx >= space.n_points]
-        if outside:
-            raise ValueError(
-                f"measure {i} charges point {outside[0]} outside the space"
-            )
-        if mu.total == 0:
-            has_zero = True
-            continue
-        if any(m[idx] == 0 for idx, _ in mu.items):
-            dropped.append(i)
-        else:
-            kept.append(i)
-    return kept, dropped, has_zero
 
 
 # Projected-gradient steps before the first face polish (the interval
@@ -137,19 +113,37 @@ def _trivial_solution(
 
 def _constraint_matrix(
     space: MetricMeasureSpace, measures: Sequence[DiscreteMeasure]
-) -> np.ndarray:
-    """Rows mu_i on the positive-mass columns: the constraint matrix U.
+) -> tuple[np.ndarray, list[int], tuple[int, ...], bool]:
+    """Constraint matrix U of a family, and which measures it keeps.
 
-    The measures must charge only points of positive mass (see
-    ``_split_measures``).  Row i of ``U / m`` is the density mu_i / m.
+    Row r of U is the r-th kept measure on the positive-mass columns.
+    Returns U, the kept indices, the dropped ones (measures that charge a
+    zero-mass point, met for free) and whether a zero measure is present.
+    Raises ValueError for a measure that charges a point outside the space.
     """
     msk = space.positive_mask
-    col_of = np.cumsum(msk) - 1  # original index -> masked column
+    col_of = np.where(msk, np.cumsum(msk) - 1, -1).tolist()  # -1: zero mass
     U = np.zeros((len(measures), int(msk.sum())))
-    for row, mu in enumerate(measures):
+    kept: list[int] = []
+    dropped: list[int] = []
+    has_zero = False
+    for i, mu in enumerate(measures):
+        row, null = U[len(kept)], False
         for idx, w in mu.items:
-            U[row, col_of[idx]] = w
-    return U
+            if idx >= space.n_points:
+                raise ValueError(f"measure {i} charges point {idx} outside the space")
+            if col_of[idx] < 0:
+                null = True
+            else:
+                row[col_of[idx]] = w
+        if mu.total == 0:
+            has_zero = True
+        elif null:
+            dropped.append(i)
+            row.fill(0.0)
+        else:
+            kept.append(i)
+    return U[: len(kept)], kept, tuple(dropped), has_zero
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -386,6 +380,7 @@ class _PlanProblem:
         kept: Sequence[int],
         n_measures: int,
         dropped: tuple[int, ...] = (),
+        low: float = 1.0,
     ) -> ModulusSolution:
         """Modulus solution read off plan weights w over the measures ``kept``.
 
@@ -393,13 +388,15 @@ class _PlanProblem:
         admissible; its energy is ``value``, the plan's content^p is
         ``dual_value`` and ``gap`` the relative width of that bracket plus
         a rounding allowance.  The multipliers p w_i / s^(p-1) satisfy the
-        stationarity relation.
+        stationarity relation.  ``low`` < 1 is the least integral of f / s
+        over a family larger than the rows of U; s is multiplied by it, so
+        that f stays admissible for that family.
         """
         p, msk = self.p, self.space.positive_mask
         w = w / w.sum()
         h = (w @ self.U) / self.mpos
         f = h ** (self.q - 1.0)
-        s = float((self.U @ f).min())
+        s = float((self.U @ f).min()) * low
         f = f / s
         value = float(np.dot(self.mpos, f**p))
         lower = float(np.dot(self.mpos, h**self.q)) ** (1.0 - p)
@@ -437,12 +434,11 @@ def solve_modulus_explicit(
     gap_tol or SolverError is raised.
     """
     p = _check_p(p)
-    kept, dropped_l, has_zero = _split_measures(space, measures)
-    dropped = tuple(dropped_l)
+    U, kept, dropped, has_zero = _constraint_matrix(space, measures)
     if has_zero or not kept:
         return _trivial_solution(space, len(measures), dropped, has_zero)
 
-    prob = _PlanProblem(space, _constraint_matrix(space, [measures[i] for i in kept]), p)
+    prob = _PlanProblem(space, U, p)
     w, it = prob.solve(np.full(len(kept), 1.0 / len(kept)), gap_tol, max_iter)
     return prob.solution(w, it, kept, len(measures), dropped)
 
@@ -552,14 +548,12 @@ def solve_modulus_primal(
     cross-validation on small instances.
     """
     p = _check_p(p)
-    kept, dropped_l, has_zero = _split_measures(space, measures)
-    dropped = tuple(dropped_l)
+    U, kept, dropped, has_zero = _constraint_matrix(space, measures)
     if has_zero or not kept:
         return _trivial_solution(space, len(measures), dropped, has_zero)
 
     msk = space.positive_mask
     mpos = space.measure[msk]
-    U = _constraint_matrix(space, [measures[i] for i in kept])
     row_sq = np.einsum("ij,ij->i", U, U)
 
     totals = U.sum(axis=1)
@@ -638,7 +632,7 @@ def brute_force_lattice(
     sensible for a handful of points.
     """
     p = _check_p(p)
-    kept, _, has_zero = _split_measures(space, measures)
+    U, kept, _, has_zero = _constraint_matrix(space, measures)
     if has_zero:
         return math.inf, math.inf
     if not kept:
@@ -648,7 +642,6 @@ def brute_force_lattice(
     n = int(msk.sum())
     if n > 6:
         raise ValueError("lattice oracle limited to at most 6 positive-mass points")
-    U = _constraint_matrix(space, [measures[i] for i in kept])
     totals = U.sum(axis=1)
     feas_value = (1.0 / totals.min()) ** p * mpos.sum()
     fmax = (feas_value / mpos.min()) ** (1.0 / p)
@@ -687,7 +680,7 @@ def shortest_weighted_path(
     points in id order), and the answer is the cheapest target, then the
     fewest hops, then the smallest id.
     """
-    found = _cheapest_paths(space, f, source, target, max_hops, first=True)
+    found = _cheapest_paths(space, f, source, target, max_hops)
     if not found:
         return None
     cost, path = found[0]
@@ -701,18 +694,17 @@ def _cheapest_paths(
     target: Sequence[int],
     max_hops: int | None = None,
     *,
-    first: bool = False,
     bound: float | None = None,
 ) -> list[tuple[float, tuple[int, ...]]]:
     """Cheapest path to each reachable target, as (cost, path) by cost.
 
     One Dijkstra pass from all sources at once (the layered relaxation
     under ``max_hops``), with the costs and tie rule documented in
-    ``shortest_weighted_path``.  The path to one target may cross
-    another; its constraint is then weaker than that of its prefix.
-    ``first`` keeps the first target only; ``bound`` keeps the targets
-    cheaper than it, and ends the pass once the settled distance
-    reaches it.
+    ``shortest_weighted_path``, which returns the first entry: targets
+    come in settle order (by cost, hops and id under ``max_hops``).  The
+    path to one target may cross another; its constraint is then weaker
+    than that of its prefix.  ``bound`` keeps the targets cheaper than
+    it, and ends the pass once the settled distance reaches it.
     """
     vals = np.asarray(f, dtype=float)
     if np.any(vals < 0):
@@ -739,7 +731,7 @@ def _cheapest_paths(
             (cost, len(path), t, path) for t, (cost, path) in best.items()
             if t in targets and (bound is None or cost < bound)
         )
-        return [(cost, path) for cost, _, _, path in (found[:1] if first else found)]
+        return [(cost, path) for cost, _, _, path in found]
 
     n = space.n_points
     dist: list[float | None] = [None] * n
@@ -763,7 +755,7 @@ def _cheapest_paths(
                 path.append(pred[path[-1]])
             out.append((d, tuple(reversed(path))))
             left -= 1
-            if first or not left:
+            if not left:
                 break
         hu = half[u]
         for v, ell in space.neighbors(u):
@@ -776,31 +768,6 @@ def _cheapest_paths(
     return out
 
 
-@dataclass(frozen=True)
-class PathModulusSolution:
-    """Result of ``solve_modulus_paths``.
-
-    ``paths`` is the final working set, aligned with
-    ``solution.multipliers``: the paths of the last plan solve, including
-    those its plan leaves at weight 0.  Each ends at a target and may
-    cross other targets; the modulus of the family equals that of these
-    paths up to the solve's tolerances.
-    """
-
-    solution: ModulusSolution
-    paths: tuple[tuple[int, ...], ...]
-    outer_iterations: int
-    empty_family: bool = False
-
-    @property
-    def value(self) -> float:
-        return self.solution.value
-
-    @property
-    def f(self) -> np.ndarray | None:
-        return self.solution.f
-
-
 def solve_modulus_paths(
     space: MetricMeasureSpace,
     source: Sequence[int],
@@ -811,7 +778,7 @@ def solve_modulus_paths(
     gap_tol: float = 1e-9,
     feas_tol: float = 1e-9,
     max_outer: int = 1000,
-) -> PathModulusSolution:
+) -> ModulusSolution:
     """Modulus of the family of simple source-target paths.
 
     Constraint generation (Albin, Brunner, Perez, Poggi-Corradini &
@@ -827,10 +794,13 @@ def solve_modulus_paths(
     rises strictly every round and no working set repeats.  Each round
     runs the plan solve of ``solve_modulus_explicit``, warm-started from
     the previous plan with the new paths at weight 0; ``iterations``
-    counts its steps over all rounds.  Disconnected endpoints give value
-    0 with the ``empty_family`` flag set.  Zero-mass points block paths
-    for free (see ``_block_null_points``), so a family whose every path
-    crosses one has modulus 0 and no working paths.
+    counts its steps over all rounds, ``outer_iterations`` the rounds, and
+    ``paths`` is the final working set, aligned with ``multipliers``: the
+    paths of the last plan solve, some perhaps at weight 0, each ending at
+    a target.  Disconnected endpoints give value 0 with the
+    ``empty_family`` flag set.  Zero-mass points block paths for free (see
+    ``_block_null_points``), so a family whose every path crosses one has
+    modulus 0 and no working paths.
     """
     p = _check_p(p)
     for pt in (*source, *target):
@@ -844,21 +814,23 @@ def solve_modulus_paths(
     )
     if probe is None or math.isinf(probe[1]):
         # No path at all (empty family), or each crosses a zero-mass point.
-        empty = probe is None
-        sol = replace(_trivial_solution(space, 0, (), False), empty_family=empty)
-        return PathModulusSolution(_block_null_points(space, sol), (), 0, empty)
+        sol = _trivial_solution(space, 0, (), False)
+        return replace(
+            sol, f=_block_null_points(space, sol.f), empty_family=probe is None
+        )
     if len(probe[0]) == 1:  # a one-point path has the zero line measure
-        return PathModulusSolution(_trivial_solution(space, 1, (), True), probe[:1], 0)
+        return replace(_trivial_solution(space, 1, (), True), paths=probe[:1])
 
     working = [probe[0]]
-    U = _constraint_matrix(space, [path_line_measure(space, probe[0])])
+    U = _constraint_matrix(space, [path_line_measure(space, probe[0])])[0]
     w = np.ones(1)
     total_it = 0
     for outer in range(1, max_outer + 1):
         prob = _PlanProblem(space, U, p)
         w, it = prob.solve(w, gap_tol, max_iter=100000)
         total_it += it
-        sol = prob.solution(w, total_it, range(len(working)), len(working))
+        rows = range(len(working))
+        sol = prob.solution(w, total_it, rows, len(rows))
         found = _cheapest_paths(
             space, np.where(null, np.inf, sol.f), source, target, max_hops, bound=1.0
         )
@@ -867,14 +839,10 @@ def solve_modulus_paths(
         if not new:
             low = found[0][0] if found else 1.0  # the family minimum, if below 1
             if low >= 1.0 - 10 * feas_tol:  # f / low is admissible for the family
-                value = sol.value / low**p
-                sol = replace(
-                    sol, value=value, f=sol.f / low,
-                    multipliers=sol.multipliers / low ** (p - 1.0),
-                    gap=max(value - sol.dual_value, 0.0) / value + _ROUNDING * p,
-                )
-                return PathModulusSolution(
-                    _block_null_points(space, sol), tuple(working), outer
+                sol = prob.solution(w, total_it, rows, len(rows), low=low)
+                return replace(
+                    sol, f=_block_null_points(space, sol.f), paths=tuple(working),
+                    outer_iterations=outer,
                 )
             raise SolverError(
                 f"constraint generation stalled on a repeated path "
@@ -887,7 +855,7 @@ def solve_modulus_paths(
         np.compress(keep, U, axis=0, out=U_next[:n_keep])
         U_next[n_keep:] = _constraint_matrix(
             space, [path_line_measure(space, path) for path in new]
-        )
+        )[0]
         U = U_next
         working = [path for path, k in zip(working, keep) if k] + new
         w = np.concatenate([w[keep], np.zeros(len(new))])
@@ -897,21 +865,19 @@ def solve_modulus_paths(
     )
 
 
-def _block_null_points(
-    space: MetricMeasureSpace, sol: ModulusSolution
-) -> ModulusSolution:
-    """Make f admissible for paths through zero-mass points, at no energy.
+def _block_null_points(space: MetricMeasureSpace, f: np.ndarray) -> np.ndarray:
+    """f made admissible for paths through zero-mass points, at no energy.
 
     f = 2 / (shortest edge at x) on each zero-mass point x gives every
     edge at x a cost of at least 1, so any path through x integrates f
     to at least 1; m_x = 0 leaves the energy unchanged.
     """
-    f = sol.f.copy()
+    f = f.copy()
     for x in np.nonzero(space.measure == 0)[0]:
         lengths = [ell for _, ell in space.neighbors(int(x))]
         if lengths:
             f[x] = 2.0 / min(lengths)
-    return replace(sol, f=f)
+    return f
 
 
 @dataclass(frozen=True)

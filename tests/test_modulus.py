@@ -67,19 +67,23 @@ def test_measure_outside_the_space_is_rejected(point):
             DiscreteMeasure(((point, 1.0),))
         return
     family = [restriction(space, range(2)), DiscreteMeasure(((point, 1.0),))]
-    with pytest.raises(ValueError, match=f"measure 1 charges point {point} "):
-        solve_modulus_explicit(space, family, 2.0)
-    with pytest.raises(ValueError, match=f"measure 1 charges point {point} "):
-        solve_content(space, family, 2.0)
+    for solve in (
+        solve_modulus_explicit, solve_content, solve_modulus_primal, brute_force_lattice
+    ):
+        with pytest.raises(ValueError, match=f"measure 1 charges point {point} "):
+            solve(space, family, 2.0)
 
 
 def test_null_supported_measures_are_dropped():
     space = MetricMeasureSpace(3, [(0, 1, 1.0), (1, 2, 1.0)], [1.0, 1.0, 0.0])
     ghost = DiscreteMeasure(((2, 5.0),))
     real = DiscreteMeasure(((0, 1.0),))
-    sol = solve_modulus_explicit(space, [real, ghost], 2.0)
-    assert sol.dropped == (1,)
-    assert sol.value == pytest.approx(1.0)
+    for solve in (solve_modulus_explicit, solve_modulus_primal):
+        sol = solve(space, [real, ghost], 2.0)
+        assert sol.dropped == (1,)
+        assert sol.value == pytest.approx(1.0)
+    lower, upper = brute_force_lattice(space, [real, ghost], 2.0)
+    assert lower <= 1.0 <= upper
 
 
 def test_interval_two_halves_instance():
@@ -436,7 +440,7 @@ def test_barrier_fallback_certifies_when_face_polish_fails(monkeypatch):
     ref = solve_modulus_explicit(inst.space, measures, 3.0, gap_tol=1e-12)
 
     # The barrier path alone gets close from the uniform plan ...
-    prob = _PlanProblem(inst.space, _constraint_matrix(inst.space, measures), 3.0)
+    prob = _PlanProblem(inst.space, _constraint_matrix(inst.space, measures)[0], 3.0)
     w, steps = prob.barrier(np.full(len(measures), 1.0 / len(measures)), 0.0, 10000)
     assert 0 < steps < 10000
     assert prob.evaluate(w)[2] <= 1e-8
@@ -477,7 +481,7 @@ def test_path_bracket_holds_for_the_whole_family():
     assert sol.value == pytest.approx(float(np.dot(space.measure, sol.f**2)), rel=1e-12)
     fam = enumerate_family(space, MeasureFamily("lr", "paths", source=left, target=right))
     exact = solve_modulus_explicit(space, fam.measures, 2.0, gap_tol=1e-12).value
-    lower, gap = sol.solution.dual_value, sol.solution.gap
+    lower, gap = sol.dual_value, sol.gap
     assert lower <= exact * (1 + 1e-12) and exact <= sol.value * (1 + 1e-12)
     assert gap >= (sol.value - lower) / sol.value
 
@@ -530,7 +534,7 @@ def test_barrier_certifies_at_both_ends_of_p(seed, shape, p):
     inst = generate_random_instance(seed, **shape)
     measures = inst.families["random"].measures
     k = len(measures)
-    prob = BarrierCount(inst.space, _constraint_matrix(inst.space, measures), p)
+    prob = BarrierCount(inst.space, _constraint_matrix(inst.space, measures)[0], p)
     prob.solve(np.full(k, 1.0 / k), 1e-9, 100000)
     assert prob.calls == 1
     sol = solve_modulus_explicit(inst.space, measures, p)
@@ -538,3 +542,78 @@ def test_barrier_certifies_at_both_ends_of_p(seed, shape, p):
     primal = solve_modulus_primal(inst.space, measures, p).value
     assert primal >= sol.dual_value * (1.0 - 1e-12)
     assert primal == pytest.approx(sol.value, rel=1e-6)
+
+
+def average(a, b):
+    acc = dict(a.items)
+    for i, w in b.items:
+        acc[i] = acc.get(i, 0.0) + w
+    return DiscreteMeasure.from_dict({i: w / 2 for i, w in acc.items()})
+
+
+def degenerate_case(name, p):
+    """The solve of a degenerate family, and oracle brackets of its modulus."""
+    from modcap.space import build_grid_space, grid_node
+
+    if name in ("duplicates", "average"):
+        inst = generate_random_instance(7, n_points=4, n_measures=4)
+        space, base = inst.space, list(inst.families["random"].measures)
+        extra = [base[0], base[2]] if name == "duplicates" else [average(*base[:2])]
+        family = base + extra
+        # The base family implies every added constraint: same modulus.
+        ref = solve_modulus_explicit(space, base, p)
+        oracles = [brute_force_lattice(space, family, p), (ref.dual_value, ref.value)]
+        return lambda: solve_modulus_explicit(space, family, p), oracles
+    if name == "more_measures_than_points":
+        inst = generate_random_instance(5, n_points=3, n_measures=60)
+        space, family = inst.space, inst.families["random"].measures
+        oracles = [brute_force_lattice(space, family, p)]
+        return lambda: solve_modulus_explicit(space, family, p), oracles
+    if name == "grid_rows_and_columns":
+        # The rows sum to the columns.  Permuting rows, permuting columns
+        # and transposing leave the family unchanged and move any point to
+        # any other, so the unique optimal f is constant: f = 5.
+        space = build_grid_space(5, 5)
+        lines = [[grid_node(5, x, y) for x in range(5)] for y in range(5)]
+        columns = [list(pts) for pts in zip(*lines)]
+        family = [restriction(space, pts) for pts in lines + columns]
+        return lambda: solve_modulus_explicit(space, family, p), [(5.0**p, 5.0**p)]
+    # Left-right paths on a uniform k x k grid.  The k rows tie, and the
+    # optimal f for the rows alone depends on the column only, so every
+    # path, which crosses each column gap, integrates it to at least 1:
+    # the modulus is that of the disjoint rows, k ||mu / m||_q^(-p) with
+    # mu one row's line measure (h = 1 / (k-1) per point, h/2 at its ends).
+    k = int(name.removeprefix("paths"))
+    space = build_grid_space(k, k)
+    left = [grid_node(k, 0, y) for y in range(k)]
+    right = [grid_node(k, k - 1, y) for y in range(k)]
+    density = np.full(k, k**2 / (k - 1))
+    density[[0, -1]] /= 2
+    exact = k * float(np.sum(density ** (p / (p - 1)) / k**2)) ** (1 - p)
+    return lambda: solve_modulus_paths(space, left, right, p), [(exact, exact)]
+
+
+@pytest.mark.parametrize("p", [1.1, 2.0, 3.0, 12.0])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "duplicates",
+        "average",
+        "more_measures_than_points",
+        "grid_rows_and_columns",
+        "paths6",
+        "paths10",
+    ],
+)
+def test_degenerate_family_is_certified_or_refused(name, p):
+    # Rank-deficient constraint sets and many tied paths: the solve either
+    # certifies a bracket that meets every oracle's, or raises SolverError.
+    solve, oracles = degenerate_case(name, p)
+    try:
+        sol = solve()
+    except SolverError:
+        return
+    assert sol.gap <= 1e-9
+    for lower, upper in oracles:
+        assert lower <= sol.value * (1 + 1e-12)
+        assert sol.dual_value <= upper * (1 + 1e-12)
