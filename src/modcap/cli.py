@@ -237,8 +237,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     print(f"instance: {inst.name}  curve: {args.curve}  seed: {args.seed}")
     if args.action == "resample":
         rep = constant_speed_reparam(inst.space, curve)
-        print(f"length: {rep.length!r}  nodes: {list(rep.rep.nodes)}")
-        _save_variant(args, inst, curves={f"{args.curve}.resampled": rep.rep})
+        print(f"length: {curve_length(inst.space, rep)!r}  nodes: {list(rep.nodes)}")
+        _save_variant(args, inst, curves={f"{args.curve}.resampled": rep})
         return EXIT_OK
     if args.action in ("jmap", "mmap"):
         mu = (j_map if args.action == "jmap" else m_map)(inst.space, curve)
@@ -286,8 +286,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
             )
         return EXIT_OK
 
-    q = _conjugate(args)
     if args.action == "improve":
+        q = _conjugate(args)
         res = improve_barycenter(inst.space, plan, q, args.eps)
         print(f"q: {q}  eps: {args.eps}")
         print(f"z: {res.z!r} (bound 1/eps = {1.0 / args.eps!r})")
@@ -302,8 +302,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
             return EXIT_CERT_FAILED
         return EXIT_OK
 
-    res = stretch_average(inst.space, plan, args.eps, args.n_tau, q=q)
-    print(f"q: {q}  eps: {args.eps}  n_tau: {args.n_tau}")
+    res = stretch_average(inst.space, plan, args.eps, args.n_tau)
+    print(f"eps: {args.eps}  n_tau: {args.n_tau}")
     print(f"input marginal bound C: {res.c_in!r}")
     print(f"certified bound C(1+eps)/eps: {res.bound!r} + correction {res.correction!r}")
     print(f"exact averaged marginal sup: {res.exact_sup!r}")
@@ -396,7 +396,7 @@ _PLAN_FLAGS = ("--instance", "--seed", "--out", "--plan")
 _PLAN_ACTIONS = {
     "check": (),
     "improve": ("--p", "--q", "--eps"),
-    "stretch": ("--p", "--q", "--eps", "--n-tau"),
+    "stretch": ("--eps", "--n-tau"),
 }
 
 

@@ -85,26 +85,6 @@ def constant_curve(point: int) -> ParametricCurve:
     return ParametricCurve((point, point), (0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class NonParamCurve:
-    """A curve up to increasing reparameterization.
-
-    Stored through its constant-speed representative ``rep``, whose
-    uniform speed equals the curve length.
-    """
-
-    rep: ParametricCurve
-    speed: float
-
-    def __post_init__(self):
-        if not (self.speed > 0 and math.isfinite(self.speed)):
-            raise InvalidInstanceError("nonparametric curve must have positive length")
-
-    @property
-    def length(self) -> float:
-        return self.speed
-
-
 def _segment_lengths(space: MetricMeasureSpace, curve: ParametricCurve) -> list[float]:
     out = []
     for u, v in zip(curve.nodes, curve.nodes[1:]):
@@ -147,12 +127,14 @@ def curve_energy(space: MetricMeasureSpace, curve: ParametricCurve, q: float) ->
 
 def constant_speed_reparam(
     space: MetricMeasureSpace, curve: ParametricCurve
-) -> NonParamCurve:
+) -> ParametricCurve:
     """Constant-speed representative with plateaus removed.
 
     The i-th surviving node is placed at time (arc length so far) /
     (total length), so every segment runs at speed equal to the total
-    length.  Rejects constant curves.
+    length.  The representative stands for the non-parametric curve,
+    the curve up to increasing reparameterization.  Rejects constant
+    curves.
     """
     lens = _segment_lengths(space, curve)
     total = math.fsum(lens)
@@ -168,8 +150,7 @@ def constant_speed_reparam(
         nodes.append(curve.nodes[i + 1])
         times.append(acc / total)
     times[-1] = 1.0
-    rep = ParametricCurve(tuple(nodes), tuple(times))
-    return NonParamCurve(rep, total)
+    return ParametricCurve(tuple(nodes), tuple(times))
 
 
 def edge_multiplicity(
@@ -330,7 +311,7 @@ def curves_equivalent(
     exactly and breakpoint times within tol.  A curve and its reversal
     are not equivalent.
     """
-    r1, r2 = (constant_speed_reparam(space, c).rep for c in (c1, c2))
+    r1, r2 = (constant_speed_reparam(space, c) for c in (c1, c2))
     return _same_rep(r1, r2, tol)
 
 

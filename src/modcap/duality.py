@@ -56,8 +56,8 @@ def _check_probabilities(
 class MeasurePlan:
     """Probability vector over a measure family, with barycenter data.
 
-    ``barycenter_density`` and ``c_q`` are filled by
-    ``build_measure_plan`` and recomputable through ``plan_barycenter``.
+    ``barycenter_density`` (recomputable through ``plan_barycenter``)
+    and its L^q(m) norm ``c_q`` are filled by ``build_measure_plan``.
     """
 
     support: tuple[DiscreteMeasure, ...]
@@ -73,15 +73,18 @@ class MeasurePlan:
 
 
 def plan_barycenter(
-    space: MetricMeasureSpace, plan: MeasurePlan
-) -> tuple[np.ndarray, float]:
-    """Barycenter density g and its L^q(m) norm for a measure plan.
+    space: MetricMeasureSpace,
+    support: Sequence[DiscreteMeasure],
+    probabilities: Sequence[float],
+) -> np.ndarray:
+    """Barycenter density g = (sum_i prob_i mu_i) / m, 0 where m = 0.
 
     Raises NoBarycenterError when the averaged measure puts mass on a
     point with m = 0 (no density exists there).
     """
+    _check_probabilities(support, probabilities, "measure")
     mass = np.zeros(space.n_points)
-    for w, mu in zip(plan.probabilities, plan.support):
+    for w, mu in zip(probabilities, support):
         if w == 0:
             continue
         for idx, val in mu.items:
@@ -95,8 +98,7 @@ def plan_barycenter(
     g = np.zeros(space.n_points)
     msk = space.positive_mask
     g[msk] = mass[msk] / m[msk]
-    c_q = float(np.dot(m[msk], g[msk] ** plan.q)) ** (1.0 / plan.q)
-    return g, c_q
+    return g
 
 
 def build_measure_plan(
@@ -107,7 +109,9 @@ def build_measure_plan(
 ) -> MeasurePlan:
     """Construct a plan with its barycenter density and c_q filled in."""
     plan = MeasurePlan(tuple(support), tuple(float(w) for w in probabilities), q)
-    g, c_q = plan_barycenter(space, plan)
+    g = plan_barycenter(space, plan.support, plan.probabilities)
+    msk = space.positive_mask
+    c_q = float(np.dot(space.measure[msk], g[msk] ** q)) ** (1.0 / q)
     return MeasurePlan(plan.support, plan.probabilities, q, g, c_q)
 
 
@@ -294,7 +298,7 @@ def check_optimality_conditions(
             mu for w, mu in zip(dual.plan.probabilities, dual.plan.support)
             if w > 1e-6
         ]
-        g, _ = plan_barycenter(space, dual.plan)
+        g = plan_barycenter(space, dual.plan.support, dual.plan.probabilities)
 
     sat_dev = max((abs(mu.integrate(f) - 1.0) for mu in charged), default=0.0)
     if sat_dev > tol:
@@ -321,8 +325,6 @@ def content_of_curve_family(
     space: MetricMeasureSpace,
     curves: Sequence[ParametricCurve],
     p: float,
-    *,
-    tol: float = 1e-11,
 ) -> tuple[ContentSolution, tuple[DiscreteMeasure, ...]]:
     """Best plan supported on the given curves, through their line measures.
 
@@ -337,4 +339,4 @@ def content_of_curve_family(
         if c.is_constant():
             raise ValueError(f"curve {i} is constant and has no line measure")
     measures = tuple(j_map(space, c) for c in curves)
-    return solve_content(space, measures, p / (p - 1.0), tol=tol), measures
+    return solve_content(space, measures, p / (p - 1.0)), measures

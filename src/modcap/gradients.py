@@ -54,13 +54,19 @@ def check_upper_gradient(
     curves: Sequence[ParametricCurve],
     tol: float = 1e-10,
 ) -> GradientCheckReport:
-    """Residuals of |f(end) - f(start)| <= int g dJ over the curves."""
+    """Residuals of |f(end) - f(start)| <= int g dJ over the curves.
+
+    f must be finite; g may be +inf (an infinite upper gradient) but not
+    negative or NaN.
+    """
     fv = np.asarray(f, dtype=float)
     gv = np.asarray(g, dtype=float)
     if fv.shape != (space.n_points,) or gv.shape != (space.n_points,):
         raise ValueError("f and g must be per-point vectors")
-    if np.any(gv < 0):
-        raise ValueError("upper gradient candidates must be nonnegative")
+    if not np.all(np.isfinite(fv)):
+        raise ValueError("f must be finite")
+    if not np.all(gv >= 0):  # also false on NaN
+        raise ValueError("upper gradient candidates must be nonnegative, not NaN")
     worst = -math.inf
     bad: list[int] = []
     for i, c in enumerate(curves):
@@ -79,8 +85,6 @@ def modulus_of_violating_family(
     curves: Sequence[ParametricCurve],
     p: float,
     tol: float = 1e-10,
-    *,
-    gap_tol: float = 1e-11,
 ) -> GradientCheckReport:
     """Modulus of the curves violating the upper-gradient inequality.
 
@@ -93,7 +97,7 @@ def modulus_of_violating_family(
         value = 0.0
     else:
         measures = [j_map(space, curves[i]) for i in report.violating]
-        value = solve_modulus_explicit(space, measures, p, gap_tol=gap_tol).value
+        value = solve_modulus_explicit(space, measures, p, gap_tol=1e-11).value
     return replace(report, modulus_of_violations=value)
 
 
@@ -117,13 +121,11 @@ def check_w1p_pair(
     g: Sequence[float],
     plans: Sequence[CurvePlan],
     tol: float = 1e-10,
-    *,
-    prob_tol: float = 1e-8,
 ) -> W1pReport:
     """Probability of upper-gradient violations under each test plan.
 
     Passes when every test plan gives violating probability at most
-    prob_tol.  Plans that fail testplan_check (unbounded marginal) are
+    1e-8.  Plans that fail testplan_check (unbounded marginal) are
     reported and skipped rather than silently accepted; an empty plan
     list passes vacuously with a warning.
     """
@@ -142,7 +144,7 @@ def check_w1p_pair(
                 f"plan {idx} is not a test plan (unbounded marginal); skipped"
             )
             continue
-        if prob > prob_tol:
+        if prob > 1e-8:
             passed = False
     return W1pReport(tuple(entries), passed, tuple(warnings))
 

@@ -443,14 +443,12 @@ def solve_modulus_explicit(
     return prob.solution(w, it, kept, len(measures), dropped)
 
 
-def _dykstra_project(
-    y: np.ndarray, U: np.ndarray, row_sq: np.ndarray, max_cycles: int = 400
-) -> np.ndarray:
+def _dykstra_project(y: np.ndarray, U: np.ndarray, row_sq: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {f >= 0} intersect {U f >= 1} (Dykstra)."""
     k = U.shape[0]
     x = y.copy()
     incs = [np.zeros_like(y) for _ in range(k + 1)]
-    for _ in range(max_cycles):
+    for _ in range(400):
         moved = 0.0
         for i in range(k):
             if not incs[i].any():
@@ -536,16 +534,17 @@ def solve_modulus_primal(
     space: MetricMeasureSpace,
     measures: Sequence[DiscreteMeasure],
     p: float,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 20000,
 ) -> ModulusSolution:
     """Primal cross-solver: projected descent on the density f.
 
     Independent of the plan solve: works on the admissible polyhedron
     {f >= 0, <mu_i, f> >= 1} directly, stepping along the energy
     gradient and projecting back with Dykstra's algorithm.  Meant for
-    cross-validation on small instances.
+    cross-validation on small instances at moderate p (the selftest
+    uses 1.5 to 3).  It is not sound at the ends of p: it gives no
+    bracket, and on small random families it has overshot the
+    certified modulus by 4-13% at p = 1.05 and by a factor of 4.8 at
+    p = 12, and raised on an infeasible density at p = 12.
     """
     p = _check_p(p)
     U, kept, dropped, has_zero = _constraint_matrix(space, measures)
@@ -561,7 +560,7 @@ def solve_modulus_primal(
     obj = float(np.dot(mpos, f**p))
     step = 1.0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 20001):
         grad = p * mpos * f ** (p - 1.0)
         trial = step
         accepted = False
@@ -585,7 +584,7 @@ def solve_modulus_primal(
         )
         rel = (obj - obj_new) / max(1.0, obj)
         f, obj = f_new, obj_new
-        if 0 <= rel <= tol and it > 10:
+        if 0 <= rel <= 1e-12 and it > 10:
             break
 
     def rescaled(cand: np.ndarray) -> tuple[float, np.ndarray] | None:
@@ -621,7 +620,6 @@ def brute_force_lattice(
     space: MetricMeasureSpace,
     measures: Sequence[DiscreteMeasure],
     p: float,
-    levels: int = 21,
 ) -> tuple[float, float]:
     """Exhaustive lattice bracket [lower, upper] for the modulus.
 
@@ -645,7 +643,7 @@ def brute_force_lattice(
     totals = U.sum(axis=1)
     feas_value = (1.0 / totals.min()) ** p * mpos.sum()
     fmax = (feas_value / mpos.min()) ** (1.0 / p)
-    axis = np.linspace(0.0, fmax, levels)
+    axis = np.linspace(0.0, fmax, 21)
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
     feasible = np.all(pts @ U.T >= 1.0 - 1e-12, axis=1)
@@ -707,8 +705,8 @@ def _cheapest_paths(
     it, and ends the pass once the settled distance reaches it.
     """
     vals = np.asarray(f, dtype=float)
-    if np.any(vals < 0):
-        raise ValueError("path weights need a nonnegative density")
+    if not np.all(vals >= 0):  # also false on NaN; inf blocks a point
+        raise ValueError("path weights need a nonnegative density, not NaN")
     half = (0.5 * vals).tolist()
     targets = set(target)
     sources = sorted(set(source))
@@ -880,6 +878,9 @@ def _block_null_points(space: MetricMeasureSpace, f: np.ndarray) -> np.ndarray:
     return f
 
 
+_NULL_TOL = 1e-10  # a modulus at most this counts as null
+
+
 @dataclass(frozen=True)
 class ModPropertiesReport:
     mod_a: float
@@ -905,16 +906,14 @@ def mod_properties_check(
     family_a: Sequence[DiscreteMeasure],
     family_b: Sequence[DiscreteMeasure],
     p: float,
-    *,
-    rel_tol: float = 1e-7,
-    null_tol: float = 1e-10,
 ) -> ModPropertiesReport:
     """Numeric check of the outer-measure behavior of the modulus.
 
     Verifies monotonicity (A and B against A union B), countable
     subadditivity (finite form), monotone approximation along the
-    nested chain A, A + half of B, A + B, and scaling-invariance of
-    null families (only evaluated when Mod(A) <= null_tol).
+    nested chain A, A + half of B, A + B, each to 1e-7 relative, and
+    scaling-invariance of null families (only evaluated when
+    Mod(A) <= 1e-10).
     """
 
     def solve(ms: Sequence[DiscreteMeasure]) -> float:
@@ -930,18 +929,18 @@ def mod_properties_check(
         mu for mu in family_b[: (len(family_b) + 1) // 2] if mu not in family_a
     ]
     chain = (mod_a, solve(half), mod_u)
-    slack = rel_tol * max(1.0, *(v for v in (mod_a, mod_b, mod_u) if math.isfinite(v)))
+    slack = 1e-7 * max(1.0, *(v for v in (mod_a, mod_b, mod_u) if math.isfinite(v)))
     monotone = mod_a <= mod_u + slack and mod_b <= mod_u + slack
     subadd = mod_u <= mod_a + mod_b + slack
     chain_ok = chain[0] <= chain[1] + slack and chain[1] <= chain[2] + slack
     scaling_ok = None
     scaling_vals: tuple[float, ...] = ()
-    if mod_a <= null_tol:
+    if mod_a <= _NULL_TOL:
         vals = []
         for c in (0.5, 2.0):
             vals.append(solve([mu.scaled(c) for mu in family_a]))
         scaling_vals = tuple(vals)
-        scaling_ok = all(v <= null_tol for v in vals)
+        scaling_ok = all(v <= _NULL_TOL for v in vals)
     return ModPropertiesReport(
         mod_a,
         mod_b,
@@ -965,9 +964,8 @@ class SaturatedSubfamily:
 def saturated_subfamily(
     solution: ModulusSolution,
     measures: Sequence[DiscreteMeasure],
-    sat_tol: float = 1e-6,
 ) -> SaturatedSubfamily:
-    """Measures whose constraint is tight at the solved density.
+    """Measures whose constraint is tight (to 1e-6) at the solved density.
 
     The saturated subfamily carries the same modulus as the original
     family; every measure with a positive multiplier must appear in it
@@ -977,7 +975,7 @@ def saturated_subfamily(
         raise ValueError("saturated subfamily undefined for an infinite modulus")
     idx = []
     for i, mu in enumerate(measures):
-        if abs(mu.integrate(solution.f) - 1.0) <= sat_tol:
+        if abs(mu.integrate(solution.f) - 1.0) <= 1e-6:
             idx.append(i)
     chosen = set(idx)
     includes = True

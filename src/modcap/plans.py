@@ -32,12 +32,7 @@ from .curves import (
     _occupation,
     _same_rep,
 )
-from .duality import (
-    MeasurePlan,
-    _check_probabilities,
-    build_measure_plan,
-    plan_barycenter,
-)
+from .duality import _check_probabilities, build_measure_plan, plan_barycenter
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -80,24 +75,15 @@ def plan_lipschitz(space: MetricMeasureSpace, plan: CurvePlan) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class ParametricBarycenter:
-    density: np.ndarray
-    norm_q: float
-
-
-def parametric_barycenter(
-    space: MetricMeasureSpace, plan: CurvePlan, q: float
-) -> ParametricBarycenter:
-    """Occupation density h of the plan and its L^q(m) norm.
+def parametric_barycenter(space: MetricMeasureSpace, plan: CurvePlan) -> np.ndarray:
+    """Occupation density h of the plan.
 
     h_x = (sum_gamma rho(gamma) m_map(gamma)(x)) / m_x, the barycenter
     of the occupation measures under the plan's probabilities.  Raises
     NoBarycenterError if occupation mass sits on a zero-mass point.
     """
-    occupations = tuple(m_map(space, c) for c in plan.curves)
-    mplan = MeasurePlan(occupations, plan.probabilities, q)
-    return ParametricBarycenter(*plan_barycenter(space, mplan))
+    occupations = [m_map(space, c) for c in plan.curves]
+    return plan_barycenter(space, occupations, plan.probabilities)
 
 
 def q_energy(space: MetricMeasureSpace, plan: CurvePlan, q: float) -> float:
@@ -213,8 +199,7 @@ def improve_barycenter(
         raise ValueError(f"eps must be a positive real, got {eps}")
     if not q > 1:
         raise ValueError(f"energy exponent must satisfy q > 1, got {q}")
-    bary = parametric_barycenter(space, plan, q)
-    g = bary.density
+    g = parametric_barycenter(space, plan)
     h = 1.0 / np.maximum(eps, g)
 
     new_curves: list[ParametricCurve] = []
@@ -244,8 +229,8 @@ def improve_barycenter(
     new_probs = [w / drift for w in new_probs]
     out = CurvePlan(tuple(new_curves), tuple(new_probs))
 
-    new_bary = parametric_barycenter(space, out, q)
-    sup_new = float(new_bary.density.max(initial=0.0))
+    new_bary = parametric_barycenter(space, out)
+    sup_new = float(new_bary.max(initial=0.0))
     lip = plan_lipschitz(space, plan)
     energy_new = q_energy(space, out, q)
     msk = space.positive_mask
@@ -264,7 +249,7 @@ def improve_barycenter(
         z=z,
         g=g,
         h=h,
-        new_barycenter=new_bary.density,
+        new_barycenter=new_bary,
         new_barycenter_sup=sup_new,
         barycenter_ok=sup_new <= 1.0 / z + 1e-8,
         energy_new=energy_new,
@@ -311,8 +296,6 @@ def stretch_average(
     plan: CurvePlan,
     eps: float,
     n_tau: int = 64,
-    *,
-    q: float = 2.0,
 ) -> StretchResult:
     """Average the time-window reparameterizations gamma((t+tau)/(1+eps)).
 
@@ -326,8 +309,7 @@ def stretch_average(
         raise ValueError(f"stretch parameter must lie in (0, 1/2), got {eps}")
     if n_tau < 1:
         raise ValueError(f"n_tau must be a positive integer, got {n_tau}")
-    bary = parametric_barycenter(space, plan, q)
-    c_in = float(bary.density.max(initial=0.0))
+    c_in = float(parametric_barycenter(space, plan).max(initial=0.0))
     taus = [(j + 0.5) * eps / n_tau for j in range(n_tau)]
 
     atoms: dict[tuple, float] = {}  # in order of first appearance
@@ -393,7 +375,7 @@ def constant_speed_pushforward(
     """
     groups: list[tuple[ParametricCurve, float]] = []
     for w, c in plan.support():
-        rep = constant_speed_reparam(space, c).rep
+        rep = constant_speed_reparam(space, c)
         for i, (other, acc) in enumerate(groups):
             if _same_rep(other, rep, 1e-9):
                 groups[i] = (other, acc + w)
@@ -416,7 +398,7 @@ class BridgeReport:
 
 
 def bridge_inequality(
-    space: MetricMeasureSpace, plan: CurvePlan, q: float, *, tol: float = 1e-6
+    space: MetricMeasureSpace, plan: CurvePlan, q: float
 ) -> BridgeReport:
     """Check c_q of the line-measure pushforward against the energy bound.
 
@@ -428,7 +410,7 @@ def bridge_inequality(
     probs = [w for w, _ in plan.support()]
     mplan = build_measure_plan(space, measures, probs, q)
     energy = q_energy(space, plan, q)
-    h_sup = float(parametric_barycenter(space, plan, q).density.max(initial=0.0))
+    h_sup = float(parametric_barycenter(space, plan).max(initial=0.0))
     p = q / (q - 1.0)
     rhs = energy ** (1.0 / q) * h_sup ** (1.0 / p)
-    return BridgeReport(mplan.c_q, energy, h_sup, rhs, mplan.c_q <= rhs + tol)
+    return BridgeReport(mplan.c_q, energy, h_sup, rhs, mplan.c_q <= rhs + 1e-6)

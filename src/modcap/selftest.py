@@ -336,7 +336,7 @@ def criterion_curve_calculus() -> CriterionResult:
             rebuilt[v] = rebuilt.get(v, 0.0) + 0.5 * mass
         if DiscreteMeasure.from_dict(rebuilt).items != jm.items:
             fails.append(f"walk {i}: line measure differs from multiplicity formula")
-        rep = constant_speed_reparam(space, c).rep
+        rep = constant_speed_reparam(space, c)
         jr = j_map(space, rep)
         if jr.items != jm.items:
             fails.append(f"walk {i}: line measure changed under reparameterization")
@@ -403,7 +403,7 @@ def criterion_barycenter_improvement() -> CriterionResult:
         if zslack > 1e-12:
             fails.append(f"seed {s}: z exceeds 1/eps by {zslack:.2e}")
         for tag, pl in (("input", plan), ("output", res.plan)):
-            br = bridge_inequality(space, pl, q, tol=1e-6)
+            br = bridge_inequality(space, pl, q)
             if not br.ok:
                 fails.append(
                     f"seed {s}: {tag} plan breaks the energy bridge "

@@ -138,6 +138,7 @@ UNREAD_FLAGS = [
     *(("curve", f) for f in ("--p", "--tol", "--max-iter", "--format")),
     *(("plan", f)
       for f in ("--tol", "--max-iter", "--format", "--p", "--q", "--eps", "--n-tau")),
+    *(("plan stretch", f) for f in ("--p", "--q")),
     *(("grad", f) for f in ("--max-iter", "--out", "--format")),
     *(("gen", f) for f in ("--instance", "--p", "--tol", "--max-iter", "--format")),
     *(("selftest", f)
@@ -150,6 +151,7 @@ def test_unread_flags_exit_2(tmp_path, capsys, command, flag):
     argv = {
         "curve": ["curve", "mult", "--instance", DEMO, "--curve", "c0"],
         "plan": ["plan", "check", "--instance", DEMO],
+        "plan stretch": ["plan", "stretch", "--instance", DEMO],
         "grad": ["grad", "check", "--instance", DEMO, "--family", "traced",
                  "--f", "zero", "--g", "one"],
         "gen": ["gen", "--n-points", "6", "--n-measures", "2"],

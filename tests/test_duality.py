@@ -57,13 +57,16 @@ def test_plan_barycenter_by_hand():
     assert np.allclose(plan.barycenter_density, [1.0, 2.0, 2.0])
     expected = math.sqrt(0.5 * 1.0 + 0.25 * 4.0 + 0.25 * 4.0)
     assert plan.c_q == pytest.approx(expected, rel=1e-12)
+    g = plan_barycenter(space, [mu0, mu1], [0.5, 0.5])
+    assert np.array_equal(g, plan.barycenter_density)
+    with pytest.raises(ValueError, match="one probability per"):
+        plan_barycenter(space, [mu0, mu1], [1.0])
 
 
 def test_plan_barycenter_names_zero_mass_point():
     space = MetricMeasureSpace(3, [(0, 1, 1.0), (1, 2, 1.0)], [1.0, 0.0, 1.0])
-    plan = MeasurePlan((DiscreteMeasure(((1, 2.0),)),), (1.0,), 2.0)
     with pytest.raises(NoBarycenterError, match="point 1"):
-        plan_barycenter(space, plan)
+        plan_barycenter(space, [DiscreteMeasure(((1, 2.0),))], [1.0])
 
 
 def test_content_of_singleton_family():
@@ -73,8 +76,8 @@ def test_content_of_singleton_family():
     mu = restriction(space, range(3))
     for q in (1.5, 2.0, 3.0):
         sol = solve_content(space, [mu], q)
-        g, c_q = plan_barycenter(space, build_measure_plan(space, [mu], [1.0], q))
-        assert sol.value == pytest.approx(1.0 / c_q, rel=1e-12)
+        plan = build_measure_plan(space, [mu], [1.0], q)
+        assert sol.value == pytest.approx(1.0 / plan.c_q, rel=1e-12)
         assert sol.weights.tolist() == [1.0]
 
 

@@ -1,5 +1,7 @@
 """Upper-gradient audits under the two a.e. quantifiers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,15 @@ def test_input_validation():
     c = ParametricCurve((0, 1), (0.0, 1.0))
     with pytest.raises(ValueError, match="per-point"):
         check_upper_gradient(space, [0.0, 1.0], [0.0, 0.0, 0.0], [c])
-    with pytest.raises(ValueError, match="nonnegative"):
-        check_upper_gradient(space, [0.0] * 3, [0.0, -1.0, 0.0], [c])
+    for g in ([0.0, -1.0, 0.0], [math.nan, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_upper_gradient(space, [0.0, 1.0, 5.0], g, [c])
+    for f in ([math.nan, 1.0, 5.0], [0.0, math.inf, 5.0]):
+        with pytest.raises(ValueError, match="finite"):
+            check_upper_gradient(space, f, [0.0] * 3, [c])
+    # An infinite upper gradient is allowed.
+    rep = check_upper_gradient(space, [0.0, 1.0, 5.0], [math.inf] * 3, [c])
+    assert rep.n_violations == 0
 
 
 def test_calibrated_pair_never_violates():
@@ -89,7 +98,7 @@ def test_residuals_are_reparameterization_invariant():
     f = rng.uniform(0.0, 1.0, space.n_points)
     g = rng.uniform(0.0, 0.5, space.n_points)
     base = check_upper_gradient(space, f, g, curves)
-    reparam = [constant_speed_reparam(space, c).rep for c in curves]
+    reparam = [constant_speed_reparam(space, c) for c in curves]
     again = check_upper_gradient(space, f, g, reparam)
     assert again.violating == base.violating
     assert again.worst_residual == pytest.approx(base.worst_residual, abs=1e-10)

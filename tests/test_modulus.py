@@ -338,7 +338,7 @@ def test_constraint_generation_matches_enumeration_on_random_grid(zero_mass):
     fam = enumerate_family(
         space, MeasureFamily("lr", "paths", source=left, target=right)
     )
-    for p in (1.5, 2.0, 3.0):
+    for p in (1.1, 1.5, 2.0, 3.0, 12.0):
         full = solve_modulus_explicit(space, fam.measures, p, gap_tol=1e-11)
         cg = solve_modulus_paths(space, left, right, p, gap_tol=1e-11, feas_tol=1e-11)
         assert cg.value == pytest.approx(full.value, rel=1e-9)
@@ -367,6 +367,17 @@ def test_path_modulus_single_route():
     )
     assert sol.value == pytest.approx(direct.value, rel=1e-9)
     assert sol.paths == ((0, 1, 2),)
+
+
+def test_path_weights_must_be_nonnegative_numbers():
+    # inf blocks a point; a negative or NaN weight is rejected.
+    space = interval_space(3)
+    for bad in ([-1.0, 0.0, 0.0], [math.nan, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            shortest_weighted_path(space, bad, [0], [2])
+    assert shortest_weighted_path(space, [0.0, math.inf, 0.0], [0], [2]) == (
+        (0, 1, 2), math.inf
+    )
 
 
 def test_path_modulus_disconnected_is_empty():
@@ -417,7 +428,8 @@ def test_path_modulus_with_zero_mass_endpoint():
     assert shortest_weighted_path(space, cg.f, left, right)[1] >= 1.0 - 1e-9
 
 
-def test_path_family_blocked_by_zero_mass_column_is_null():
+@pytest.mark.parametrize("p", [1.1, 2.0, 3.0, 12.0])
+def test_path_family_blocked_by_zero_mass_column_is_null(p):
     from modcap.space import build_grid_space, grid_node
 
     weights = np.ones(9)
@@ -425,7 +437,7 @@ def test_path_family_blocked_by_zero_mass_column_is_null():
     space = build_grid_space(3, 3, weights)
     left = [grid_node(3, 0, y) for y in range(3)]
     right = [grid_node(3, 2, y) for y in range(3)]
-    sol = solve_modulus_paths(space, left, right, 2.0)
+    sol = solve_modulus_paths(space, left, right, p)
     assert sol.value == 0.0
     assert not sol.empty_family
     assert shortest_weighted_path(space, sol.f, left, right)[1] >= 1.0
