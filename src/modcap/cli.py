@@ -174,7 +174,6 @@ def cmd_duality(args: argparse.Namespace) -> int:
         f"weak duality chain: 1 <= {cert.weak_lhs:.9f} <= {cert.weak_rhs:.9f} "
         f"({'ok' if cert.weak_ok else 'BROKEN'})"
     )
-    print(f"plan supported on saturated measures: {cert.supported_on_saturated}")
     print(
         f"optimality: saturation dev {opt.saturation_max_dev:.2e}, "
         f"barycenter dev {opt.barycenter_max_dev:.2e}"

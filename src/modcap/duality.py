@@ -52,24 +52,28 @@ def _check_probabilities(
         raise ValueError(f"plan probabilities sum to {total!r}, expected 1")
 
 
+def _check_q(q: float) -> None:
+    if not q > 1:
+        raise ValueError(f"plan exponent must satisfy q > 1, got {q}")
+
+
 @dataclass(frozen=True)
 class MeasurePlan:
     """Probability vector over a measure family, with barycenter data.
 
-    ``barycenter_density`` (recomputable through ``plan_barycenter``)
-    and its L^q(m) norm ``c_q`` are filled by ``build_measure_plan``.
+    ``barycenter_density`` is the ``plan_barycenter`` of the support and
+    ``c_q`` its L^q(m) norm; ``build_measure_plan`` computes both.
     """
 
     support: tuple[DiscreteMeasure, ...]
     probabilities: tuple[float, ...]
     q: float
-    barycenter_density: np.ndarray | None = None
-    c_q: float | None = None
+    barycenter_density: np.ndarray
+    c_q: float
 
     def __post_init__(self) -> None:
         _check_probabilities(self.support, self.probabilities, "measure")
-        if not self.q > 1:
-            raise ValueError(f"plan exponent must satisfy q > 1, got {self.q}")
+        _check_q(self.q)
 
 
 def plan_barycenter(
@@ -108,11 +112,12 @@ def build_measure_plan(
     q: float,
 ) -> MeasurePlan:
     """Construct a plan with its barycenter density and c_q filled in."""
-    plan = MeasurePlan(tuple(support), tuple(float(w) for w in probabilities), q)
-    g = plan_barycenter(space, plan.support, plan.probabilities)
+    _check_q(q)
+    probabilities = tuple(float(w) for w in probabilities)
+    g = plan_barycenter(space, support, probabilities)
     msk = space.positive_mask
     c_q = float(np.dot(space.measure[msk], g[msk] ** q)) ** (1.0 / q)
-    return MeasurePlan(plan.support, plan.probabilities, q, g, c_q)
+    return MeasurePlan(tuple(support), probabilities, q, g, c_q)
 
 
 @dataclass(frozen=True)
@@ -130,12 +135,6 @@ class ContentSolution:
     iterations: int
     excluded: tuple[int, ...] = ()
     no_admissible_plan: bool = False
-
-    @property
-    def weights(self) -> np.ndarray:
-        if self.plan is None:
-            return np.zeros(0)
-        return np.asarray(self.plan.probabilities)
 
 
 def solve_content(
@@ -200,7 +199,6 @@ class DualityCertificate:
     weak_lhs: float
     weak_rhs: float
     weak_ok: bool
-    supported_on_saturated: bool
     ok: bool
 
 
@@ -214,10 +212,10 @@ def check_duality(
 ) -> DualityCertificate:
     """Certificate that Mod^(1/p) and the content agree.
 
-    Checks the value identity at relative tolerance tol, the
+    Checks the value identity at relative tolerance tol and the
     unconditional weak-duality chain 1 <= <f, bar(plan)> m <= c_q ||f||_p
-    for the solved pair, and that the optimal plan charges only
-    measures saturated at the primal density.
+    for the solved pair.  That the plan charges only saturated measures
+    is checked by ``check_optimality_conditions``.
     """
     p = _check_p(p)
     mod = primal.value
@@ -225,39 +223,29 @@ def check_duality(
     if math.isinf(mod) or math.isinf(content):
         ok = math.isinf(mod) and math.isinf(content)
         return DualityCertificate(
-            mod, content, math.inf, 0.0 if ok else math.inf, 1.0, 1.0, ok, ok, ok
+            mod, content, math.inf, 0.0 if ok else math.inf, 1.0, 1.0, ok, ok
         )
     root = mod ** (1.0 / p)
     rel = abs(content - root) / max(1.0, root)
     if mod == 0.0 or dual.plan is None:
         ok = rel <= tol
-        return DualityCertificate(mod, content, root, rel, 0.0, 0.0, ok, ok, ok)
+        return DualityCertificate(mod, content, root, rel, 0.0, 0.0, ok, ok)
 
     f = primal.f
     msk = space.positive_mask
     norm_p = float(np.dot(space.measure[msk], f[msk] ** p)) ** (1.0 / p)
     integrals = np.array([mu.integrate(f) for mu in dual.plan.support])
-    weights = np.asarray(dual.plan.probabilities)
-    weak_lhs = float(np.dot(weights, integrals))
+    weak_lhs = float(np.dot(np.asarray(dual.plan.probabilities), integrals))
     weak_rhs = dual.plan.c_q * norm_p
     weak_ok = 1.0 <= weak_lhs + 1e-9 and weak_lhs <= weak_rhs + 1e-9
-
-    supported = True
-    for w, integ in zip(weights, integrals):
-        if w > 1e-6 and abs(integ - 1.0) > 10 * tol:
-            supported = False
-    ok = rel <= tol and weak_ok and supported
-    return DualityCertificate(
-        mod, content, root, rel, weak_lhs, weak_rhs, weak_ok, supported, ok
-    )
+    ok = rel <= tol and weak_ok
+    return DualityCertificate(mod, content, root, rel, weak_lhs, weak_rhs, weak_ok, ok)
 
 
 @dataclass(frozen=True)
 class OptimalityReport:
     saturation_max_dev: float
     barycenter_max_dev: float
-    converse_value: float
-    converse_ok: bool
     violated: tuple[str, ...]
     ok: bool
 
@@ -267,22 +255,24 @@ def check_optimality_conditions(
     primal: ModulusSolution,
     dual: ContentSolution,
     p: float,
+    *,
     tol: float = 1e-6,
-    f_alt: np.ndarray | None = None,
 ) -> OptimalityReport:
     """Audit the optimality conditions linking a solved primal-dual pair.
 
-    (1) every plan-charged measure integrates f to 1 within tol;
-    (2) the plan barycenter matches f^(p-1) / ||f||_p^p within tol
-        max-norm on {m > 0};
-    (3) converse: a density integrating to 1 against every charged
-        measure has p-energy at least Mod - tol (checked on ``f_alt``,
-        defaulting to the primal density).
+    (1) saturation: every measure the plan charges (weight above 1e-6)
+        integrates f to 1 within tol;
+    (2) barycenter: the plan's ``barycenter_density`` matches
+        f^(p-1) / ||f||_p^p within tol max-norm on {m > 0}.
+
+    The charged threshold sits at 1e-6, not lower, because a certified
+    plan solve at large p leaves residual weight between 1e-8 and 1e-6
+    on measures that miss saturation by up to about 1e-5.
     """
     p = _check_p(p)
     if math.isinf(primal.value) and math.isinf(dual.value):
         # No density is admissible, so there is no condition to audit.
-        return OptimalityReport(0.0, 0.0, math.inf, True, (), True)
+        return OptimalityReport(0.0, 0.0, (), True)
     if primal.f is None or (dual.plan is None and primal.value != 0.0):
         raise ValueError("optimality audit needs finite solved instances")
     mod = primal.value
@@ -298,7 +288,7 @@ def check_optimality_conditions(
             mu for w, mu in zip(dual.plan.probabilities, dual.plan.support)
             if w > 1e-6
         ]
-        g = plan_barycenter(space, dual.plan.support, dual.plan.probabilities)
+        g = dual.plan.barycenter_density
 
     sat_dev = max((abs(mu.integrate(f) - 1.0) for mu in charged), default=0.0)
     if sat_dev > tol:
@@ -309,16 +299,7 @@ def check_optimality_conditions(
     bary_dev = float(np.max(np.abs(g[msk] - target[msk]), initial=0.0))
     if bary_dev > tol:
         violated.append("barycenter")
-
-    probe = f if f_alt is None else np.asarray(f_alt, dtype=float)
-    charged_ok = all(abs(mu.integrate(probe) - 1.0) <= tol for mu in charged)
-    converse_value = float(np.dot(space.measure[msk], probe[msk] ** p))
-    converse_ok = (not charged_ok) or converse_value >= mod - tol
-    if not converse_ok:
-        violated.append("converse")
-    return OptimalityReport(
-        sat_dev, bary_dev, converse_value, converse_ok, tuple(violated), not violated
-    )
+    return OptimalityReport(sat_dev, bary_dev, tuple(violated), not violated)
 
 
 def content_of_curve_family(

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -411,19 +411,6 @@ def random_walk_curve(
     return ParametricCurve(tuple(nodes), times)
 
 
-RESULT_COLUMNS = (
-    "instance",
-    "family",
-    "p",
-    "value",
-    "dual_value",
-    "gap",
-    "iters",
-    "wall_ms",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class ResultRecord:
     instance: str
@@ -447,6 +434,9 @@ class ResultRecord:
             return str(v)
 
         return [fmt(getattr(self, col)) for col in RESULT_COLUMNS]
+
+
+RESULT_COLUMNS = tuple(fld.name for fld in fields(ResultRecord))
 
 
 def emit_results(

@@ -705,8 +705,13 @@ def _cheapest_paths(
     it, and ends the pass once the settled distance reaches it.
     """
     vals = np.asarray(f, dtype=float)
+    if vals.shape != (space.n_points,):
+        raise ValueError(f"path weights need one entry per point, not {vals.shape}")
     if not np.all(vals >= 0):  # also false on NaN; inf blocks a point
         raise ValueError("path weights need a nonnegative density, not NaN")
+    for pt in (*source, *target):
+        if not (0 <= int(pt) < space.n_points):
+            raise ValueError(f"path endpoint {pt} is not a point of the space")
     half = (0.5 * vals).tolist()
     targets = set(target)
     sources = sorted(set(source))
@@ -801,9 +806,6 @@ def solve_modulus_paths(
     modulus 0 and no working paths.
     """
     p = _check_p(p)
-    for pt in (*source, *target):
-        if not (0 <= int(pt) < space.n_points):
-            raise ValueError(f"path endpoint {pt} is not a point of the space")
     # Zero-mass points are impassable for the oracle: a path through one
     # is satisfied for free, so only paths avoiding them constrain f.
     null = space.measure == 0

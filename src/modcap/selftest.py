@@ -23,7 +23,7 @@ from .curves import (
     m_map,
     metric_speed,
 )
-from .duality import check_duality, check_optimality_conditions, content_from_multipliers
+from .duality import content_from_multipliers
 from .families import MeasureFamily, enumerate_family
 from .gradients import (
     check_upper_gradient,

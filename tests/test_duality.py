@@ -7,6 +7,7 @@ import pytest
 
 from modcap.curves import ParametricCurve
 from modcap.duality import (
+    ContentSolution,
     MeasurePlan,
     build_measure_plan,
     check_duality,
@@ -34,18 +35,26 @@ def restriction(space, points):
 
 def test_measure_plan_validation():
     mu = DiscreteMeasure(((0, 1.0),))
+    g = np.ones(1)
     with pytest.raises(ValueError, match="one probability per"):
-        MeasurePlan((mu,), (0.5, 0.5), 2.0)
+        MeasurePlan((mu,), (0.5, 0.5), 2.0, g, 1.0)
     with pytest.raises(ValueError, match="nonempty"):
-        MeasurePlan((), (), 2.0)
+        MeasurePlan((), (), 2.0, g, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        MeasurePlan((mu, mu), (1.5, -0.5), 2.0)
+        MeasurePlan((mu, mu), (1.5, -0.5), 2.0, g, 1.0)
     with pytest.raises(ValueError, match="finite"):
-        MeasurePlan((mu,), (math.nan,), 2.0)
+        MeasurePlan((mu,), (math.nan,), 2.0, g, 1.0)
     with pytest.raises(ValueError, match="sum to"):
-        MeasurePlan((mu, mu), (0.5, 0.4), 2.0)
+        MeasurePlan((mu, mu), (0.5, 0.4), 2.0, g, 1.0)
     with pytest.raises(ValueError, match="q > 1"):
-        MeasurePlan((mu,), (1.0,), 1.0)
+        MeasurePlan((mu,), (1.0,), 1.0, g, 1.0)
+    # A plan always carries its barycenter and c_q.
+    with pytest.raises(TypeError):
+        MeasurePlan((mu,), (1.0,), 2.0)
+    space = MetricMeasureSpace(1, [], [1.0])
+    for q in (1.0, 0.0, -1.0):
+        with pytest.raises(ValueError, match="q > 1"):
+            build_measure_plan(space, [mu], [1.0], q)
 
 
 def test_plan_barycenter_by_hand():
@@ -78,7 +87,7 @@ def test_content_of_singleton_family():
         sol = solve_content(space, [mu], q)
         plan = build_measure_plan(space, [mu], [1.0], q)
         assert sol.value == pytest.approx(1.0 / plan.c_q, rel=1e-12)
-        assert sol.weights.tolist() == [1.0]
+        assert sol.plan.probabilities == (1.0,)
 
 
 def test_content_with_zero_measure_is_infinite():
@@ -141,7 +150,6 @@ def test_duality_certificate_for_infinite_pair():
     # No density is admissible, so the optimality audit has nothing to flag.
     opt = check_optimality_conditions(space, primal, dual, 2.0)
     assert opt.ok and opt.violated == ()
-    assert math.isinf(opt.converse_value)
 
 
 def test_content_from_multipliers_matches_content_solve():
@@ -180,24 +188,39 @@ def test_content_from_multipliers_needs_multipliers():
         content_from_multipliers(inst.space, measures, primal, 2.0)
 
 
-def test_optimality_converse_flags_cheaper_admissible_density():
-    # Feed an alternative density that still integrates to 1 against the
-    # charged measures; its energy must not beat the modulus.
-    inst = generate_random_instance(seed=4, n_points=8, n_measures=4)
+def test_audit_flags_a_non_optimal_plan():
+    # The uniform plan is admissible but not optimal: paired with the
+    # optimal density it breaks the value identity, charges measures the
+    # density does not saturate, and has the wrong barycenter.
+    inst = generate_random_instance(4, n_points=8, n_measures=4)
     measures = inst.families["random"].measures
-    p = 2.0
-    primal = solve_modulus_explicit(inst.space, measures, p, gap_tol=1e-11)
-    dual = solve_content(inst.space, measures, 2.0)
-    rep = check_optimality_conditions(inst.space, primal, dual, p, f_alt=primal.f)
-    assert rep.converse_ok
-    assert rep.converse_value == pytest.approx(primal.value, rel=1e-6)
+    primal = solve_modulus_explicit(inst.space, measures, 2.0)
+    plan = build_measure_plan(inst.space, measures, [0.25] * 4, 2.0)
+    dual = ContentSolution(1.0 / plan.c_q, plan, 0)
+    cert = check_duality(inst.space, primal, dual, 2.0)
+    assert not cert.ok and cert.rel_gap > 0.2
+    assert cert.weak_ok  # weak duality holds for every plan
+    opt = check_optimality_conditions(inst.space, primal, dual, 2.0)
+    assert opt.violated == ("saturation", "barycenter") and not opt.ok
+    assert opt.saturation_max_dev > 0.05 and opt.barycenter_max_dev > 0.5
 
-    # A density that fails to integrate to one makes the converse vacuous.
-    rep2 = check_optimality_conditions(
-        inst.space, primal, dual, p, f_alt=np.zeros(inst.space.n_points)
-    )
-    assert rep2.converse_ok
-    assert rep2.converse_value == 0.0
+
+def test_charged_threshold_at_large_p():
+    # At p = 8 the certified plan leaves weights between 1e-8 and 1e-6 on
+    # measures that miss saturation by more than tol, so the audit counts
+    # only weights above 1e-6 as charged.
+    inst = generate_random_instance(4, n_points=78, n_measures=151, n_null_points=1)
+    measures = inst.families["random"].measures
+    p = 8.0
+    primal = solve_modulus_explicit(inst.space, measures, p)
+    dual = content_from_multipliers(inst.space, measures, primal, p / (p - 1.0))
+    assert check_duality(inst.space, primal, dual, p).ok
+    opt = check_optimality_conditions(inst.space, primal, dual, p)
+    assert opt.ok and opt.saturation_max_dev < 1e-7
+    faint = [
+        mu for w, mu in zip(dual.plan.probabilities, measures) if 1e-8 < w <= 1e-6
+    ]
+    assert max(abs(mu.integrate(primal.f) - 1.0) for mu in faint) > 1e-6
 
 
 def test_content_scaling_of_measures():

@@ -378,6 +378,14 @@ def test_path_weights_must_be_nonnegative_numbers():
     assert shortest_weighted_path(space, [0.0, math.inf, 0.0], [0], [2]) == (
         (0, 1, 2), math.inf
     )
+    # One weight per point, and endpoints inside the space: a negative id
+    # must not index from the end, an outside target is not unreachable.
+    ones = np.ones(3)
+    for src, tgt in (([-1], [0]), ([0], [5]), ([5], [0])):
+        with pytest.raises(ValueError, match="not a point of the space"):
+            shortest_weighted_path(space, ones, src, tgt)
+    with pytest.raises(ValueError, match="one entry per point"):
+        shortest_weighted_path(space, np.ones(2), [0], [2])
 
 
 def test_path_modulus_disconnected_is_empty():
