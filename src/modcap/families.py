@@ -111,12 +111,17 @@ def path_line_measure(
     Half of each edge's length lands on each endpoint: the ``j_map`` of
     the path at any parameterization, without building the curve.
     """
+    return DiscreteMeasure.from_dict(_line_weights(space, path))
+
+
+def _line_weights(space: MetricMeasureSpace, path: tuple[int, ...]) -> dict[int, float]:
+    """Point weights of ``path_line_measure``: half-edge lengths summed per point."""
     acc: dict[int, float] = {}
     for u, v in zip(path, path[1:]):
         half = 0.5 * space.edge_length(u, v)
         acc[u] = acc.get(u, 0.0) + half
         acc[v] = acc.get(v, 0.0) + half
-    return DiscreteMeasure.from_dict(acc)
+    return acc
 
 
 def enumerate_family(

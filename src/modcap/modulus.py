@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SolverError
-from .families import path_line_measure
+from .families import _line_weights
 from .space import DiscreteMeasure, MetricMeasureSpace
 
 __all__ = [
@@ -52,7 +53,9 @@ class ModulusSolution:
     The stationarity relation is
     p * m_x * f_x^(p-1) = sum_i multipliers[i] * mu_i(x) on {m > 0}.
     ``dual_value <= Mod <= value`` is a weak-duality bracket and ``gap``
-    its relative width (both NaN from the primal oracle).  Only path
+    its relative width (both NaN from the primal oracle).  ``iterations``
+    counts projected-gradient and barrier steps, not Newton steps of the
+    polish, so a solve the polish alone certifies reports 0.  Only path
     solves fill ``paths`` and ``outer_iterations``.
     """
 
@@ -190,13 +193,24 @@ class _PlanProblem:
 
     def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray, float]:
         """phi, the constraint values G and the bracket gap at w."""
+        phi, f = self.potential(w)
+        return (phi, *self.bracket(phi, f))
+
+    def potential(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """phi and the density f at w, from one product with U.
+
+        Line searches call this at each trial point and ``bracket`` only
+        at the point they accept.
+        """
         h = (w @ self.U) / self.mpos
         f = h ** (self.q - 1.0)
+        return float(np.dot(self.mpos, h * f)), f
+
+    def bracket(self, phi: float, f: np.ndarray) -> tuple[np.ndarray, float]:
+        """Constraint values G = U @ f and the bracket gap, given phi and f."""
         G = self.U @ f
-        phi = float(np.dot(self.mpos, h * f))
         s = float(G.min())
-        gap = max(1.0 - (s / phi) ** self.p, 0.0) if s > 0 else 1.0
-        return phi, G, gap
+        return G, max(1.0 - (s / phi) ** self.p, 0.0) if s > 0 else 1.0
 
     def hessian(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Hessian of phi at w, restricted to the rows of the mask ``rows``."""
@@ -220,15 +234,6 @@ class _PlanProblem:
         raises SolverError when the gap stays above gap_tol.
         """
         phi, G, gap = self.evaluate(w)
-
-        def polish(w, phi, G, gap):
-            refined = self.face_newton(w)
-            if refined is not None:
-                cand = self.evaluate(refined)
-                if cand[2] < gap or cand[0] <= phi * (1.0 + 1e-14):
-                    return (refined, *cand)
-            return w, phi, G, gap
-
         step, it, next_polish = 1.0, 0, _FIRST_POLISH
         while gap > gap_tol and it < max_iter:
             it += 1
@@ -236,20 +241,21 @@ class _PlanProblem:
             trial = step
             for _ in range(60):
                 w_new = _project_simplex(w - trial * grad)
-                phi_new, G_new, gap_new = self.evaluate(w_new)
+                phi_new, f_new = self.potential(w_new)
                 if phi_new <= phi + 1e-4 * float(grad @ (w_new - w)) or phi_new < phi:
                     break
                 trial *= 0.5
             else:  # the line search failed: polish, else hand over to the barrier
-                w, phi, G, gap = polish(w, phi, G, gap)
+                w, phi, G, gap = self.polish(w, phi, G, gap)
                 break
+            G_new, gap_new = self.bracket(phi_new, f_new)
             d_w, d_grad = w_new - w, self.q * G_new - grad
             w, phi, G, gap = w_new, phi_new, G_new, gap_new
             denom = float(d_grad @ d_grad)  # Barzilai-Borwein step, safeguarded
             bb = abs(float(d_w @ d_grad)) / denom if denom else 2 * trial
             step = min(max(bb, 1e-12), 1e12)
             if gap > gap_tol and it >= next_polish:
-                w, phi, G, gap = polish(w, phi, G, gap)
+                w, phi, G, gap = self.polish(w, phi, G, gap)
                 if it >= _FIRST_ORDER_CAP:
                     break
                 next_polish *= 2
@@ -260,7 +266,7 @@ class _PlanProblem:
             if gap > gap_tol:
                 # Keep the measures the barrier charges more than their slack.
                 w = np.where(w > G / G.min() - 1.0, w, 0.0)
-                w, phi, G, gap = polish(w / w.sum(), *self.evaluate(w / w.sum()))
+                w, phi, G, gap = self.polish(w / w.sum(), *self.evaluate(w / w.sum()))
         if gap > gap_tol:
             raise SolverError(
                 f"plan solve stalled at relative gap {gap:.3e} "
@@ -268,6 +274,20 @@ class _PlanProblem:
                 gap=gap,
             )
         return w, it
+
+    def polish(
+        self, w: np.ndarray, phi: float, G: np.ndarray, gap: float
+    ) -> tuple[np.ndarray, float, np.ndarray, float]:
+        """The plan w with its phi, G and gap, or its ``face_newton`` polish.
+
+        The polish is kept when it narrows the gap or keeps phi.
+        """
+        refined = self.face_newton(w)
+        if refined is not None:
+            cand = self.evaluate(refined)
+            if cand[2] < gap or cand[0] <= phi * (1.0 + 1e-14):
+                return (refined, *cand)
+        return w, phi, G, gap
 
     def face_newton(self, w: np.ndarray) -> np.ndarray | None:
         """Projected Newton refinement of the plan w (Bertsekas 1982).
@@ -307,12 +327,13 @@ class _PlanProblem:
             for _ in range(60):
                 v[free] = np.maximum(wf + t * dw, 0.0)
                 v /= v.sum()
-                phi_v, G_v, _ = self.evaluate(v)
+                phi_v, f_v = self.potential(v)
                 if phi_v <= phi * (1.0 + _ROUNDING * self.q):
                     break
                 t = kink if t / 2 < kink < t else t / 2
             else:
                 return None
+            G_v = self.bracket(phi_v, f_v)[0]
             key = np.packbits(v > 0).tobytes()
             if key != face and key in left:
                 return None
@@ -361,13 +382,13 @@ class _PlanProblem:
                 merit = t * phi - float(np.log(w).sum())
                 for _ in range(60):
                     w_new = w + a * dw
-                    phi_new, G_new, _ = self.evaluate(w_new)
+                    phi_new, f_new = self.potential(w_new)
                     if t * phi_new - np.log(w_new).sum() <= merit - a * decrement / 4:
                         break
                     a *= 0.5
                 else:
                     break
-                w, phi, G = w_new, phi_new, G_new
+                w, phi, G = w_new, phi_new, self.bracket(phi_new, f_new)[0]
             if k / t <= 1e-12 * phi or self.evaluate(w)[2] <= gap_tol:
                 break
             t *= 20.0
@@ -676,7 +697,8 @@ def shortest_weighted_path(
     layered relaxation bounds the edge count: each point keeps the
     cheapest route with the fewest hops (the first found, relaxing from
     points in id order), and the answer is the cheapest target, then the
-    fewest hops, then the smallest id.
+    fewest hops, then the smallest id.  Raises ValueError unless f has one
+    nonnegative entry per point and every endpoint is an integer point id.
     """
     found = _cheapest_paths(space, f, source, target, max_hops)
     if not found:
@@ -709,9 +731,7 @@ def _cheapest_paths(
         raise ValueError(f"path weights need one entry per point, not {vals.shape}")
     if not np.all(vals >= 0):  # also false on NaN; inf blocks a point
         raise ValueError("path weights need a nonnegative density, not NaN")
-    for pt in (*source, *target):
-        if not (0 <= int(pt) < space.n_points):
-            raise ValueError(f"path endpoint {pt} is not a point of the space")
+    source, target = _point_ids(space, source), _point_ids(space, target)
     half = (0.5 * vals).tolist()
     targets = set(target)
     sources = sorted(set(source))
@@ -771,6 +791,44 @@ def _cheapest_paths(
     return out
 
 
+def _point_ids(space: MetricMeasureSpace, ids: Sequence[int]) -> list[int]:
+    """Endpoint ids as plain ints; ValueError unless each is a point id."""
+    out = []
+    for pt in ids:
+        try:
+            i = operator.index(pt)
+        except TypeError:
+            raise ValueError(f"path endpoint {pt!r} is not an integer point id") from None
+        if not 0 <= i < space.n_points:
+            raise ValueError(f"path endpoint {i} is not a point of the space")
+        out.append(i)
+    return out
+
+
+def _write_path_rows(
+    space: MetricMeasureSpace, paths: Sequence[tuple[int, ...]], out: np.ndarray
+) -> None:
+    """Write the constraint rows of ``paths`` into ``out``, one row each.
+
+    Row r is the line measure of paths[r] on the positive-mass columns,
+    the row ``_constraint_matrix`` builds from its ``path_line_measure``.
+    The paths must avoid zero-mass points, as the oracle's do when it
+    treats those points as impassable, so none is dropped here as
+    ``_constraint_matrix`` would drop it.
+    """
+    col = np.cumsum(space.positive_mask) - 1
+    rows: list[int] = []
+    pts: list[int] = []
+    vals: list[float] = []
+    for r, path in enumerate(paths):
+        weights = _line_weights(space, path)
+        rows += [r] * len(weights)
+        pts += weights
+        vals += weights.values()
+    out.fill(0.0)
+    out[rows, col[pts]] = vals
+
+
 def solve_modulus_paths(
     space: MetricMeasureSpace,
     source: Sequence[int],
@@ -796,8 +854,11 @@ def solve_modulus_paths(
     and each added path is violated by that f, so the working modulus
     rises strictly every round and no working set repeats.  Each round
     runs the plan solve of ``solve_modulus_explicit``, warm-started from
-    the previous plan with the new paths at weight 0; ``iterations``
-    counts its steps over all rounds, ``outer_iterations`` the rounds, and
+    the previous plan with the new paths at weight 0; after the first
+    round that plan is polished by projected Newton before any gradient
+    step, which often certifies the round at once.  ``iterations`` counts
+    the projected-gradient and barrier steps over all rounds (Newton steps
+    are not counted, so it can be 0), ``outer_iterations`` the rounds, and
     ``paths`` is the final working set, aligned with ``multipliers``: the
     paths of the last plan solve, some perhaps at weight 0, each ending at
     a target.  Disconnected endpoints give value 0 with the
@@ -822,11 +883,14 @@ def solve_modulus_paths(
         return replace(_trivial_solution(space, 1, (), True), paths=probe[:1])
 
     working = [probe[0]]
-    U = _constraint_matrix(space, [path_line_measure(space, probe[0])])[0]
+    U = np.empty((1, int(space.positive_mask.sum())))
+    _write_path_rows(space, working, U)
     w = np.ones(1)
     total_it = 0
     for outer in range(1, max_outer + 1):
         prob = _PlanProblem(space, U, p)
+        if outer > 1:  # polish the previous optimum, new paths at weight 0
+            w = prob.polish(w, *prob.evaluate(w))[0]
         w, it = prob.solve(w, gap_tol, max_iter=100000)
         total_it += it
         rows = range(len(working))
@@ -853,9 +917,7 @@ def solve_modulus_paths(
         n_keep = int(keep.sum())
         U_next = np.empty((n_keep + len(new), U.shape[1]))
         np.compress(keep, U, axis=0, out=U_next[:n_keep])
-        U_next[n_keep:] = _constraint_matrix(
-            space, [path_line_measure(space, path) for path in new]
-        )[0]
+        _write_path_rows(space, new, U_next[n_keep:])
         U = U_next
         working = [path for path, k in zip(working, keep) if k] + new
         w = np.concatenate([w[keep], np.zeros(len(new))])

@@ -355,6 +355,35 @@ def test_grid16_certifies_in_few_rounds():
     sol = solve_modulus_paths(space, left, right, 2.0)
     assert sol.outer_iterations < 40
     assert shortest_weighted_path(space, sol.f, left, right)[1] >= 1.0 - 1e-9
+    # Rounds after the first start from a Newton polish of the previous
+    # plan; 16 gradient steps per round before it (400 in all).
+    assert sol.iterations <= 16
+
+
+@pytest.mark.parametrize("n_null", [0, 1])
+def test_path_rows_match_the_constraint_matrix_builder(n_null):
+    # The path solver writes oracle paths straight into U: each row must
+    # equal, bit for bit, the row built from the path's line measure.
+    from modcap.modulus import _cheapest_paths, _constraint_matrix, _write_path_rows
+
+    for seed in range(4):
+        space = generate_random_instance(seed, n_points=40, n_null_points=n_null).space
+        null = space.measure == 0
+        assert null.sum() == n_null
+        rng = np.random.default_rng([seed, n_null])
+        f = np.where(null, np.inf, rng.uniform(0.0, 2.0, space.n_points))
+        source = np.flatnonzero(~null)[:3]
+        paths = [
+            path for cost, path in _cheapest_paths(space, f, source, range(space.n_points))
+            if len(path) > 1 and cost < math.inf
+        ]
+        assert len(paths) > 30
+        rows = np.empty((len(paths), space.n_points - n_null))
+        _write_path_rows(space, paths, rows)
+        for row, path in zip(rows, paths):
+            ref = _constraint_matrix(space, [path_line_measure(space, path)])[0]
+            assert ref.shape == (1, row.size)
+            assert row.tobytes() == ref[0].tobytes()
 
 
 def test_path_modulus_single_route():
@@ -386,6 +415,17 @@ def test_path_weights_must_be_nonnegative_numbers():
             shortest_weighted_path(space, ones, src, tgt)
     with pytest.raises(ValueError, match="one entry per point"):
         shortest_weighted_path(space, np.ones(2), [0], [2])
+    # Endpoint ids are integers: a float id is refused, not used as an
+    # index or truncated, and numpy integers come back as plain ints.
+    from modcap.space import build_grid_space
+
+    chain = build_grid_space(3, 1)
+    for src, tgt in (([1.0], [0]), ([0], [1.5]), ([0], [2.0])):
+        with pytest.raises(ValueError, match="not an integer point id"):
+            shortest_weighted_path(chain, ones, src, tgt)
+    for hops in (None, 2):
+        path, _ = shortest_weighted_path(chain, ones, [np.int64(0)], [np.int64(2)], hops)
+        assert path == (0, 1, 2) and all(type(pt) is int for pt in path)
 
 
 def test_path_modulus_disconnected_is_empty():
