@@ -361,7 +361,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     numbers = None
     if args.criteria:
-        numbers = tuple(int(tok) for tok in args.criteria.split(","))
+        try:
+            numbers = tuple(int(tok) for tok in args.criteria.split(","))
+        except ValueError:
+            raise InvalidInstanceError(
+                f"--criteria: expected comma-separated integers, got {args.criteria!r}"
+            ) from None
     results = run_selftest(numbers)
     for res in results:
         print(res.line(), f"[{res.seconds:.2f}s]")
@@ -457,9 +462,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver failed to converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except np.linalg.LinAlgError as exc:  # a ValueError, but never bad input
-        return _internal_error(exc)
-    except (ModcapError, ValueError) as exc:
+    except ModcapError as exc:  # any other ValueError is an internal error
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

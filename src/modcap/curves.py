@@ -114,7 +114,7 @@ def curve_length(space: MetricMeasureSpace, curve: ParametricCurve) -> float:
 def curve_energy(space: MetricMeasureSpace, curve: ParametricCurve, q: float) -> float:
     """q-energy: integral of speed^q over time."""
     if q < 1:
-        raise ValueError(f"energy exponent must be >= 1, got {q}")
+        raise InvalidInstanceError(f"energy exponent must be >= 1, got {q}")
     lens = _segment_lengths(space, curve)
     times = curve.times
     total = 0.0
@@ -139,7 +139,7 @@ def constant_speed_reparam(
     lens = _segment_lengths(space, curve)
     total = math.fsum(lens)
     if total <= 0:
-        raise ValueError("constant curve has no constant-speed representative")
+        raise InvalidInstanceError("constant curve has no constant-speed representative")
     nodes = [curve.nodes[0]]
     times = [0.0]
     acc = 0.0
@@ -232,23 +232,37 @@ def curve_integral(
     return total
 
 
-def _occupation(
-    curve: ParametricCurve, ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node weights of the curve at each of the times ts, in [0, 1].
+def _curve_table(curves: Sequence[ParametricCurve]) -> tuple[np.ndarray, np.ndarray]:
+    """One padded row of times and of nodes per curve.
 
-    Returns arrays u, v, theta: the curve sits on u with weight
-    1 - theta and on v with weight theta, where theta interpolates
-    linearly inside a segment.  At a breakpoint, on a plateau (u == v)
-    and at t = 1, theta is 0, so all weight is on u.
+    A row of times ends in a sentinel 2.0 and then +inf; a row of nodes
+    repeats the last node from there on, so t = 1 falls on a plateau.
     """
-    # A sentinel segment past t = 1 repeats the last node, so t = 1
-    # falls on a plateau.
-    times = np.array(curve.times + (2.0,))
-    nodes = np.array(curve.nodes + curve.nodes[-1:])
-    i = np.searchsorted(times, ts, side="right") - 1
-    u, v = nodes[i], nodes[i + 1]
-    theta = np.where(u != v, (ts - times[i]) / (times[i + 1] - times[i]), 0.0)
+    width = max(len(c.times) for c in curves) + 1
+    rows = [(c, width - len(c.times)) for c in curves]
+    times = np.array([c.times + (2.0,) + (math.inf,) * (k - 1) for c, k in rows])
+    nodes = np.array([c.nodes + c.nodes[-1:] * k for c, k in rows])
+    return times, nodes
+
+
+def _table_occupation(
+    times: np.ndarray, nodes: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node weights of table row r at each of the times s[r], in [0, 1].
+
+    Returns arrays u, v, theta shaped like s: the curve sits on u with
+    weight 1 - theta and on v with weight theta, where theta interpolates
+    linearly inside a segment (found by exact comparison with the row's
+    times).  At a breakpoint, on a plateau (u == v) and at t = 1, theta
+    is 0, so all weight is on u.
+    """
+    width = times.shape[1]
+    count = (times[:, :, None] <= s[:, None, :]).sum(1, dtype=np.min_scalar_type(width))
+    # Flat index of the last row time <= s (every row starts at time 0).
+    i = np.arange(-1, times.size - 1, width)[:, None] + count
+    times, nodes, j = times.ravel(), nodes.ravel(), i + 1
+    t0, u, v = times[i], nodes[i], nodes[j]
+    theta = np.where(u != v, (s - t0) / (times[j] - t0), 0.0)
     return u, v, theta
 
 
@@ -261,8 +275,9 @@ def occupation_at(
     interpolation weights; at a breakpoint it sits fully on that node.
     """
     if not (0.0 <= t <= 1.0):
-        raise ValueError(f"time {t} outside [0, 1]")
-    u, v, theta = (x[0].item() for x in _occupation(curve, np.array([t])))
+        raise InvalidInstanceError(f"time {t} outside [0, 1]")
+    table = _curve_table([curve])
+    u, v, theta = (x.item() for x in _table_occupation(*table, np.array([[t]])))
     if theta == 0.0:
         return [(u, 1.0)]
     return [(u, 1.0 - theta), (v, theta)]
@@ -280,13 +295,13 @@ def stretch(
     """
     _segment_lengths(space, curve)
     if not (0.0 <= a < b <= 1.0):
-        raise ValueError(f"invalid window [{a}, {b}]")
+        raise InvalidInstanceError(f"invalid window [{a}, {b}]")
     times = curve.times
     span = b - a
     lo = bisect_right(times, a)
     hi = bisect_left(times, b)
-    u, v, theta = _occupation(curve, np.array([a, b]))
-    first, last = np.where(theta < 0.5, u, v).tolist()
+    u, v, theta = _table_occupation(*_curve_table([curve]), np.array([[a, b]]))
+    first, last = np.where(theta < 0.5, u, v)[0].tolist()
     nodes = [first]
     out_times = [0.0]
     for k in range(lo, hi):

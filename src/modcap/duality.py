@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import ParametricCurve, j_map
-from .errors import NoBarycenterError
+from .errors import InvalidInstanceError, NoBarycenterError
 from .modulus import ModulusSolution, _check_p, solve_modulus_explicit
 from .space import DiscreteMeasure, MetricMeasureSpace
 
@@ -42,19 +42,19 @@ def _check_probabilities(
 ) -> None:
     """One finite, nonnegative weight per support member, summing to 1."""
     if len(support) != len(probabilities):
-        raise ValueError(f"plan needs one probability per {member}")
+        raise InvalidInstanceError(f"plan needs one probability per {member}")
     if len(support) == 0:
-        raise ValueError("plan needs a nonempty support")
+        raise InvalidInstanceError("plan needs a nonempty support")
     if not all(w >= 0 and math.isfinite(w) for w in probabilities):
-        raise ValueError("plan probabilities must be finite and nonnegative")
+        raise InvalidInstanceError("plan probabilities must be finite and nonnegative")
     total = math.fsum(probabilities)
     if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"plan probabilities sum to {total!r}, expected 1")
+        raise InvalidInstanceError(f"plan probabilities sum to {total!r}, expected 1")
 
 
 def _check_q(q: float) -> None:
     if not q > 1:
-        raise ValueError(f"plan exponent must satisfy q > 1, got {q}")
+        raise InvalidInstanceError(f"plan exponent must satisfy q > 1, got {q}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def solve_content(
     SolverError is raised.
     """
     if not (q > 1 and math.isfinite(q)):
-        raise ValueError(f"content exponent must satisfy q > 1, got {q}")
+        raise InvalidInstanceError(f"content exponent must satisfy q > 1, got {q}")
     sol = solve_modulus_explicit(
         space, measures, q / (q - 1.0), gap_tol=tol, max_iter=max_iter
     )
@@ -182,7 +182,7 @@ def content_from_multipliers(
         weights = np.zeros(len(measures))
         weights[next(i for i, mu in enumerate(measures) if mu.total == 0)] = 1.0
     elif solution.multipliers is None:
-        raise ValueError("content read-off needs a solution with multipliers")
+        raise InvalidInstanceError("content read-off needs a solution with multipliers")
     else:
         weights = solution.multipliers / solution.multipliers.sum()
     plan = build_measure_plan(space, measures, weights, q)
@@ -274,7 +274,7 @@ def check_optimality_conditions(
         # No density is admissible, so there is no condition to audit.
         return OptimalityReport(0.0, 0.0, (), True)
     if primal.f is None or (dual.plan is None and primal.value != 0.0):
-        raise ValueError("optimality audit needs finite solved instances")
+        raise InvalidInstanceError("optimality audit needs finite solved instances")
     mod = primal.value
     f = primal.f
     violated: list[str] = []
@@ -315,9 +315,9 @@ def content_of_curve_family(
     """
     p = _check_p(p)
     if not curves:
-        raise ValueError("content of an empty curve family is undefined")
+        raise InvalidInstanceError("content of an empty curve family is undefined")
     for i, c in enumerate(curves):
         if c.is_constant():
-            raise ValueError(f"curve {i} is constant and has no line measure")
+            raise InvalidInstanceError(f"curve {i} is constant and has no line measure")
     measures = tuple(j_map(space, c) for c in curves)
     return solve_content(space, measures, p / (p - 1.0)), measures

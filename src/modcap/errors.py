@@ -9,8 +9,11 @@ class ModcapError(Exception):
     """Base class for errors raised by this package."""
 
 
-class InvalidInstanceError(ModcapError):
-    """Malformed space, measure, curve, family, or instance document."""
+class InvalidInstanceError(ModcapError, ValueError):
+    """Invalid input: a malformed space, measure, curve, family or argument.
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
 
 
 class SolverError(ModcapError):

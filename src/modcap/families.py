@@ -139,7 +139,7 @@ def enumerate_family(
     ``truncated`` reports whether it cut the enumeration short.
     """
     if limit < 1:
-        raise ValueError("enumeration limit must be positive")
+        raise InvalidInstanceError("enumeration limit must be positive")
     if family.kind == "explicit":
         return EnumeratedFamily(family.measures)
     if family.kind == "paths":

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import ParametricCurve, curve_integral, j_map
+from .errors import InvalidInstanceError
 from .modulus import solve_modulus_explicit
 from .plans import CurvePlan, testplan_check
 from .space import MetricMeasureSpace
@@ -62,11 +63,11 @@ def check_upper_gradient(
     fv = np.asarray(f, dtype=float)
     gv = np.asarray(g, dtype=float)
     if fv.shape != (space.n_points,) or gv.shape != (space.n_points,):
-        raise ValueError("f and g must be per-point vectors")
+        raise InvalidInstanceError("f and g must be per-point vectors")
     if not np.all(np.isfinite(fv)):
-        raise ValueError("f must be finite")
+        raise InvalidInstanceError("f must be finite")
     if not np.all(gv >= 0):  # also false on NaN
-        raise ValueError("upper gradient candidates must be nonnegative, not NaN")
+        raise InvalidInstanceError("upper gradient candidates must be nonnegative, not NaN")
     worst = -math.inf
     bad: list[int] = []
     for i, c in enumerate(curves):

@@ -228,7 +228,7 @@ def _parse_plan(
     probs = [_number(w, at) for w in _array(data["probs"], at)]
     try:
         plan = CurvePlan(tuple(curves[c] for c in names), tuple(probs))
-    except ValueError as exc:
+    except InvalidInstanceError as exc:
         raise InvalidInstanceError(f"{where}: {exc}") from exc
     return NamedPlan(names, plan)
 
@@ -269,7 +269,7 @@ def load_instance(path: str | Path) -> Instance:
         data = json.loads(path.read_text())
     except FileNotFoundError:
         raise InvalidInstanceError(f"instance file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an over-long integer
         raise InvalidInstanceError(f"{path}: invalid JSON ({exc})") from exc
     return instance_from_dict(data, name=path.stem)
 
@@ -346,13 +346,15 @@ def generate_random_instance(
     measure is positive.  Deterministic per seed.
     """
     if n_points > GENERATOR_POINT_CAP:
-        raise ValueError(
+        raise InvalidInstanceError(
             f"generator capped at {GENERATOR_POINT_CAP} points, asked {n_points}"
         )
     if n_points < 2:
-        raise ValueError("generator needs at least 2 points")
+        raise InvalidInstanceError("generator needs at least 2 points")
     if not 0 <= n_null_points < n_points:
-        raise ValueError("n_null_points must leave at least one positive point")
+        raise InvalidInstanceError("n_null_points must leave at least one positive point")
+    if not 0 <= sparsity < math.inf:  # NaN fails too
+        raise InvalidInstanceError(f"sparsity must be finite and nonnegative, got {sparsity}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_points)
     edges: dict[tuple[int, int], float] = {}
@@ -460,4 +462,4 @@ def emit_results(
                 obj = dict(zip(RESULT_COLUMNS, rec.row()))
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
         return
-    raise ValueError(f"unknown result format {format!r}")
+    raise InvalidInstanceError(f"unknown result format {format!r}")

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import InvalidInstanceError, SolverError
 from .families import _line_weights
 from .space import DiscreteMeasure, MetricMeasureSpace
 
@@ -73,7 +73,7 @@ class ModulusSolution:
 
 def _check_p(p: float) -> float:
     if not (p > 1 and math.isfinite(p)):
-        raise ValueError(f"modulus exponent must satisfy p > 1, got {p}")
+        raise InvalidInstanceError(f"modulus exponent must satisfy p > 1, got {p}")
     return float(p)
 
 
@@ -122,7 +122,8 @@ def _constraint_matrix(
     Row r of U is the r-th kept measure on the positive-mass columns.
     Returns U, the kept indices, the dropped ones (measures that charge a
     zero-mass point, met for free) and whether a zero measure is present.
-    Raises ValueError for a measure that charges a point outside the space.
+    Raises InvalidInstanceError for a measure that charges a point
+    outside the space.
     """
     msk = space.positive_mask
     col_of = np.where(msk, np.cumsum(msk) - 1, -1).tolist()  # -1: zero mass
@@ -134,7 +135,9 @@ def _constraint_matrix(
         row, null = U[len(kept)], False
         for idx, w in mu.items:
             if idx >= space.n_points:
-                raise ValueError(f"measure {i} charges point {idx} outside the space")
+                raise InvalidInstanceError(
+                    f"measure {i} charges point {idx} outside the space"
+                )
             if col_of[idx] < 0:
                 null = True
             else:
@@ -660,7 +663,9 @@ def brute_force_lattice(
     mpos = space.measure[msk]
     n = int(msk.sum())
     if n > 6:
-        raise ValueError("lattice oracle limited to at most 6 positive-mass points")
+        raise InvalidInstanceError(
+            "lattice oracle limited to at most 6 positive-mass points"
+        )
     totals = U.sum(axis=1)
     feas_value = (1.0 / totals.min()) ** p * mpos.sum()
     fmax = (feas_value / mpos.min()) ** (1.0 / p)
@@ -697,8 +702,9 @@ def shortest_weighted_path(
     layered relaxation bounds the edge count: each point keeps the
     cheapest route with the fewest hops (the first found, relaxing from
     points in id order), and the answer is the cheapest target, then the
-    fewest hops, then the smallest id.  Raises ValueError unless f has one
-    nonnegative entry per point and every endpoint is an integer point id.
+    fewest hops, then the smallest id.  Raises InvalidInstanceError
+    unless f has one nonnegative entry per point and every endpoint is an
+    integer point id.
     """
     found = _cheapest_paths(space, f, source, target, max_hops)
     if not found:
@@ -728,9 +734,11 @@ def _cheapest_paths(
     """
     vals = np.asarray(f, dtype=float)
     if vals.shape != (space.n_points,):
-        raise ValueError(f"path weights need one entry per point, not {vals.shape}")
+        raise InvalidInstanceError(
+            f"path weights need one entry per point, not {vals.shape}"
+        )
     if not np.all(vals >= 0):  # also false on NaN; inf blocks a point
-        raise ValueError("path weights need a nonnegative density, not NaN")
+        raise InvalidInstanceError("path weights need a nonnegative density, not NaN")
     source, target = _point_ids(space, source), _point_ids(space, target)
     half = (0.5 * vals).tolist()
     targets = set(target)
@@ -792,15 +800,17 @@ def _cheapest_paths(
 
 
 def _point_ids(space: MetricMeasureSpace, ids: Sequence[int]) -> list[int]:
-    """Endpoint ids as plain ints; ValueError unless each is a point id."""
+    """Endpoint ids as plain ints; InvalidInstanceError unless each is a point id."""
     out = []
     for pt in ids:
         try:
             i = operator.index(pt)
         except TypeError:
-            raise ValueError(f"path endpoint {pt!r} is not an integer point id") from None
+            raise InvalidInstanceError(
+                f"path endpoint {pt!r} is not an integer point id"
+            ) from None
         if not 0 <= i < space.n_points:
-            raise ValueError(f"path endpoint {i} is not a point of the space")
+            raise InvalidInstanceError(f"path endpoint {i} is not a point of the space")
         out.append(i)
     return out
 
@@ -1036,7 +1046,7 @@ def saturated_subfamily(
     (complementary slackness).
     """
     if solution.f is None:
-        raise ValueError("saturated subfamily undefined for an infinite modulus")
+        raise InvalidInstanceError("saturated subfamily undefined for an infinite modulus")
     idx = []
     for i, mu in enumerate(measures):
         if abs(mu.integrate(solution.f) - 1.0) <= 1e-6:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +29,12 @@ from .curves import (
     m_map,
     metric_speed,
     stretch,
-    _occupation,
+    _curve_table,
     _same_rep,
+    _table_occupation,
 )
 from .duality import _check_probabilities, build_measure_plan, plan_barycenter
+from .errors import InvalidInstanceError
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -116,44 +118,57 @@ def testplan_check(
         grid.update(c.times)
     grid.update(float(t) for t in extra_times if 0.0 <= t <= 1.0)
     times = np.array(sorted(grid))
-    c_min, k, x = _marginal_sup(
-        space, times, lambda ts: ((w, c, ts) for w, c in plan.support())
-    )
+    c_min, k, x = _marginal_sup(space, plan.support(), times)
     return TestPlanReport(math.isfinite(c_min), c_min, float(times[k]), x)
 
 
 _BLOCK = 256  # times per block; a block holds a (block x n_points) mass array
+_CELLS = 1 << 15  # term x node x time cells per chunk: a 32 KB comparison array
 
 
 def _marginal_sup(
     space: MetricMeasureSpace,
+    support: Sequence[tuple[float, ParametricCurve]],
     times: np.ndarray,
-    terms: Callable[[np.ndarray], Iterable[tuple[float, ParametricCurve, np.ndarray]]],
+    shifts: Sequence[float] = (0.0,),
+    scale: float = 1.0,
 ) -> tuple[float, int, int]:
     """Supremum over times and points of a marginal density mass / m.
 
-    ``terms(ts)`` yields (w, curve, s) for a block ts of the times: the
-    mass at ts[j] gains w times the occupation of the curve at s[j], in
-    term order.  Mass on a point with m = 0 has infinite density.
-    Returns the supremum with the time index and point of its first
-    attainment in (time, point) order ((0.0, 0, -1) without mass).
+    Each (w, curve) of the support and each shift tau, in that order, is
+    a term: it adds w / len(shifts) times the occupation of the curve at
+    s = (t + tau) / scale to the mass at each time t.  A block of
+    ``_BLOCK`` times runs in chunks of at most ``_CELLS`` term x node x
+    time cells (or one term), so a chunk holds O(_CELLS) memory, and
+    ``np.add.at`` adds a chunk term by term, u before v: the sums do not
+    depend on the chunking.  Mass on a point with m = 0 has infinite
+    density.  Returns the supremum with the time index and point of its
+    first attainment in (time, point) order ((0.0, 0, -1) without mass).
     """
-    m = space.measure
+    m, n, k = space.measure, space.n_points, len(shifts)
+    table_times, table_nodes = _curve_table([c for _, c in support])
+    rows = np.repeat(np.arange(len(support)), k)
+    weights = np.repeat([w / k for w, _ in support], k)[:, None]
+    shifts = np.tile(shifts, len(support))[:, None]
     best, best_k, best_x = 0.0, 0, -1
     for start in range(0, len(times), _BLOCK):
         ts = times[start:start + _BLOCK]
-        rows = np.arange(len(ts))
-        mass = np.zeros((len(ts), space.n_points))
-        for w, c, s in terms(ts):
-            u, v, theta = _occupation(c, s)
-            mass[rows, u] += w * (1.0 - theta)
-            mass[rows, v] += w * theta
+        cells = np.arange(len(ts)) * n
+        mass = np.zeros((len(ts), n))
+        step = max(1, _CELLS // (len(ts) * table_times.shape[1]))
+        for a in range(0, len(rows), step):
+            r, w = rows[a:a + step], weights[a:a + step]
+            s = (ts + shifts[a:a + step]) / scale
+            u, v, theta = _table_occupation(table_times[r], table_nodes[r], s)
+            uv = np.stack((u, v), axis=1) + cells
+            add = np.stack((w * (1.0 - theta), w * theta), axis=1)
+            np.add.at(mass.ravel(), uv.ravel(), add.ravel())  # a view of mass
         with np.errstate(divide="ignore", invalid="ignore"):
             dens = np.where(mass > 0, mass / m, 0.0)
         flat = int(np.argmax(dens))
         if dens.flat[flat] > best:
             best = float(dens.flat[flat])
-            best_k, best_x = divmod(start * space.n_points + flat, space.n_points)
+            best_k, best_x = divmod(start * n + flat, n)
     return best, best_k, best_x
 
 
@@ -196,9 +211,9 @@ def improve_barycenter(
     z = sum_gamma rho G <= 1/eps.
     """
     if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be a positive real, got {eps}")
+        raise InvalidInstanceError(f"eps must be a positive real, got {eps}")
     if not q > 1:
-        raise ValueError(f"energy exponent must satisfy q > 1, got {q}")
+        raise InvalidInstanceError(f"energy exponent must satisfy q > 1, got {q}")
     g = parametric_barycenter(space, plan)
     h = 1.0 / np.maximum(eps, g)
 
@@ -306,22 +321,18 @@ def stretch_average(
     a quadrature correction that halves when n_tau doubles.
     """
     if not (0.0 < eps < 0.5):
-        raise ValueError(f"stretch parameter must lie in (0, 1/2), got {eps}")
+        raise InvalidInstanceError(f"stretch parameter must lie in (0, 1/2), got {eps}")
     if n_tau < 1:
-        raise ValueError(f"n_tau must be a positive integer, got {n_tau}")
+        raise InvalidInstanceError(f"n_tau must be a positive integer, got {n_tau}")
     c_in = float(parametric_barycenter(space, plan).max(initial=0.0))
     taus = [(j + 0.5) * eps / n_tau for j in range(n_tau)]
 
-    atoms: dict[tuple, float] = {}  # in order of first appearance
+    atoms: dict[ParametricCurve, float] = {}  # keyed by the first equal piece
     for w, c in plan.support():
         for tau in taus:
             piece = stretch(space, c, tau / (1.0 + eps), (1.0 + tau) / (1.0 + eps))
-            key = (piece.nodes, piece.times)
-            atoms[key] = atoms.get(key, 0.0) + w / n_tau
-    out = CurvePlan(
-        tuple(ParametricCurve(nodes, times) for nodes, times in atoms),
-        tuple(atoms.values()),
-    )
+            atoms[piece] = atoms.get(piece, 0.0) + w / n_tau
+    out = CurvePlan(tuple(atoms), tuple(atoms.values()))
 
     # Exact tau-grid marginal through the source curves: breakpoints of
     # t -> gamma((t+tau)/(1+eps)) sit at t = (1+eps) t_k - tau.
@@ -333,13 +344,7 @@ def stretch_average(
                 if 0.0 < t < 1.0:
                     eval_times.add(t)
     exact_sup, _, _ = _marginal_sup(
-        space,
-        np.array(sorted(eval_times)),
-        lambda ts: (
-            (w / n_tau, c, (ts + tau) / (1.0 + eps))
-            for w, c in plan.support()
-            for tau in taus
-        ),
+        space, plan.support(), np.array(sorted(eval_times)), taus, 1.0 + eps
     )
 
     dtau = eps / n_tau

@@ -24,6 +24,7 @@ from .curves import (
     metric_speed,
 )
 from .duality import content_from_multipliers
+from .errors import InvalidInstanceError
 from .families import MeasureFamily, enumerate_family
 from .gradients import (
     check_upper_gradient,
@@ -544,6 +545,6 @@ def run_selftest(numbers: tuple[int, ...] | None = None) -> tuple[CriterionResul
     out = []
     for num in chosen:
         if not 1 <= num <= len(CRITERIA):
-            raise ValueError(f"no criterion numbered {num}")
+            raise InvalidInstanceError(f"no criterion numbered {num}")
         out.append(CRITERIA[num - 1]())
     return tuple(out)

@@ -194,7 +194,7 @@ class DiscreteMeasure:
 
     def scaled(self, c: float) -> "DiscreteMeasure":
         if c < 0:
-            raise ValueError("scale factor must be nonnegative")
+            raise InvalidInstanceError("scale factor must be nonnegative")
         return DiscreteMeasure(tuple((i, c * w) for i, w in self.items))
 
     def integrate(self, values: Sequence[float]) -> float:

@@ -62,6 +62,29 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["curve", "mult", "--instance", DEMO, "--curve", "ghost"]) == 2
     assert "no curve named 'ghost'" in capsys.readouterr().err
+    # int(nan) would raise a bare ValueError inside the generator.
+    assert main(["gen", "--sparsity", "nan"]) == 2
+    assert "sparsity must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"{", b"\xff\xfe not utf-8", b'{"space": ' + b"1" * 5000 + b"}"],
+    ids=["truncated", "not-utf8", "huge-integer"],
+)
+def test_unreadable_instance_exits_2(tmp_path, capsys, content):
+    # json.loads raises a bare ValueError (or a subclass) for each of these.
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["solve", "--instance", str(path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criteria", ["x", "1,,2", "0", "10"])
+def test_bad_selftest_criteria_exit_2(capsys, criteria):
+    assert main(["selftest", "--criteria", criteria]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "internal error" not in err
 
 
 def test_unconverged_solver_exits_3(gen_instance, capsys):
@@ -237,7 +260,7 @@ def test_truncated_path_family_warns(grid6_instance, monkeypatch, capsys):
     assert "curves checked: 3" in text
 
 
-@pytest.mark.parametrize("error", [np.linalg.LinAlgError, RuntimeError])
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError, RuntimeError])
 def test_internal_errors_exit_5(gen_instance, monkeypatch, capsys, error):
     import modcap.cli as cli
 

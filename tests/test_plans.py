@@ -20,6 +20,7 @@ from modcap.plans import (
     q_energy,
     stretch_average,
 )
+from modcap.plans import _BLOCK, _CELLS
 from modcap.plans import testplan_check as marginal_check
 from modcap.space import MetricMeasureSpace, build_grid_space
 
@@ -285,6 +286,30 @@ def test_stretch_outputs_match_scalar_occupation_loop():
         assert (rep.c_min, rep.worst_time, rep.worst_point) == ref
 
 
+def scalar_tau_average(space, plan, eps, n_tau):
+    """Reference stretch marginal: one occupation_at call per time, curve and tau.
+
+    The averaged marginal is piecewise linear between the shifted
+    breakpoints (1 + eps) t_k - tau, so its supremum sits on them.
+    """
+    taus = [(j + 0.5) * eps / n_tau for j in range(n_tau)]
+    grid = {0.0, 1.0}
+    for _, c in plan.support():
+        grid.update(
+            t for tk in c.times for tau in taus
+            if 0.0 < (t := (1.0 + eps) * tk - tau) < 1.0
+        )
+    brute = 0.0
+    for t in sorted(grid):
+        mass = np.zeros(space.n_points)
+        for w, c in plan.support():
+            for tau in taus:
+                for idx, frac in occupation_at(space, c, (t + tau) / (1.0 + eps)):
+                    mass[idx] += w / n_tau * frac
+        brute = max(brute, float((mass / space.measure).max()))
+    return brute
+
+
 def test_stretch_exact_sup_matches_brute_force_tau_average():
     eps = 0.25
     for s in range(6):
@@ -293,21 +318,52 @@ def test_stretch_exact_sup_matches_brute_force_tau_average():
         plan = messy_plan(space, rng, 2 + s % 3)
         n_tau = (8, 16)[s % 2]
         res = stretch_average(space, plan, eps, n_tau=n_tau)
-        taus = [(j + 0.5) * eps / n_tau for j in range(n_tau)]
-        # The averaged marginal is piecewise linear between the shifted
-        # breakpoints (1 + eps) t_k - tau, so its supremum sits on them.
-        grid = {0.0, 1.0}
-        for _, c in plan.support():
-            grid.update(
-                t for tk in c.times for tau in taus
-                if 0.0 < (t := (1.0 + eps) * tk - tau) < 1.0
-            )
-        brute = 0.0
-        for t in sorted(grid):
-            mass = np.zeros(space.n_points)
-            for w, c in plan.support():
-                for tau in taus:
-                    for idx, frac in occupation_at(space, c, (t + tau) / (1.0 + eps)):
-                        mass[idx] += w / n_tau * frac
-            brute = max(brute, float((mass / space.measure).max()))
+        brute = scalar_tau_average(space, plan, eps, n_tau)
         assert res.exact_sup == pytest.approx(brute, rel=1e-12, abs=0.0)
+
+
+def test_testplan_check_matches_scalar_loop_across_blocks_and_chunks():
+    # More than one block of times, and per block several chunks of terms.
+    rng = np.random.default_rng(1200)
+    space = build_grid_space(5, 5, rng.uniform(0.1, 1.0, 25))
+    plan = messy_plan(space, rng, 40)
+    extra = rng.uniform(0.0, 1.0, 600)
+    rep = marginal_check(space, plan, extra_times=extra)
+    grid = {0.0, 1.0, *extra}.union(*(c.times for c in plan.curves))
+    width = max(len(c.times) for c in plan.curves) + 1
+    assert len(grid) > 2 * _BLOCK
+    assert len(plan.curves) > 3 * (_CELLS // (_BLOCK * width))
+    assert (rep.c_min, rep.worst_time, rep.worst_point) == scalar_testplan(
+        space, plan, extra
+    )
+
+
+def test_zero_probability_curves_do_not_count():
+    rng = np.random.default_rng(1300)
+    space = build_grid_space(4, 4, rng.uniform(0.1, 1.0, 16))
+    base = messy_plan(space, rng, 6)
+    extra = messy_plan(space, rng, 6).curves
+    # Zero-weight curves first, last and in between change nothing: the
+    # report equals that of the plan without them.
+    curves = (extra[0], *base.curves[:3], *extra[1:4], *base.curves[3:], *extra[4:])
+    probs = (0.0, *base.probabilities[:3], 0.0, 0.0, 0.0, *base.probabilities[3:], 0.0, 0.0)
+    plan = CurvePlan(curves, probs)
+    rep = marginal_check(space, plan)
+    ref = scalar_testplan(space, plan)
+    assert (rep.c_min, rep.worst_time, rep.worst_point) == ref
+    same = marginal_check(space, base)
+    assert (same.c_min, same.worst_time, same.worst_point) == ref
+
+
+def test_stretch_at_128_taus_matches_scalar_loops():
+    rng = np.random.default_rng(1400)
+    space = build_grid_space(8, 8, rng.uniform(0.1, 1.0, 64))
+    plan = messy_plan(space, rng, 1)
+    while plan.curves[0].is_constant():
+        plan = messy_plan(space, rng, 1)
+    res = stretch_average(space, plan, 0.25, n_tau=128)
+    ref = scalar_testplan(space, res.plan)
+    assert res.output_c_min == ref[0]
+    rep = marginal_check(space, res.plan)
+    assert (rep.c_min, rep.worst_time, rep.worst_point) == ref
+    assert res.exact_sup == scalar_tau_average(space, plan, 0.25, 128)
