@@ -229,7 +229,7 @@ def curve_integral(
     for i, ell in enumerate(lens):
         if ell > 0:
             total += ell * 0.5 * (vals[curve.nodes[i]] + vals[curve.nodes[i + 1]])
-    return total
+    return float(total)
 
 
 def _curve_table(curves: Sequence[ParametricCurve]) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .curves import ParametricCurve, j_map
 from .errors import InvalidInstanceError, NoBarycenterError
-from .modulus import ModulusSolution, _check_p, solve_modulus_explicit
+from .modulus import ModulusSolution, _check_limits, _check_p, solve_modulus_explicit
 from .space import DiscreteMeasure, MetricMeasureSpace
 
 __all__ = [
@@ -218,6 +218,7 @@ def check_duality(
     is checked by ``check_optimality_conditions``.
     """
     p = _check_p(p)
+    _check_limits(tol)
     mod = primal.value
     content = dual.value
     if math.isinf(mod) or math.isinf(content):
@@ -270,6 +271,7 @@ def check_optimality_conditions(
     on measures that miss saturation by up to about 1e-5.
     """
     p = _check_p(p)
+    _check_limits(tol)
     if math.isinf(primal.value) and math.isinf(dual.value):
         # No density is admissible, so there is no condition to audit.
         return OptimalityReport(0.0, 0.0, (), True)

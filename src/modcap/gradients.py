@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import ParametricCurve, curve_integral, j_map
 from .errors import InvalidInstanceError
-from .modulus import solve_modulus_explicit
+from .modulus import _check_limits, solve_modulus_explicit
 from .plans import CurvePlan, testplan_check
 from .space import MetricMeasureSpace
 
@@ -60,6 +60,7 @@ def check_upper_gradient(
     f must be finite; g may be +inf (an infinite upper gradient) but not
     negative or NaN.
     """
+    _check_limits(tol)
     fv = np.asarray(f, dtype=float)
     gv = np.asarray(g, dtype=float)
     if fv.shape != (space.n_points,) or gv.shape != (space.n_points,):

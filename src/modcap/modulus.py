@@ -77,12 +77,19 @@ def _check_p(p: float) -> float:
     return float(p)
 
 
-# Projected-gradient steps before the first face polish (the interval
-# then doubles), the step count after which a failed polish hands over to
-# the barrier, and the rounding allowance per unit of exponent in phi or
-# in a bracket width, whose two ends are evaluated along different paths.
+def _check_limits(*tols: float, cap: int = 1) -> None:
+    """InvalidInstanceError unless each tolerance is finite and >= 0 and cap >= 1."""
+    for tol in tols:
+        if not (math.isfinite(tol) and tol >= 0):
+            raise InvalidInstanceError(f"tolerance must be finite and >= 0, got {tol}")
+    if not cap >= 1:
+        raise InvalidInstanceError(f"iteration cap must be at least 1, got {cap}")
+
+
+# Projected-gradient steps before the face polish, and the rounding
+# allowance per unit of exponent in phi or in a bracket width, whose two
+# ends are evaluated along different paths.
 _FIRST_POLISH = 16
-_FIRST_ORDER_CAP = 2000
 _ROUNDING = 8 * float(np.finfo(float).eps)
 
 
@@ -228,17 +235,18 @@ class _PlanProblem:
     ) -> tuple[np.ndarray, int]:
         """Plan weights with bracket gap <= gap_tol, from the plan w.
 
-        Projected gradient (Barzilai-Borwein steps, Armijo backtracking),
-        polished by projected Newton (``face_newton``) after 16, 32, 64, ...
-        steps; a polish is kept when it narrows the gap or keeps phi.  When
-        polishing fails, a log-barrier Newton path finds the support and
-        the polish finishes on it.  ``max_iter`` bounds the gradient and
-        barrier steps together.  Returns the weights and the step count, or
-        raises SolverError when the gap stays above gap_tol.
+        Projected gradient (Barzilai-Borwein steps, Armijo backtracking)
+        until the line search fails or 16 steps have run, then one projected
+        Newton polish (``face_newton``), kept when it narrows the gap or
+        keeps phi.  If the gap is still open, a log-barrier Newton path
+        finds the support and the polish finishes on it.  ``max_iter``
+        bounds the gradient and barrier steps together.  Returns the
+        weights and the step count, or raises SolverError when the gap
+        stays above gap_tol.
         """
         phi, G, gap = self.evaluate(w)
-        step, it, next_polish = 1.0, 0, _FIRST_POLISH
-        while gap > gap_tol and it < max_iter:
+        step, it, stalled = 1.0, 0, False
+        while gap > gap_tol and it < min(max_iter, _FIRST_POLISH):
             it += 1
             grad = self.q * G
             trial = step
@@ -248,8 +256,8 @@ class _PlanProblem:
                 if phi_new <= phi + 1e-4 * float(grad @ (w_new - w)) or phi_new < phi:
                     break
                 trial *= 0.5
-            else:  # the line search failed: polish, else hand over to the barrier
-                w, phi, G, gap = self.polish(w, phi, G, gap)
+            else:  # the line search failed
+                stalled = True
                 break
             G_new, gap_new = self.bracket(phi_new, f_new)
             d_w, d_grad = w_new - w, self.q * G_new - grad
@@ -257,11 +265,8 @@ class _PlanProblem:
             denom = float(d_grad @ d_grad)  # Barzilai-Borwein step, safeguarded
             bb = abs(float(d_w @ d_grad)) / denom if denom else 2 * trial
             step = min(max(bb, 1e-12), 1e12)
-            if gap > gap_tol and it >= next_polish:
-                w, phi, G, gap = self.polish(w, phi, G, gap)
-                if it >= _FIRST_ORDER_CAP:
-                    break
-                next_polish *= 2
+        if gap > gap_tol and (stalled or it == _FIRST_POLISH):
+            w, phi, G, gap = self.polish(w, phi, G, gap)
         if gap > gap_tol and it < max_iter:
             w, steps = self.barrier(w, gap_tol, max_iter - it)
             it += steps
@@ -458,6 +463,7 @@ def solve_modulus_explicit(
     gap_tol or SolverError is raised.
     """
     p = _check_p(p)
+    _check_limits(gap_tol, cap=max_iter)
     U, kept, dropped, has_zero = _constraint_matrix(space, measures)
     if has_zero or not kept:
         return _trivial_solution(space, len(measures), dropped, has_zero)
@@ -877,6 +883,7 @@ def solve_modulus_paths(
     modulus 0 and no working paths.
     """
     p = _check_p(p)
+    _check_limits(gap_tol, feas_tol, cap=max_outer)
     # Zero-mass points are impassable for the oracle: a path through one
     # is satisfied for free, so only paths avoiding them constrain f.
     null = space.measure == 0
@@ -1010,21 +1017,10 @@ def mod_properties_check(
     scaling_ok = None
     scaling_vals: tuple[float, ...] = ()
     if mod_a <= _NULL_TOL:
-        vals = []
-        for c in (0.5, 2.0):
-            vals.append(solve([mu.scaled(c) for mu in family_a]))
-        scaling_vals = tuple(vals)
-        scaling_ok = all(v <= _NULL_TOL for v in vals)
+        scaling_vals = tuple(solve([mu.scaled(c) for mu in family_a]) for c in (0.5, 2))
+        scaling_ok = all(v <= _NULL_TOL for v in scaling_vals)
     return ModPropertiesReport(
-        mod_a,
-        mod_b,
-        mod_u,
-        chain,
-        monotone,
-        subadd,
-        chain_ok,
-        scaling_ok,
-        scaling_vals,
+        mod_a, mod_b, mod_u, chain, monotone, subadd, chain_ok, scaling_ok, scaling_vals
     )
 
 

@@ -50,7 +50,7 @@ def test_solve_path_family_reports_enumeration(capsys):
     assert "modulus: 0.4" in text
 
 
-def test_invalid_inputs_exit_2(tmp_path, capsys):
+def test_invalid_inputs_exit_2(tmp_path, capsys, gen_instance):
     assert main(["solve", "--instance", str(tmp_path / "ghost.json")]) == 2
     assert "not found" in capsys.readouterr().err
 
@@ -65,6 +65,22 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     # int(nan) would raise a bare ValueError inside the generator.
     assert main(["gen", "--sparsity", "nan"]) == 2
     assert "sparsity must be finite" in capsys.readouterr().err
+    # Tolerances no solve or check can meet, and an empty iteration cap.
+    for argv in (
+        ["solve", "--tol", "nan"],
+        ["solve", "--tol", "inf"],
+        ["solve", "--tol", "-1"],
+        ["duality", "--cert-tol", "nan"],
+    ):
+        assert main([*argv, "--instance", gen_instance]) == 2
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+    assert main(["solve", "--max-iter", "0", "--instance", gen_instance]) == 2
+    assert "iteration cap must be at least 1" in capsys.readouterr().err
+    assert main(["grad", "check", "--instance", DEMO, "--family", "traced",
+                 "--f", "pos", "--g", "zero", "--tol", "nan"]) == 2
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+    assert main(["solve", "--tol", "0", "--instance", gen_instance]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -93,6 +109,12 @@ def test_unconverged_solver_exits_3(gen_instance, capsys):
     assert "failed to converge" in capsys.readouterr().err
 
 
+def test_path_round_cap_exits_3(grid6_instance, capsys):
+    # --max-iter caps the constraint-generation rounds of a path family.
+    assert main(["solve", "--instance", grid6_instance, "--max-iter", "1"]) == 3
+    assert "within 1 rounds" in capsys.readouterr().err
+
+
 def test_unreachable_certificate_exits_4(gen_instance, capsys):
     code = main(["duality", "--instance", gen_instance, "--cert-tol", "1e-18"])
     assert code == 4
@@ -104,6 +126,11 @@ def test_curve_actions(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out.split("seed: 0\n", 1)[1])
     assert doc["multiplicity"] == [[0, 1, 1], [1, 2, 1], [2, 3, 1]]
     assert doc["length"] == pytest.approx(1.5)
+    mult = tmp_path / "mult.json"
+    assert main(["curve", "mult", "--instance", DEMO, "--curve", "c0",
+                 "--out", str(mult)]) == 0
+    assert json.loads(mult.read_text()) == doc
+    assert f"wrote {mult}" in capsys.readouterr().out
 
     out = tmp_path / "resampled.json"
     assert main(["curve", "resample", "--instance", DEMO, "--curve", "c0",
@@ -123,6 +150,16 @@ def test_curve_actions(tmp_path, capsys):
 def test_plan_actions(tmp_path, capsys):
     assert main(["plan", "check", "--instance", DEMO]) == 0
     assert "test plan: True" in capsys.readouterr().out
+    report = tmp_path / "check.json"
+    assert main(["plan", "check", "--instance", DEMO, "--out", str(report)]) == 0
+    assert json.loads(report.read_text()) == {
+        "plan": "pl", "is_test_plan": True, "c_min": 3.2,
+        "worst_time": 0.5, "worst_point": 2, "seed": 0,
+    }
+    capsys.readouterr()
+
+    assert main(["plan", "improve", "--instance", DEMO, "--q", "3"]) == 0
+    assert "q: 3.0  eps: 0.25" in capsys.readouterr().out
 
     out = tmp_path / "improved.json"
     assert main(["plan", "improve", "--instance", DEMO, "--eps", "0.1",
@@ -146,6 +183,7 @@ def test_grad_check_flags_charged_violations(capsys):
     assert code == 4
     text = capsys.readouterr().out
     assert "violations: 2" in text
+    assert "worst residual: 3.0\n" in text
     assert "violating probability 1.0" in text
     assert "test-plan certificate FAILED" in text
 

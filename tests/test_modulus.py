@@ -148,6 +148,47 @@ def test_rejects_bad_exponent():
             solve_modulus_explicit(space, [mu], p)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_rejects_tolerances_that_cannot_be_met(tol):
+    # NaN compares false with every gap, so a solve would stop at once
+    # and report an uncertified bracket; -1 and inf are no targets either.
+    from modcap.curves import ParametricCurve
+    from modcap.duality import check_duality, check_optimality_conditions
+    from modcap.gradients import check_upper_gradient
+
+    space = interval_space(3)
+    fam = [restriction(space, range(3))]
+    sol = solve_modulus_explicit(space, fam, 2.0)
+    content = solve_content(space, fam, 2.0)
+    curve = ParametricCurve((0, 2), (0.0, 1.0))
+    calls = [
+        lambda: solve_modulus_explicit(space, fam, 2.0, gap_tol=tol),
+        lambda: solve_content(space, fam, 2.0, tol=tol),
+        lambda: solve_modulus_paths(space, [0], [2], 2.0, gap_tol=tol),
+        lambda: solve_modulus_paths(space, [0], [2], 2.0, feas_tol=tol),
+        lambda: check_duality(space, sol, content, 2.0, tol=tol),
+        lambda: check_optimality_conditions(space, sol, content, 2.0, tol=tol),
+        lambda: check_upper_gradient(space, np.zeros(3), np.zeros(3), [curve], tol),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInstanceError, match="tolerance must be finite"):
+            call()
+
+
+def test_rejects_iteration_caps_below_one():
+    space = interval_space(3)
+    fam = [restriction(space, range(3))]
+    for call in (
+        lambda: solve_modulus_explicit(space, fam, 2.0, max_iter=0),
+        lambda: solve_content(space, fam, 2.0, max_iter=0),
+        lambda: solve_modulus_paths(space, [0], [2], 2.0, max_outer=0),
+    ):
+        with pytest.raises(InvalidInstanceError, match="at least 1, got 0"):
+            call()
+    # A zero tolerance is a valid, if exacting, target.
+    assert solve_modulus_explicit(space, fam, 2.0, gap_tol=0.0).gap <= 1e-14
+
+
 def test_monotone_subadditive_properties():
     for seed in range(6):
         inst = generate_random_instance(40 + seed, n_points=8, n_measures=6)
@@ -156,6 +197,18 @@ def test_monotone_subadditive_properties():
             inst.space, measures[:3], measures[3:], (1.5, 2.0, 3.0)[seed % 3]
         )
         assert rep.all_ok, rep
+
+
+def test_null_family_scaling_is_checked():
+    # A measure on a zero-mass point is met for free, so family A is null
+    # and so are its rescalings.
+    space = MetricMeasureSpace(3, [(0, 1, 1.0), (1, 2, 1.0)], [0.0, 0.5, 0.5])
+    family_a = [DiscreteMeasure(((0, 1.0), (1, 0.5)))]
+    family_b = [DiscreteMeasure(((1, 1.0), (2, 1.0)))]
+    rep = mod_properties_check(space, family_a, family_b, 2.0)
+    assert rep.mod_a == 0.0
+    assert rep.scaling_values == (0.0, 0.0)
+    assert rep.scaling_null_ok and rep.all_ok
 
 
 def test_primal_matches_dual_solver():
@@ -508,7 +561,6 @@ def test_barrier_fallback_certifies_when_face_polish_fails(monkeypatch):
     # ... and when the first-order phase hands over at once with a failed
     # polish, barrier plus polish on its support certify the solve.
     monkeypatch.setattr(mod, "_FIRST_POLISH", 1)
-    monkeypatch.setattr(mod, "_FIRST_ORDER_CAP", 1)
     polish = _PlanProblem.face_newton
     calls = []
 
@@ -522,6 +574,17 @@ def test_barrier_fallback_certifies_when_face_polish_fails(monkeypatch):
     assert sol.iterations > 1
     assert sol.gap <= 1e-12
     assert sol.value == pytest.approx(ref.value, rel=1e-10)
+
+
+def test_path_solve_raises_at_the_round_cap():
+    from modcap.space import build_grid_space, grid_node
+
+    space = build_grid_space(4, 4)
+    left = [grid_node(4, 0, y) for y in range(4)]
+    right = [grid_node(4, 3, y) for y in range(4)]
+    with pytest.raises(SolverError, match="within 1 rounds"):
+        solve_modulus_paths(space, left, right, 2.0, max_outer=1)
+    assert solve_modulus_paths(space, left, right, 2.0).outer_iterations > 1
 
 
 def test_path_bracket_holds_for_the_whole_family():
@@ -677,3 +740,27 @@ def test_degenerate_family_is_certified_or_refused(name, p):
     for lower, upper in oracles:
         assert lower <= sol.value * (1 + 1e-12)
         assert sol.dual_value <= upper * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.1, 2.0, 12.0])
+@pytest.mark.parametrize("seed", range(40))
+def test_seeded_family_is_certified_or_refused(seed, p):
+    # Random families on at most 4 positive-mass points, some with
+    # zero-mass points, at both ends of p: the solve either certifies a
+    # bracket that meets the lattice bracket, or raises SolverError.
+    n_points = 3 + seed % 4
+    inst = generate_random_instance(
+        seed,
+        n_points=n_points,
+        n_measures=1 + (5 * seed) % 9,
+        n_null_points=max(0, n_points - 4),
+    )
+    measures = inst.families["random"].measures
+    try:
+        sol = solve_modulus_explicit(inst.space, measures, p)
+    except SolverError:
+        return
+    lower, upper = brute_force_lattice(inst.space, measures, p)
+    assert sol.gap <= 1e-9
+    assert lower <= sol.value * (1 + 1e-12)
+    assert sol.dual_value <= upper * (1 + 1e-12)
