@@ -42,7 +42,12 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .modulus import ModulusSolution, solve_modulus_explicit, solve_modulus_paths
+from .modulus import (
+    ModulusSolution,
+    _check_p,
+    solve_modulus_explicit,
+    solve_modulus_paths,
+)
 from .plans import CurvePlan, improve_barycenter, stretch_average, testplan_check
 from .selftest import run_selftest
 from .space import DiscreteMeasure
@@ -98,10 +103,9 @@ def _family_curves(inst: Instance, fam: MeasureFamily) -> list[ParametricCurve]:
 
 def _conjugate(args: argparse.Namespace) -> float:
     if args.q is not None:
-        _require(args.q > 1, f"q must exceed 1, got {args.q}")
-        return args.q
-    _require(args.p > 1, f"p must exceed 1, got {args.p}")
-    return args.p / (args.p - 1.0)
+        return _check_p(args.q, "q")
+    p = _check_p(args.p)
+    return p / (p - 1.0)
 
 
 def _emit(args: argparse.Namespace, record: ResultRecord) -> None:

@@ -86,6 +86,15 @@ def constant_curve(point: int) -> ParametricCurve:
 
 
 def _segment_lengths(space: MetricMeasureSpace, curve: ParametricCurve) -> list[float]:
+    """Edge length of each segment, 0 on a plateau.
+
+    Raises InvalidInstanceError for a node outside the space or a step
+    between points that are not adjacent.
+    """
+    if max(curve.nodes) >= space.n_points:  # nodes are never negative
+        raise InvalidInstanceError(
+            f"curve node {max(curve.nodes)} is not a point of the space"
+        )
     out = []
     for u, v in zip(curve.nodes, curve.nodes[1:]):
         if u == v:
@@ -113,8 +122,8 @@ def curve_length(space: MetricMeasureSpace, curve: ParametricCurve) -> float:
 
 def curve_energy(space: MetricMeasureSpace, curve: ParametricCurve, q: float) -> float:
     """q-energy: integral of speed^q over time."""
-    if q < 1:
-        raise InvalidInstanceError(f"energy exponent must be >= 1, got {q}")
+    if not (q >= 1 and math.isfinite(q)):  # also false on NaN
+        raise InvalidInstanceError(f"energy exponent must be finite and >= 1, got {q}")
     lens = _segment_lengths(space, curve)
     times = curve.times
     total = 0.0
@@ -157,11 +166,11 @@ def edge_multiplicity(
     space: MetricMeasureSpace, curve: ParametricCurve
 ) -> dict[tuple[int, int], int]:
     """Traversal count per undirected edge."""
+    _segment_lengths(space, curve)  # InvalidInstanceError off the space
     out: dict[tuple[int, int], int] = {}
     for u, v in zip(curve.nodes, curve.nodes[1:]):
         if u == v:
             continue
-        space.edge_length(u, v)  # adjacency check
         key = (u, v) if u < v else (v, u)
         out[key] = out.get(key, 0) + 1
     return out
@@ -196,7 +205,7 @@ def m_map(space: MetricMeasureSpace, curve: ParametricCurve) -> DiscreteMeasure:
     of the linear interpolation weights); a plateau's full duration
     lands on its node.  Not invariant under reparameterization.
     """
-    _segment_lengths(space, curve)  # adjacency check
+    _segment_lengths(space, curve)  # InvalidInstanceError off the space
     acc: dict[int, float] = {}
     times = curve.times
     for i in range(curve.n_segments):
@@ -276,6 +285,7 @@ def occupation_at(
     """
     if not (0.0 <= t <= 1.0):
         raise InvalidInstanceError(f"time {t} outside [0, 1]")
+    _segment_lengths(space, curve)  # InvalidInstanceError off the space
     table = _curve_table([curve])
     u, v, theta = (x.item() for x in _table_occupation(*table, np.array([[t]])))
     if theta == 0.0:

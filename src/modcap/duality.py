@@ -52,11 +52,6 @@ def _check_probabilities(
         raise InvalidInstanceError(f"plan probabilities sum to {total!r}, expected 1")
 
 
-def _check_q(q: float) -> None:
-    if not q > 1:
-        raise InvalidInstanceError(f"plan exponent must satisfy q > 1, got {q}")
-
-
 @dataclass(frozen=True)
 class MeasurePlan:
     """Probability vector over a measure family, with barycenter data.
@@ -73,7 +68,7 @@ class MeasurePlan:
 
     def __post_init__(self) -> None:
         _check_probabilities(self.support, self.probabilities, "measure")
-        _check_q(self.q)
+        _check_p(self.q, "q")
 
 
 def plan_barycenter(
@@ -112,7 +107,7 @@ def build_measure_plan(
     q: float,
 ) -> MeasurePlan:
     """Construct a plan with its barycenter density and c_q filled in."""
-    _check_q(q)
+    q = _check_p(q, "q")
     probabilities = tuple(float(w) for w in probabilities)
     g = plan_barycenter(space, support, probabilities)
     msk = space.positive_mask
@@ -152,8 +147,7 @@ def solve_content(
     weak-duality bracket: its relative width is at most tol, or
     SolverError is raised.
     """
-    if not (q > 1 and math.isfinite(q)):
-        raise InvalidInstanceError(f"content exponent must satisfy q > 1, got {q}")
+    q = _check_p(q, "q")
     sol = solve_modulus_explicit(
         space, measures, q / (q - 1.0), gap_tol=tol, max_iter=max_iter
     )

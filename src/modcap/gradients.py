@@ -72,8 +72,8 @@ def check_upper_gradient(
     worst = -math.inf
     bad: list[int] = []
     for i, c in enumerate(curves):
-        jump = abs(float(fv[c.nodes[-1]]) - float(fv[c.nodes[0]]))
-        resid = jump - curve_integral(space, c, gv)
+        integral = curve_integral(space, c, gv)  # InvalidInstanceError off the space
+        resid = abs(float(fv[c.nodes[-1]]) - float(fv[c.nodes[0]])) - integral
         worst = max(worst, resid)
         if resid > tol:
             bad.append(i)

@@ -23,7 +23,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,9 +71,10 @@ class ModulusSolution:
     outer_iterations: int = 0
 
 
-def _check_p(p: float) -> float:
+def _check_p(p: float, name: str = "p") -> float:
+    """The exponent p, or its conjugate q by ``name``, as a finite float > 1."""
     if not (p > 1 and math.isfinite(p)):
-        raise InvalidInstanceError(f"modulus exponent must satisfy p > 1, got {p}")
+        raise InvalidInstanceError(f"exponent must satisfy {name} > 1 (finite), got {p}")
     return float(p)
 
 
@@ -122,41 +123,39 @@ def _trivial_solution(
 
 
 def _constraint_matrix(
-    space: MetricMeasureSpace, measures: Sequence[DiscreteMeasure]
+    space: MetricMeasureSpace, measures: Iterable[Iterable[tuple[int, float]]]
 ) -> tuple[np.ndarray, list[int], tuple[int, ...], bool]:
     """Constraint matrix U of a family, and which measures it keeps.
 
-    Row r of U is the r-th kept measure on the positive-mass columns.
-    Returns U, the kept indices, the dropped ones (measures that charge a
-    zero-mass point, met for free) and whether a zero measure is present.
-    Raises InvalidInstanceError for a measure that charges a point
-    outside the space.
+    Each measure is given by its (point, weight) pairs, each point once:
+    ``mu.items`` of a ``DiscreteMeasure``, or ``_line_weights(...).items()``
+    of a path.  Row r of U is the r-th kept measure on the positive-mass
+    columns, written with all other rows in one scatter.  Returns U, the
+    kept indices, the dropped ones (measures that charge a zero-mass
+    point, met for free) and whether a zero measure (no pairs) is
+    present.  Raises InvalidInstanceError naming the first measure that
+    charges a point outside the space.
     """
-    msk = space.positive_mask
-    col_of = np.where(msk, np.cumsum(msk) - 1, -1).tolist()  # -1: zero mass
-    U = np.zeros((len(measures), int(msk.sum())))
-    kept: list[int] = []
-    dropped: list[int] = []
-    has_zero = False
-    for i, mu in enumerate(measures):
-        row, null = U[len(kept)], False
-        for idx, w in mu.items:
-            if idx >= space.n_points:
-                raise InvalidInstanceError(
-                    f"measure {i} charges point {idx} outside the space"
-                )
-            if col_of[idx] < 0:
-                null = True
-            else:
-                row[col_of[idx]] = w
-        if mu.total == 0:
-            has_zero = True
-        elif null:
-            dropped.append(i)
-            row.fill(0.0)
-        else:
-            kept.append(i)
-    return U[: len(kept)], kept, tuple(dropped), has_zero
+    rows = [tuple(row) for row in measures]
+    pairs = [pair for row in rows for pair in row]
+    row_of = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    pts = [i for i, _ in pairs]
+    if pts and not 0 <= min(pts) <= max(pts) < space.n_points:
+        at = next(k for k, i in enumerate(pts) if not 0 <= i < space.n_points)
+        raise InvalidInstanceError(
+            f"measure {row_of[at]} charges point {pts[at]} outside the space"
+        )
+    msk, pts = space.positive_mask, np.array(pts, dtype=np.intp)
+    zero = np.array([not row for row in rows], dtype=bool)
+    null = np.bincount(row_of[~msk[pts]], minlength=len(rows)) > 0
+    keep = ~(zero | null)
+    sel = keep[row_of]
+    vals = np.array([w for _, w in pairs], dtype=float)
+    row, col = np.cumsum(keep) - 1, np.cumsum(msk) - 1
+    U = np.zeros((int(keep.sum()), int(msk.sum())))
+    U[row[row_of[sel]], col[pts[sel]]] = vals[sel]
+    dropped = tuple(np.flatnonzero(null).tolist())
+    return U, np.flatnonzero(keep).tolist(), dropped, bool(zero.any())
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -464,7 +463,7 @@ def solve_modulus_explicit(
     """
     p = _check_p(p)
     _check_limits(gap_tol, cap=max_iter)
-    U, kept, dropped, has_zero = _constraint_matrix(space, measures)
+    U, kept, dropped, has_zero = _constraint_matrix(space, (mu.items for mu in measures))
     if has_zero or not kept:
         return _trivial_solution(space, len(measures), dropped, has_zero)
 
@@ -577,7 +576,7 @@ def solve_modulus_primal(
     p = 12, and raised on an infeasible density at p = 12.
     """
     p = _check_p(p)
-    U, kept, dropped, has_zero = _constraint_matrix(space, measures)
+    U, kept, dropped, has_zero = _constraint_matrix(space, (mu.items for mu in measures))
     if has_zero or not kept:
         return _trivial_solution(space, len(measures), dropped, has_zero)
 
@@ -660,7 +659,7 @@ def brute_force_lattice(
     sensible for a handful of points.
     """
     p = _check_p(p)
-    U, kept, _, has_zero = _constraint_matrix(space, measures)
+    U, kept, _, has_zero = _constraint_matrix(space, (mu.items for mu in measures))
     if has_zero:
         return math.inf, math.inf
     if not kept:
@@ -821,30 +820,6 @@ def _point_ids(space: MetricMeasureSpace, ids: Sequence[int]) -> list[int]:
     return out
 
 
-def _write_path_rows(
-    space: MetricMeasureSpace, paths: Sequence[tuple[int, ...]], out: np.ndarray
-) -> None:
-    """Write the constraint rows of ``paths`` into ``out``, one row each.
-
-    Row r is the line measure of paths[r] on the positive-mass columns,
-    the row ``_constraint_matrix`` builds from its ``path_line_measure``.
-    The paths must avoid zero-mass points, as the oracle's do when it
-    treats those points as impassable, so none is dropped here as
-    ``_constraint_matrix`` would drop it.
-    """
-    col = np.cumsum(space.positive_mask) - 1
-    rows: list[int] = []
-    pts: list[int] = []
-    vals: list[float] = []
-    for r, path in enumerate(paths):
-        weights = _line_weights(space, path)
-        rows += [r] * len(weights)
-        pts += weights
-        vals += weights.values()
-    out.fill(0.0)
-    out[rows, col[pts]] = vals
-
-
 def solve_modulus_paths(
     space: MetricMeasureSpace,
     source: Sequence[int],
@@ -865,7 +840,9 @@ def solve_modulus_paths(
     then divide f by the least integral that pass found, so that ``value``,
     ``dual_value`` and ``gap`` bracket the modulus of the whole family.
     Otherwise the round drops the working paths at plan weight exactly 0
-    and adds every violated path not yet present.  Dropping inactive
+    and adds every violated path not yet present: U keeps its surviving
+    rows in one copy, and ``_constraint_matrix`` writes the new paths'
+    line measures below them.  Dropping inactive
     constraints leaves the working problem's unique optimal f unchanged,
     and each added path is violated by that f, so the working modulus
     rises strictly every round and no working set repeats.  Each round
@@ -899,9 +876,9 @@ def solve_modulus_paths(
     if len(probe[0]) == 1:  # a one-point path has the zero line measure
         return replace(_trivial_solution(space, 1, (), True), paths=probe[:1])
 
+    # Oracle paths have an edge and avoid zero-mass points: no row is dropped.
     working = [probe[0]]
-    U = np.empty((1, int(space.positive_mask.sum())))
-    _write_path_rows(space, working, U)
+    U = _constraint_matrix(space, [_line_weights(space, probe[0]).items()])[0]
     w = np.ones(1)
     total_it = 0
     for outer in range(1, max_outer + 1):
@@ -932,9 +909,11 @@ def solve_modulus_paths(
             )
         keep = w > 0
         n_keep = int(keep.sum())
-        U_next = np.empty((n_keep + len(new), U.shape[1]))
+        U_next = np.empty((n_keep + len(new), U.shape[1]))  # one copy of U per round
         np.compress(keep, U, axis=0, out=U_next[:n_keep])
-        _write_path_rows(space, new, U_next[n_keep:])
+        U_next[n_keep:] = _constraint_matrix(
+            space, (_line_weights(space, pth).items() for pth in new)
+        )[0]
         U = U_next
         working = [path for path, k in zip(working, keep) if k] + new
         w = np.concatenate([w[keep], np.zeros(len(new))])

@@ -30,11 +30,13 @@ from .curves import (
     metric_speed,
     stretch,
     _curve_table,
+    _segment_lengths,
     _same_rep,
     _table_occupation,
 )
 from .duality import _check_probabilities, build_measure_plan, plan_barycenter
 from .errors import InvalidInstanceError
+from .modulus import _check_p
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -111,10 +113,13 @@ def testplan_check(
     The marginal density is piecewise linear in t between the merged
     breakpoints of the support curves, so the supremum over all t is
     attained on that grid and the computed C_min is exact.  Mass on a
-    zero-mass point at any time gives C_min = inf.
+    zero-mass point at any time gives C_min = inf.  A support curve that
+    leaves the space or steps between non-adjacent points raises
+    InvalidInstanceError.
     """
     grid = {0.0, 1.0}
     for _, c in plan.support():
+        _segment_lengths(space, c)
         grid.update(c.times)
     grid.update(float(t) for t in extra_times if 0.0 <= t <= 1.0)
     times = np.array(sorted(grid))
@@ -212,8 +217,7 @@ def improve_barycenter(
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise InvalidInstanceError(f"eps must be a positive real, got {eps}")
-    if not q > 1:
-        raise InvalidInstanceError(f"energy exponent must satisfy q > 1, got {q}")
+    q = _check_p(q, "q")
     g = parametric_barycenter(space, plan)
     h = 1.0 / np.maximum(eps, g)
 

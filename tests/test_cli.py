@@ -81,6 +81,10 @@ def test_invalid_inputs_exit_2(tmp_path, capsys, gen_instance):
     assert "tolerance must be finite and >= 0" in capsys.readouterr().err
     assert main(["solve", "--tol", "0", "--instance", gen_instance]) == 0
     capsys.readouterr()
+    # An infinite q raised ZeroDivisionError (exit 5) in the energy bound.
+    for flag, value in (("--q", "inf"), ("--q", "nan"), ("--q", "1"), ("--p", "inf")):
+        assert main(["plan", "improve", "--instance", DEMO, flag, value]) == 2
+        assert f"{flag[2:]} > 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -430,10 +434,15 @@ def test_non_integer_ids_exit_2(tmp_path, capsys, field, value, where):
         (("space", "measure"), [1, True, 1], "space.measure"),
         (("plans", "pl", "probs"), [float("nan")], "plans['pl'].probs"),
         (("space", "edges", 0, 2), "x", "space.edges[0]"),
+        (("space", "edges", 0), [0, 1], "space.edges[0]"),
+        (("space", "edges", 0, 1), 99, "space.edges[0]"),
+        (("families", "fam", "kind"), "bogus", "families['fam'].kind"),
+        (("name",), 5, "name"),
     ],
     ids=["source-int", "edges-int", "coords-int", "measures-int", "curve_names-int",
          "nodes-int", "times-int", "probs-float", "families-int", "plan-curves-string",
-         "measure-bool", "probs-nan", "edge-length-string"],
+         "measure-bool", "probs-nan", "edge-length-string", "edge-two-entries",
+         "edge-off-the-space", "kind-bogus", "name-int"],
 )
 def test_malformed_fields_exit_2(tmp_path, capsys, path, value, where):
     doc = {

@@ -60,8 +60,10 @@ def test_speed_length_energy_by_hand():
     assert curve_length(space, c) == 1.0
     # Energy with exponent 2: 4 * 0.25 + (2/3)^2 * 0.75.
     assert curve_energy(space, c, 2.0) == pytest.approx(1.0 + 1.0 / 3.0)
-    with pytest.raises(ValueError):
-        curve_energy(space, c, 0.5)
+    assert curve_energy(space, c, 1.0) == curve_length(space, c)
+    for q in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="energy exponent must be finite and >= 1"):
+            curve_energy(space, c, q)
 
 
 def test_plateaus_have_zero_speed_and_length():

@@ -46,13 +46,15 @@ def test_measure_plan_validation():
         MeasurePlan((mu,), (math.nan,), 2.0, g, 1.0)
     with pytest.raises(ValueError, match="sum to"):
         MeasurePlan((mu, mu), (0.5, 0.4), 2.0, g, 1.0)
-    with pytest.raises(ValueError, match="q > 1"):
-        MeasurePlan((mu,), (1.0,), 1.0, g, 1.0)
+    for q in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="q > 1"):
+            MeasurePlan((mu,), (1.0,), q, g, 1.0)
     # A plan always carries its barycenter and c_q.
     with pytest.raises(TypeError):
         MeasurePlan((mu,), (1.0,), 2.0)
     space = MetricMeasureSpace(1, [], [1.0])
-    for q in (1.0, 0.0, -1.0):
+    # An infinite q gave c_q = 1.0 for a barycenter whose sup is not 1.
+    for q in (1.0, 0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="q > 1"):
             build_measure_plan(space, [mu], [1.0], q)
 
@@ -115,7 +117,7 @@ def test_content_excludes_null_supported_measures():
 def test_content_exponent_validation():
     space = interval_space(3)
     mu = restriction(space, range(2))
-    for q in (1.0, 0.5, math.inf):
+    for q in (1.0, 0.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="q > 1"):
             solve_content(space, [mu], q)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from modcap.errors import InvalidInstanceError
+from modcap.families import MeasureFamily, enumerate_family
 from modcap.instance import (
     GENERATOR_POINT_CAP,
     ResultRecord,
@@ -60,6 +61,43 @@ def test_unknown_keys_name_their_field():
     doc["families"] = {"f": {"kind": "explicit", "typo": []}}
     with pytest.raises(InvalidInstanceError, match=r"families\['f'\]"):
         instance_from_dict(doc)
+
+    doc = minimal_doc()
+    del doc["space"]["measure"]
+    with pytest.raises(InvalidInstanceError, match="space: missing key 'measure'"):
+        instance_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda sp: MeasureFamily("x", "bogus"), "unknown kind 'bogus'"),
+        (lambda sp: MeasureFamily("x", "paths", target=(1,)), "nonempty source"),
+        (lambda sp: MeasureFamily("x", "paths", source=(0,)), "nonempty source"),
+        (
+            lambda sp: MeasureFamily("x", "paths", source=(0,), target=(1,), max_hops=0),
+            "max_hops must be positive",
+        ),
+        (lambda sp: MeasureFamily("x", "curves", curve_map="Q"), "'J' or 'M'"),
+        (
+            lambda sp: enumerate_family(
+                sp, MeasureFamily("x", "paths", source=(0,), target=(1,)), limit=0
+            ),
+            "limit must be positive",
+        ),
+        (
+            lambda sp: enumerate_family(
+                sp, MeasureFamily("x", "curves", curve_names=("c",))
+            ),
+            "unknown curve 'c'",
+        ),
+    ],
+    ids=["kind", "no-source", "no-target", "max-hops", "curve-map", "limit", "curve-name"],
+)
+def test_malformed_families_are_rejected(make, message):
+    space = instance_from_dict(minimal_doc()).space
+    with pytest.raises(InvalidInstanceError, match=message):
+        make(space)
 
 
 def test_negative_measure_weight_names_the_point():

@@ -143,8 +143,8 @@ def test_modulus_scales_like_measure_power():
 def test_rejects_bad_exponent():
     space = interval_space(3)
     mu = restriction(space, range(3))
-    for p in (1.0, 0.5, math.inf):
-        with pytest.raises(ValueError):
+    for p in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="p > 1"):
             solve_modulus_explicit(space, [mu], p)
 
 
@@ -415,9 +415,11 @@ def test_grid16_certifies_in_few_rounds():
 
 @pytest.mark.parametrize("n_null", [0, 1])
 def test_path_rows_match_the_constraint_matrix_builder(n_null):
-    # The path solver writes oracle paths straight into U: each row must
-    # equal, bit for bit, the row built from the path's line measure.
-    from modcap.modulus import _cheapest_paths, _constraint_matrix, _write_path_rows
+    # The path solver builds rows from each path's line weights; they must
+    # equal, bit for bit, the rows built from its line measure, and no
+    # oracle path is dropped.
+    from modcap.families import _line_weights
+    from modcap.modulus import _cheapest_paths, _constraint_matrix
 
     for seed in range(4):
         space = generate_random_instance(seed, n_points=40, n_null_points=n_null).space
@@ -431,12 +433,52 @@ def test_path_rows_match_the_constraint_matrix_builder(n_null):
             if len(path) > 1 and cost < math.inf
         ]
         assert len(paths) > 30
-        rows = np.empty((len(paths), space.n_points - n_null))
-        _write_path_rows(space, paths, rows)
-        for row, path in zip(rows, paths):
-            ref = _constraint_matrix(space, [path_line_measure(space, path)])[0]
-            assert ref.shape == (1, row.size)
-            assert row.tobytes() == ref[0].tobytes()
+        U, kept, dropped, has_zero = _constraint_matrix(
+            space, [_line_weights(space, path).items() for path in paths]
+        )
+        ref = _constraint_matrix(
+            space, [path_line_measure(space, path).items for path in paths]
+        )
+        assert (kept, dropped, has_zero) == (list(range(len(paths))), (), False)
+        assert ref[1:] == (kept, dropped, has_zero)
+        assert U.shape == (len(paths), space.n_points - n_null)
+        assert U.tobytes() == ref[0].tobytes()
+
+
+def test_constraint_matrix_rows_match_dense_measures():
+    # Each kept row is the measure's dense array on the positive-mass
+    # points; a measure charging a zero-mass point is dropped, one with no
+    # pairs is the zero measure, and a point outside the space is named.
+    from modcap.modulus import _constraint_matrix
+
+    for seed in range(6):
+        inst = generate_random_instance(
+            seed, n_points=25, n_measures=12, n_null_points=seed % 3
+        )
+        space = inst.space
+        measures = list(inst.families["random"].measures)
+        null_points = np.flatnonzero(space.measure == 0)
+        if null_points.size:
+            measures.insert(3, DiscreteMeasure(((0, 0.5), (int(null_points[0]), 1.0))))
+        measures.insert(5, DiscreteMeasure.zero())
+        U, kept, dropped, has_zero = _constraint_matrix(
+            space, [mu.items for mu in measures]
+        )
+        assert has_zero
+        assert dropped == ((3,) if null_points.size else ())
+        assert kept == [i for i in range(len(measures)) if i not in (5, *dropped)]
+        assert U.shape == (len(kept), int(space.positive_mask.sum()))
+        for row, i in zip(U, kept):
+            dense = measures[i].to_array(space.n_points)[space.positive_mask]
+            assert row.tobytes() == dense.tobytes()
+
+    space = interval_space(4)
+    assert _constraint_matrix(space, [])[1:] == ([], (), False)
+    assert _constraint_matrix(space, [])[0].shape == (0, 4)
+    for bad in (4, -1, 10**30):
+        rows = [((0, 1.0),), (), ((1, 1.0), (bad, 2.0))]
+        with pytest.raises(InvalidInstanceError, match=f"measure 2 charges point {bad} "):
+            _constraint_matrix(space, rows)
 
 
 def test_path_modulus_single_route():
@@ -553,7 +595,8 @@ def test_barrier_fallback_certifies_when_face_polish_fails(monkeypatch):
     ref = solve_modulus_explicit(inst.space, measures, 3.0, gap_tol=1e-12)
 
     # The barrier path alone gets close from the uniform plan ...
-    prob = _PlanProblem(inst.space, _constraint_matrix(inst.space, measures)[0], 3.0)
+    U = _constraint_matrix(inst.space, [mu.items for mu in measures])[0]
+    prob = _PlanProblem(inst.space, U, 3.0)
     w, steps = prob.barrier(np.full(len(measures), 1.0 / len(measures)), 0.0, 10000)
     assert 0 < steps < 10000
     assert prob.evaluate(w)[2] <= 1e-8
@@ -657,7 +700,8 @@ def test_barrier_certifies_at_both_ends_of_p(seed, shape, p):
     inst = generate_random_instance(seed, **shape)
     measures = inst.families["random"].measures
     k = len(measures)
-    prob = BarrierCount(inst.space, _constraint_matrix(inst.space, measures)[0], p)
+    U = _constraint_matrix(inst.space, [mu.items for mu in measures])[0]
+    prob = BarrierCount(inst.space, U, p)
     prob.solve(np.full(k, 1.0 / k), 1e-9, 100000)
     assert prob.calls == 1
     sol = solve_modulus_explicit(inst.space, measures, p)

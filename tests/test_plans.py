@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from modcap.curves import (
-    ParametricCurve, constant_curve, constant_speed_reparam, m_map, occupation_at
+    ParametricCurve,
+    constant_curve,
+    constant_speed_reparam,
+    j_map,
+    m_map,
+    occupation_at,
+    time_average,
 )
-from modcap.errors import NoBarycenterError
+from modcap.errors import InvalidInstanceError, NoBarycenterError
+from modcap.gradients import check_upper_gradient
 from modcap.instance import random_walk_curve
 from modcap.plans import (
     CurvePlan,
@@ -118,6 +125,39 @@ def test_testplan_infinite_on_zero_mass_point():
     assert math.isinf(rep.c_min)
 
 
+_ON_PLAN = {
+    "parametric_barycenter": parametric_barycenter,
+    "testplan_check": marginal_check,
+    "stretch_average": lambda space, plan: stretch_average(space, plan, 0.25, 4),
+    "time_average": lambda space, plan: time_average(
+        space, plan.curves[0], np.ones(space.n_points)
+    ),
+    "check_upper_gradient": lambda space, plan: check_upper_gradient(
+        space, np.ones(space.n_points), np.ones(space.n_points), plan.curves
+    ),
+    "m_map": lambda space, plan: m_map(space, plan.curves[0]),
+    "j_map": lambda space, plan: j_map(space, plan.curves[0]),
+    "occupation_at": lambda space, plan: occupation_at(space, plan.curves[0], 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ON_PLAN))
+@pytest.mark.parametrize(
+    "curve, message",
+    [
+        (constant_curve(99), "curve node 99 is not a point of the space"),
+        (ParametricCurve((0, 4), (0.0, 1.0)), r"non-adjacent points \(0,4\)"),
+    ],
+    ids=["constant-off-the-space", "diagonal-step"],
+)
+def test_curves_off_the_space_are_rejected(name, curve, message):
+    # On a 3x3 grid these raised IndexError or returned mass on point 99;
+    # testplan_check accepted the diagonal step with c_min = 9.
+    space = build_grid_space(3, 3)
+    with pytest.raises(InvalidInstanceError, match=message):
+        _ON_PLAN[name](space, CurvePlan((curve,), (1.0,)))
+
+
 def test_improve_barycenter_certificates():
     space = build_grid_space(5, 5)
     for s in range(8):
@@ -140,8 +180,16 @@ def test_improve_barycenter_validation():
     plan = CurvePlan((ParametricCurve((0, 1), (0.0, 1.0)),), (1.0,))
     with pytest.raises(ValueError, match="eps"):
         improve_barycenter(space, plan, 2.0, 0.0)
-    with pytest.raises(ValueError, match="q > 1"):
-        improve_barycenter(space, plan, 1.0, 0.1)
+    for q in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="q > 1"):
+            improve_barycenter(space, plan, q, 0.1)
+        # An infinite q gave ok=False with rhs=nan.
+        with pytest.raises(ValueError, match="q > 1"):
+            bridge_inequality(space, plan, q)
+    # NaN compared false with q < 1, so the energy came out 1.0.
+    for q in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="energy exponent"):
+            q_energy(space, plan, q)
 
 
 def test_improve_barycenter_keeps_node_sequences():

@@ -40,6 +40,27 @@ def test_space_rejects_bad_edges():
         MetricMeasureSpace(2, [(0, 1, 0.0)], [1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: MetricMeasureSpace(0, [], []), "at least one point"),
+        (lambda: MetricMeasureSpace(2, [], [1.0]), r"length \(1,\), expected \(2,\)"),
+        (lambda: MetricMeasureSpace(2, [], [1.0, math.nan]), "non-finite"),
+        (
+            lambda: MetricMeasureSpace(2, [], [1.0, 1.0], coords=[(0.0, 0.0)]),
+            r"one \(x, y\) pair per point",
+        ),
+        (lambda: build_grid_space(2, 2, [1.0, 1.0]), r"shape \(2,\), expected \(4,\)"),
+        (lambda: DiscreteMeasure(((5, 1.0),)).to_array(3), "unknown point 5"),
+    ],
+    ids=["no-points", "measure-length", "nan-mass", "coords-shape", "grid-weights",
+         "to-array"],
+)
+def test_malformed_spaces_and_measures_are_rejected(make, message):
+    with pytest.raises(InvalidInstanceError, match=message):
+        make()
+
+
 def test_measure_drops_zero_weights_and_sorts():
     mu = DiscreteMeasure(((4, 0.5), (1, 0.0), (2, 0.25)))
     assert mu.items == ((2, 0.25), (4, 0.5))
