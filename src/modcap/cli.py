@@ -387,7 +387,10 @@ _FLAGS = {
     "--instance": dict(help="path to an instance JSON file"),
     "--p": dict(type=float, default=2.0, help="modulus exponent (> 1)"),
     "--tol": dict(type=float, default=1e-9, help="solver tolerance"),
-    "--max-iter": dict(type=int, default=100000),
+    "--max-iter": dict(
+        type=int, default=100000,
+        help="cap on gradient and barrier steps (explicit families) or rounds (path families)",
+    ),
     "--seed": dict(type=int, default=0, help="seed echoed in output"),
     "--out": dict(help="output file path"),
     "--format": dict(

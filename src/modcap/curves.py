@@ -6,7 +6,8 @@ nodes form a plateau).  Speed, length, energy, line measures, and
 occupation measures all derive from the segment decomposition with a
 single quadrature convention: along a segment, a per-point function is
 interpolated linearly, so a segment contributes half of its time (or
-length) to each endpoint.
+length) to each endpoint.  ``_half_weights`` is the one place that rule
+is coded.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -162,6 +163,20 @@ def constant_speed_reparam(
     return ParametricCurve(tuple(nodes), tuple(times))
 
 
+def _half_weights(segments: Iterable[tuple[int, int, float]]) -> dict[int, float]:
+    """Point -> summed half masses: each (u, v, mass) gives mass / 2 to u and to v.
+
+    Halves are added in segment order, u before v; a plateau (u == v)
+    gives its whole mass to its node.
+    """
+    acc: dict[int, float] = {}
+    for u, v, mass in segments:
+        half = 0.5 * mass
+        acc[u] = acc.get(u, 0.0) + half
+        acc[v] = acc.get(v, 0.0) + half
+    return acc
+
+
 def edge_multiplicity(
     space: MetricMeasureSpace, curve: ParametricCurve
 ) -> dict[tuple[int, int], int]:
@@ -191,11 +206,8 @@ def j_edge_measure(
 
 def j_map(space: MetricMeasureSpace, curve: ParametricCurve) -> DiscreteMeasure:
     """Line measure projected to nodes (half of each edge's mass per endpoint)."""
-    acc: dict[int, float] = {}
-    for (u, v), mass in j_edge_measure(space, curve).items():
-        acc[u] = acc.get(u, 0.0) + 0.5 * mass
-        acc[v] = acc.get(v, 0.0) + 0.5 * mass
-    return DiscreteMeasure.from_dict(acc)
+    edges = j_edge_measure(space, curve).items()
+    return DiscreteMeasure.from_dict(_half_weights((u, v, w) for (u, v), w in edges))
 
 
 def m_map(space: MetricMeasureSpace, curve: ParametricCurve) -> DiscreteMeasure:
@@ -206,14 +218,9 @@ def m_map(space: MetricMeasureSpace, curve: ParametricCurve) -> DiscreteMeasure:
     lands on its node.  Not invariant under reparameterization.
     """
     _segment_lengths(space, curve)  # InvalidInstanceError off the space
-    acc: dict[int, float] = {}
-    times = curve.times
-    for i in range(curve.n_segments):
-        half = 0.5 * (times[i + 1] - times[i])
-        u, v = curve.nodes[i], curve.nodes[i + 1]
-        acc[u] = acc.get(u, 0.0) + half
-        acc[v] = acc.get(v, 0.0) + half
-    return DiscreteMeasure.from_dict(acc)
+    x, t = curve.nodes, curve.times
+    steps = ((x[i], x[i + 1], t[i + 1] - t[i]) for i in range(curve.n_segments))
+    return DiscreteMeasure.from_dict(_half_weights(steps))
 
 
 def time_average(

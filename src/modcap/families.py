@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .curves import ParametricCurve, j_map, m_map
+from .curves import ParametricCurve, _half_weights, j_map, m_map
 from .errors import InvalidInstanceError
 from .space import DiscreteMeasure, MetricMeasureSpace
 
@@ -116,12 +116,7 @@ def path_line_measure(
 
 def _line_weights(space: MetricMeasureSpace, path: tuple[int, ...]) -> dict[int, float]:
     """Point weights of ``path_line_measure``: half-edge lengths summed per point."""
-    acc: dict[int, float] = {}
-    for u, v in zip(path, path[1:]):
-        half = 0.5 * space.edge_length(u, v)
-        acc[u] = acc.get(u, 0.0) + half
-        acc[v] = acc.get(v, 0.0) + half
-    return acc
+    return _half_weights((u, v, space.edge_length(u, v)) for u, v in zip(path, path[1:]))
 
 
 def enumerate_family(

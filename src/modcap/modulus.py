@@ -78,13 +78,22 @@ def _check_p(p: float, name: str = "p") -> float:
     return float(p)
 
 
+def _check_count(n: int, name: str) -> None:
+    """InvalidInstanceError unless n is an integer >= 1."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidInstanceError(f"{name} must be an integer, got {n!r}") from None
+    if n < 1:
+        raise InvalidInstanceError(f"{name} must be at least 1, got {n}")
+
+
 def _check_limits(*tols: float, cap: int = 1) -> None:
-    """InvalidInstanceError unless each tolerance is finite and >= 0 and cap >= 1."""
+    """InvalidInstanceError unless tolerances are finite and >= 0 and cap an integer >= 1."""
     for tol in tols:
         if not (math.isfinite(tol) and tol >= 0):
             raise InvalidInstanceError(f"tolerance must be finite and >= 0, got {tol}")
-    if not cap >= 1:
-        raise InvalidInstanceError(f"iteration cap must be at least 1, got {cap}")
+    _check_count(cap, "iteration cap")
 
 
 # Projected-gradient steps before the face polish, and the rounding

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .curves import (
 )
 from .duality import _check_probabilities, build_measure_plan, plan_barycenter
 from .errors import InvalidInstanceError
-from .modulus import _check_p
+from .modulus import _check_count, _check_p
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -71,12 +72,7 @@ class CurvePlan:
 
 def plan_lipschitz(space: MetricMeasureSpace, plan: CurvePlan) -> float:
     """Largest segment speed over the support curves."""
-    worst = 0.0
-    for w, c in plan.support():
-        speeds = metric_speed(space, c)
-        if speeds.size:
-            worst = max(worst, float(speeds.max()))
-    return worst
+    return max(float(metric_speed(space, c).max()) for _, c in plan.support())
 
 
 def parametric_barycenter(space: MetricMeasureSpace, plan: CurvePlan) -> np.ndarray:
@@ -184,9 +180,9 @@ class ImproveResult:
     The new plan's pointwise barycenter is at most 1/z; ``z`` never
     exceeds 1/eps.  ``energy_formula`` is the closed-form bound
     L^q / (z eps^q) * sum_x g_x max(eps, g_x)^(q-1) m_x on the new
-    q-energy (the along-segment density is sampled conservatively, so
-    the realized energy can exceed the formula by at most a factor 2;
-    both numbers are reported).
+    q-energy, inf where a float cannot hold it.  The along-segment density
+    is sampled conservatively, so the realized energy can exceed the
+    formula by at most a factor 2.
     """
 
     plan: CurvePlan
@@ -222,28 +218,17 @@ def improve_barycenter(
     h = 1.0 / np.maximum(eps, g)
 
     new_curves: list[ParametricCurve] = []
-    big_g: list[float] = []
-    for _, c in plan.support():
-        times = c.times
-        rates = [
-            min(h[c.nodes[i]], h[c.nodes[i + 1]]) for i in range(c.n_segments)
-        ]
-        spans = [
-            (times[i + 1] - times[i]) * rates[i] for i in range(c.n_segments)
-        ]
+    weighted: list[float] = []  # rho G per support curve
+    for w, c in plan.support():
+        x, t = c.nodes, c.times
+        spans = [(t[i + 1] - t[i]) * min(h[x[i]], h[x[i + 1]]) for i in range(c.n_segments)]
         total = math.fsum(spans)
-        new_times = [0.0]
-        acc = 0.0
-        for s in spans[:-1]:
-            acc += s
-            new_times.append(acc / total)
-        new_times.append(1.0)
-        new_curves.append(ParametricCurve(c.nodes, tuple(new_times)))
-        big_g.append(total)
+        new_times = (0.0, *(acc / total for acc in accumulate(spans[:-1])), 1.0)
+        new_curves.append(ParametricCurve(x, new_times))
+        weighted.append(w * total)
 
-    probs_in = [w for w, _ in plan.support()]
-    z = math.fsum(w * gg for w, gg in zip(probs_in, big_g))
-    new_probs = [w * gg / z for w, gg in zip(probs_in, big_g)]
+    z = math.fsum(weighted)
+    new_probs = [wg / z for wg in weighted]
     drift = math.fsum(new_probs)
     new_probs = [w / drift for w in new_probs]
     out = CurvePlan(tuple(new_curves), tuple(new_probs))
@@ -253,16 +238,11 @@ def improve_barycenter(
     lip = plan_lipschitz(space, plan)
     energy_new = q_energy(space, out, q)
     msk = space.positive_mask
-    formula = (
-        lip**q
-        / (z * eps**q)
-        * float(
-            np.dot(
-                space.measure[msk],
-                g[msk] * np.maximum(eps, g[msk]) ** (q - 1.0),
-            )
-        )
-    )
+    mass = float(np.dot(space.measure[msk], g[msk] * np.maximum(eps, g[msk]) ** (q - 1.0)))
+    try:
+        formula = lip**q / (z * eps**q) * mass
+    except (OverflowError, ZeroDivisionError):  # eps**q underflowed or a power overflowed
+        formula = math.inf
     return ImproveResult(
         plan=out,
         z=z,
@@ -275,17 +255,6 @@ def improve_barycenter(
         energy_formula=formula,
         lipschitz=lip,
     )
-
-
-def _occupation_tv(curve: ParametricCurve, point: int) -> float:
-    """Total variation in time of the occupation weight at one node."""
-    tv = 0.0
-    prev = 1.0 if curve.nodes[0] == point else 0.0
-    for nd in curve.nodes[1:]:
-        cur = 1.0 if nd == point else 0.0
-        tv += abs(cur - prev)
-        prev = cur
-    return tv
 
 
 @dataclass(frozen=True)
@@ -326,8 +295,7 @@ def stretch_average(
     """
     if not (0.0 < eps < 0.5):
         raise InvalidInstanceError(f"stretch parameter must lie in (0, 1/2), got {eps}")
-    if n_tau < 1:
-        raise InvalidInstanceError(f"n_tau must be a positive integer, got {n_tau}")
+    _check_count(n_tau, "n_tau")
     c_in = float(parametric_barycenter(space, plan).max(initial=0.0))
     taus = [(j + 0.5) * eps / n_tau for j in range(n_tau)]
 
@@ -340,25 +308,23 @@ def stretch_average(
 
     # Exact tau-grid marginal through the source curves: breakpoints of
     # t -> gamma((t+tau)/(1+eps)) sit at t = (1+eps) t_k - tau.
-    eval_times = {0.0, 1.0}
-    for _, c in plan.support():
-        for tk in c.times:
-            for tau in taus:
-                t = (1.0 + eps) * tk - tau
-                if 0.0 < t < 1.0:
-                    eval_times.add(t)
-    exact_sup, _, _ = _marginal_sup(
-        space, plan.support(), np.array(sorted(eval_times)), taus, 1.0 + eps
-    )
+    tk = np.concatenate([c.times for _, c in plan.support()])
+    shifted = np.subtract.outer((1.0 + eps) * tk, taus).ravel()
+    inside = shifted[(0.0 < shifted) & (shifted < 1.0)].tolist()
+    eval_times = np.array(sorted({0.0, 1.0, *inside}))
+    exact_sup, _, _ = _marginal_sup(space, plan.support(), eval_times, taus, 1.0 + eps)
 
+    # A curve's occupation weight at x jumps by 1 at each non-plateau
+    # step touching x, so its total variation in time is that count.
+    counts = []
+    for w, c in plan.support():
+        x = np.array(c.nodes)
+        moves = np.stack((x[:-1], x[1:]))[:, x[1:] != x[:-1]]  # one column per move
+        counts.append(w * np.bincount(moves.ravel(), minlength=space.n_points))
+    msk = space.positive_mask
+    tv = np.array([math.fsum(col) for col in np.transpose(counts)[msk]])
     dtau = eps / n_tau
-    corr = 0.0
-    m = space.measure
-    for x in np.nonzero(space.positive_mask)[0]:
-        tv = math.fsum(
-            w * _occupation_tv(c, int(x)) for w, c in plan.support()
-        )
-        corr = max(corr, dtau / (2.0 * eps) * tv / float(m[x]))
+    corr = float(np.max(dtau / (2.0 * eps) * tv / space.measure[msk], initial=0.0))
     bound = c_in * (1.0 + eps) / eps
     report = testplan_check(space, out)
     return StretchResult(

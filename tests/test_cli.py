@@ -164,6 +164,9 @@ def test_plan_actions(tmp_path, capsys):
 
     assert main(["plan", "improve", "--instance", DEMO, "--q", "3"]) == 0
     assert "q: 3.0  eps: 0.25" in capsys.readouterr().out
+    # eps**q underflows to 0, which raised ZeroDivisionError (exit 5).
+    assert main(["plan", "improve", "--instance", DEMO, "--eps", "1e-120", "--q", "3"]) == 0
+    assert "closed-form bound: inf" in capsys.readouterr().out
 
     out = tmp_path / "improved.json"
     assert main(["plan", "improve", "--instance", DEMO, "--eps", "0.1",

@@ -185,6 +185,15 @@ def test_rejects_iteration_caps_below_one():
     ):
         with pytest.raises(InvalidInstanceError, match="at least 1, got 0"):
             call()
+    # A fractional cap raised TypeError from range (paths) or ran as is.
+    for cap in (2.5, math.nan):
+        for call in (
+            lambda: solve_modulus_explicit(space, fam, 2.0, max_iter=cap),
+            lambda: solve_content(space, fam, 2.0, max_iter=cap),
+            lambda: solve_modulus_paths(space, [0], [2], 2.0, max_outer=cap),
+        ):
+            with pytest.raises(InvalidInstanceError, match="cap must be an integer"):
+                call()
     # A zero tolerance is a valid, if exacting, target.
     assert solve_modulus_explicit(space, fam, 2.0, gap_tol=0.0).gap <= 1e-14
 

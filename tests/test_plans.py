@@ -9,6 +9,7 @@ from modcap.curves import (
     ParametricCurve,
     constant_curve,
     constant_speed_reparam,
+    j_edge_measure,
     j_map,
     m_map,
     occupation_at,
@@ -192,6 +193,16 @@ def test_improve_barycenter_validation():
             q_energy(space, plan, q)
 
 
+def test_improve_barycenter_reports_unrepresentable_bound_as_inf():
+    # eps**q underflows to 0 here, which raised ZeroDivisionError.
+    space = build_grid_space(4, 4)
+    plan = walk_plan(space, np.random.default_rng(8), 3)
+    for q, eps in ((3.0, 1e-120), (2.0, 1e-300)):
+        res = improve_barycenter(space, plan, q, eps)
+        assert res.energy_formula == math.inf
+        assert res.barycenter_ok and res.energy_new < math.inf
+
+
 def test_improve_barycenter_keeps_node_sequences():
     space = build_grid_space(4, 4)
     rng = np.random.default_rng(9)
@@ -208,8 +219,10 @@ def test_stretch_average_validation():
     for eps in (0.0, 0.5, -0.1, 0.75):
         with pytest.raises(ValueError, match="stretch parameter"):
             stretch_average(space, plan, eps)
-    with pytest.raises(ValueError, match="n_tau"):
-        stretch_average(space, plan, 0.25, 0)
+    # A fractional or NaN count raised TypeError from range.
+    for n_tau in (0, 2.5, math.nan):
+        with pytest.raises(InvalidInstanceError, match="n_tau"):
+            stretch_average(space, plan, 0.25, n_tau)
 
 
 def test_stretch_average_certificate_and_probabilities():
@@ -415,3 +428,76 @@ def test_stretch_at_128_taus_matches_scalar_loops():
     rep = marginal_check(space, res.plan)
     assert (rep.c_min, rep.worst_time, rep.worst_point) == ref
     assert res.exact_sup == scalar_tau_average(space, plan, 0.25, 128)
+
+
+def avoiding_plans(space, rng, point, count):
+    """messy_plan draws whose curves never visit ``point``."""
+    while count:
+        plan = messy_plan(space, rng, 2 + count % 4)
+        if all(point not in c.nodes for c in plan.curves):
+            count -= 1
+            yield plan
+
+
+def occupation_tv(curve, point):
+    """Total variation in time of the occupation weight at one node."""
+    tv = 0.0
+    prev = 1.0 if curve.nodes[0] == point else 0.0
+    for nd in curve.nodes[1:]:
+        cur = 1.0 if nd == point else 0.0
+        tv += abs(cur - prev)
+        prev = cur
+    return tv
+
+
+def test_stretch_correction_matches_occupation_indicator_scan():
+    rng = np.random.default_rng(1500)
+    weights = rng.uniform(0.1, 1.0, 16)
+    weights[5] = 0.0
+    space = build_grid_space(4, 4, weights)
+    for plan in avoiding_plans(space, rng, 5, 8):
+        eps, n_tau = 0.25, 16
+        res = stretch_average(space, plan, eps, n_tau)
+        corr = 0.0
+        for x in np.nonzero(space.positive_mask)[0]:
+            tv = math.fsum(w * occupation_tv(c, int(x)) for w, c in plan.support())
+            corr = max(corr, eps / n_tau / (2.0 * eps) * tv / float(space.measure[x]))
+        assert res.correction == corr
+
+
+def test_improve_barycenter_times_are_sequential_partial_sums():
+    rng = np.random.default_rng(1600)
+    weights = rng.uniform(0.1, 1.0, 16)
+    weights[5] = 0.0
+    space = build_grid_space(4, 4, weights)
+    for plan in avoiding_plans(space, rng, 5, 8):
+        res = improve_barycenter(space, plan, 2.0, 0.1)
+        for (_, c), new in zip(plan.support(), res.plan.curves):
+            x, t = c.nodes, c.times
+            spans = [
+                (t[i + 1] - t[i]) * min(res.h[x[i]], res.h[x[i + 1]])
+                for i in range(c.n_segments)
+            ]
+            total, acc, times = math.fsum(spans), 0.0, [0.0]
+            for s in spans[:-1]:
+                acc += s
+                times.append(acc / total)
+            assert new.times == (*times, 1.0)
+
+
+def test_m_map_and_j_map_match_per_segment_loops():
+    rng = np.random.default_rng(1700)
+    space = build_grid_space(4, 4, rng.uniform(0.1, 1.0, 16))
+    for _ in range(12):
+        for c in messy_plan(space, rng, 3).curves:
+            occ, line = {}, {}
+            for i in range(c.n_segments):
+                u, v = c.nodes[i], c.nodes[i + 1]
+                half = 0.5 * (c.times[i + 1] - c.times[i])
+                occ[u] = occ.get(u, 0.0) + half
+                occ[v] = occ.get(v, 0.0) + half
+            for (u, v), mass in j_edge_measure(space, c).items():
+                line[u] = line.get(u, 0.0) + 0.5 * mass
+                line[v] = line.get(v, 0.0) + 0.5 * mass
+            assert dict(m_map(space, c).items) == occ
+            assert dict(j_map(space, c).items) == line
