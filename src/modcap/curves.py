@@ -6,15 +6,23 @@ nodes form a plateau).  Speed, length, energy, line measures, and
 occupation measures all derive from the segment decomposition with a
 single quadrature convention: along a segment, a per-point function is
 interpolated linearly, so a segment contributes half of its time (or
-length) to each endpoint.  ``_half_weights`` is the one place that rule
-is coded.
+length) to each endpoint.
+
+Curves are read through a segment table (``_segment_table``): one flat
+row per segment of any number of curves, holding its curve, ends,
+duration and edge length, built and validated in one pass.  The
+per-curve functions read a one-curve table; ``plans`` reads one table
+per plan.  ``_half_rows`` codes the half rule on a table, adding halves
+in segment order, u before v (``_half_weights`` is the same rule as a
+dict, for the node paths of ``families``).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,53 +94,106 @@ def constant_curve(point: int) -> ParametricCurve:
     return ParametricCurve((point, point), (0.0, 1.0))
 
 
-def _segment_lengths(space: MetricMeasureSpace, curve: ParametricCurve) -> list[float]:
-    """Edge length of each segment, 0 on a plateau.
+# Flat segment table of curves, curve after curve: segment s of curve
+# curve[s] runs from u[s] to v[s] in time dt[s] along an edge of length
+# length[s] (0 on a plateau); curve c owns segments start[c]:start[c + 1].
+_Segments = namedtuple("_Segments", "start curve u v dt length")
 
-    Raises InvalidInstanceError for a node outside the space or a step
-    between points that are not adjacent.
-    """
-    if max(curve.nodes) >= space.n_points:  # nodes are never negative
-        raise InvalidInstanceError(
-            f"curve node {max(curve.nodes)} is not a point of the space"
-        )
-    out = []
-    for u, v in zip(curve.nodes, curve.nodes[1:]):
-        if u == v:
-            out.append(0.0)
-        else:
-            try:
-                out.append(space.edge_length(u, v))
-            except InvalidInstanceError:
+
+def _segment_table(space: MetricMeasureSpace, curves: Sequence[ParametricCurve]) -> _Segments:
+    """The segments of all the curves, validated in one pass (see ``_reject``)."""
+    if max((max(c.nodes) for c in curves), default=-1) >= space.n_points:
+        _reject(space, curves)
+    sizes = np.array([len(c.nodes) for c in curves], dtype=np.int64)
+    nodes = np.fromiter(chain.from_iterable(c.nodes for c in curves), np.int64, sizes.sum())
+    times = np.fromiter(chain.from_iterable(c.times for c in curves), float, sizes.sum())
+    curve = np.repeat(np.arange(len(curves)), sizes - 1)
+    at = np.arange(len(curve)) + curve  # node index of each segment's first end
+    u, v = nodes[at], nodes[at + 1]
+    length = np.where(u == v, 0.0, space._edge_lengths(u, v))
+    if np.isnan(length).any():
+        _reject(space, curves)
+    start = np.concatenate(([0], np.cumsum(sizes - 1)))
+    return _Segments(start, curve, u, v, times[at + 1] - times[at], length)
+
+
+def _reject(space: MetricMeasureSpace, curves: Sequence[ParametricCurve]) -> None:
+    """Raise InvalidInstanceError for the first curve, in order, with a node outside
+    the space (naming its largest node) or a step between non-adjacent points."""
+    for c in curves:
+        if max(c.nodes) >= space.n_points:  # nodes are never negative
+            raise InvalidInstanceError(
+                f"curve node {max(c.nodes)} is not a point of the space"
+            )
+        for u, v in zip(c.nodes, c.nodes[1:]):
+            if u != v and not space.has_edge(u, v):
                 raise InvalidInstanceError(
                     f"curve steps between non-adjacent points ({u},{v})"
-                ) from None
-    return out
+                )
+
+
+def _half_rows(
+    curve: np.ndarray, u: np.ndarray, v: np.ndarray, mass: np.ndarray,
+    n_rows: int, n_points: int,
+) -> np.ndarray:
+    """(n_rows, n_points) point masses: entry i gives mass[i] / 2 to u[i] and
+    to v[i] in row curve[i].  ``np.bincount`` adds its weights in order, so
+    each cell sums its halves from 0.0 in entry order, u before v."""
+    cells = curve * n_points
+    idx = np.stack((cells + u, cells + v), axis=1).ravel()
+    halves = np.repeat(0.5 * mass, 2)
+    return np.bincount(idx, halves, minlength=n_rows * n_points).reshape(n_rows, n_points)
+
+
+def _edges(t: _Segments) -> tuple[np.ndarray, ...]:
+    """Arrays (curve, lo, hi, mass, count): one entry per edge {lo < hi} of each
+    curve, curve after curve in order of first traversal, with its line
+    measure mass = count x edge length and its traversal count."""
+    s = np.flatnonzero(t.u != t.v)
+    lo, hi = np.minimum(t.u[s], t.v[s]), np.maximum(t.u[s], t.v[s])
+    order = np.lexsort((hi, lo, t.curve[s]))  # stable: traversals stay in order
+    s, lo, hi = s[order], lo[order], hi[order]
+    new = np.ones(len(s), dtype=bool)  # first traversal of a (curve, edge)
+    new[1:] = (np.diff(t.curve[s]) != 0) | (np.diff(lo) != 0) | (np.diff(hi) != 0)
+    heads = np.flatnonzero(new)
+    count = np.diff(np.append(heads, len(s)))
+    by_first = np.argsort(s[heads])
+    heads, count = heads[by_first], count[by_first]
+    return t.curve[s[heads]], lo[heads], hi[heads], count * t.length[s[heads]], count
 
 
 def metric_speed(space: MetricMeasureSpace, curve: ParametricCurve) -> np.ndarray:
     """Per-segment speed: segment length over segment duration."""
-    lens = _segment_lengths(space, curve)
-    dts = np.diff(np.asarray(curve.times))
-    return np.asarray(lens) / dts
+    t = _segment_table(space, [curve])
+    return t.length / t.dt
 
 
 def curve_length(space: MetricMeasureSpace, curve: ParametricCurve) -> float:
-    return math.fsum(_segment_lengths(space, curve))
+    return math.fsum(_segment_table(space, [curve]).length.tolist())
+
+
+def _check_energy_exponent(q: float) -> None:
+    if not (q >= 1 and math.isfinite(q)):  # also false on NaN
+        raise InvalidInstanceError(f"energy exponent must be finite and >= 1, got {q}")
+
+
+def _energies(t: _Segments, q: float) -> np.ndarray:
+    """Per curve, (length / dt)^q dt summed over its moving segments in
+    order; a power beyond the float range counts as inf."""
+    s = t.length > 0
+    terms = []
+    for ell, dt in zip(t.length[s].tolist(), t.dt[s].tolist()):
+        try:
+            terms.append((ell / dt) ** q * dt)
+        except OverflowError:
+            terms.append(math.inf)
+    return np.bincount(t.curve[s], terms, minlength=len(t.start) - 1)
 
 
 def curve_energy(space: MetricMeasureSpace, curve: ParametricCurve, q: float) -> float:
-    """q-energy: integral of speed^q over time."""
-    if not (q >= 1 and math.isfinite(q)):  # also false on NaN
-        raise InvalidInstanceError(f"energy exponent must be finite and >= 1, got {q}")
-    lens = _segment_lengths(space, curve)
-    times = curve.times
-    total = 0.0
-    for i, ell in enumerate(lens):
-        dt = times[i + 1] - times[i]
-        if ell > 0:
-            total += (ell / dt) ** q * dt
-    return total
+    """q-energy: integral of speed^q over time (inf beyond the float range)."""
+    _check_energy_exponent(q)
+    return float(_energies(_segment_table(space, [curve]), q)[0])
 
 
 def constant_speed_reparam(
@@ -146,28 +207,20 @@ def constant_speed_reparam(
     the curve up to increasing reparameterization.  Rejects constant
     curves.
     """
-    lens = _segment_lengths(space, curve)
-    total = math.fsum(lens)
+    t = _segment_table(space, [curve])
+    total = math.fsum(t.length.tolist())
     if total <= 0:
         raise InvalidInstanceError("constant curve has no constant-speed representative")
-    nodes = [curve.nodes[0]]
-    times = [0.0]
-    acc = 0.0
-    for i, ell in enumerate(lens):
-        if ell == 0.0:
-            continue
-        acc += ell
-        nodes.append(curve.nodes[i + 1])
-        times.append(acc / total)
-    times[-1] = 1.0
-    return ParametricCurve(tuple(nodes), tuple(times))
+    moves = t.length > 0
+    arcs = list(accumulate(t.length[moves].tolist()))  # arc length at each surviving node
+    times = (0.0, *(acc / total for acc in arcs[:-1]), 1.0)
+    return ParametricCurve((curve.nodes[0], *t.v[moves].tolist()), times)
 
 
 def _half_weights(segments: Iterable[tuple[int, int, float]]) -> dict[int, float]:
     """Point -> summed half masses: each (u, v, mass) gives mass / 2 to u and to v.
 
-    Halves are added in segment order, u before v; a plateau (u == v)
-    gives its whole mass to its node.
+    The rule of ``_half_rows`` as a dict, for the node paths of ``families``.
     """
     acc: dict[int, float] = {}
     for u, v, mass in segments:
@@ -180,15 +233,9 @@ def _half_weights(segments: Iterable[tuple[int, int, float]]) -> dict[int, float
 def edge_multiplicity(
     space: MetricMeasureSpace, curve: ParametricCurve
 ) -> dict[tuple[int, int], int]:
-    """Traversal count per undirected edge."""
-    _segment_lengths(space, curve)  # InvalidInstanceError off the space
-    out: dict[tuple[int, int], int] = {}
-    for u, v in zip(curve.nodes, curve.nodes[1:]):
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        out[key] = out.get(key, 0) + 1
-    return out
+    """Traversal count per undirected edge, in order of first traversal."""
+    _, lo, hi, _, count = _edges(_segment_table(space, [curve]))
+    return dict(zip(zip(lo.tolist(), hi.tolist()), count.tolist()))
 
 
 def j_edge_measure(
@@ -200,14 +247,14 @@ def j_edge_measure(
     of edge e is multiplicity(e) * length(e) and the total mass is the
     curve length.  Invariant under reparameterization by construction.
     """
-    mult = edge_multiplicity(space, curve)
-    return {e: k * space.edge_length(*e) for e, k in mult.items()}
+    _, lo, hi, mass, _ = _edges(_segment_table(space, [curve]))
+    return dict(zip(zip(lo.tolist(), hi.tolist()), mass.tolist()))
 
 
 def j_map(space: MetricMeasureSpace, curve: ParametricCurve) -> DiscreteMeasure:
     """Line measure projected to nodes (half of each edge's mass per endpoint)."""
-    edges = j_edge_measure(space, curve).items()
-    return DiscreteMeasure.from_dict(_half_weights((u, v, w) for (u, v), w in edges))
+    line = _edges(_segment_table(space, [curve]))[:4]
+    return DiscreteMeasure.from_array(_half_rows(*line, 1, space.n_points)[0])
 
 
 def m_map(space: MetricMeasureSpace, curve: ParametricCurve) -> DiscreteMeasure:
@@ -217,10 +264,9 @@ def m_map(space: MetricMeasureSpace, curve: ParametricCurve) -> DiscreteMeasure:
     of the linear interpolation weights); a plateau's full duration
     lands on its node.  Not invariant under reparameterization.
     """
-    _segment_lengths(space, curve)  # InvalidInstanceError off the space
-    x, t = curve.nodes, curve.times
-    steps = ((x[i], x[i + 1], t[i + 1] - t[i]) for i in range(curve.n_segments))
-    return DiscreteMeasure.from_dict(_half_weights(steps))
+    t = _segment_table(space, [curve])
+    row = _half_rows(t.curve, t.u, t.v, t.dt, 1, space.n_points)[0]
+    return DiscreteMeasure.from_array(row)
 
 
 def time_average(
@@ -235,17 +281,19 @@ def time_average(
     return m_map(space, curve).integrate(values)
 
 
+def _line_integrals(t: _Segments, values: np.ndarray) -> np.ndarray:
+    """Per curve, length (f(u) + f(v)) / 2 summed over its moving segments in order."""
+    s = t.length > 0
+    terms = t.length[s] * 0.5 * (values[t.u[s]] + values[t.v[s]])
+    return np.bincount(t.curve[s], terms, minlength=len(t.start) - 1)
+
+
 def curve_integral(
     space: MetricMeasureSpace, curve: ParametricCurve, values: Sequence[float]
 ) -> float:
     """Curvilinear integral of a per-point function (against the line measure)."""
     vals = np.asarray(values, dtype=float)
-    lens = _segment_lengths(space, curve)
-    total = 0.0
-    for i, ell in enumerate(lens):
-        if ell > 0:
-            total += ell * 0.5 * (vals[curve.nodes[i]] + vals[curve.nodes[i + 1]])
-    return float(total)
+    return float(_line_integrals(_segment_table(space, [curve]), vals)[0])
 
 
 def _curve_table(curves: Sequence[ParametricCurve]) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +340,7 @@ def occupation_at(
     """
     if not (0.0 <= t <= 1.0):
         raise InvalidInstanceError(f"time {t} outside [0, 1]")
-    _segment_lengths(space, curve)  # InvalidInstanceError off the space
+    _segment_table(space, [curve])  # InvalidInstanceError off the space
     table = _curve_table([curve])
     u, v, theta = (x.item() for x in _table_occupation(*table, np.array([[t]])))
     if theta == 0.0:
@@ -310,25 +358,30 @@ def stretch(
     a segment is snapped to the nearest node of that segment, which is
     the finest position the node representation can express.
     """
-    _segment_lengths(space, curve)
+    _segment_table(space, [curve])  # InvalidInstanceError off the space
     if not (0.0 <= a < b <= 1.0):
         raise InvalidInstanceError(f"invalid window [{a}, {b}]")
+    return _windows(curve, np.array([a], dtype=float), np.array([b], dtype=float))[0]
+
+
+def _windows(curve: ParametricCurve, a: np.ndarray, b: np.ndarray) -> list[ParametricCurve]:
+    """``stretch`` of a curve on the space to each window [a[i], b[i]]: all
+    window ends from one occupation lookup, and the interior breakpoints
+    a < t < b from one search of the curve's times per side."""
     times = curve.times
-    span = b - a
-    lo = bisect_right(times, a)
-    hi = bisect_left(times, b)
-    u, v, theta = _table_occupation(*_curve_table([curve]), np.array([[a, b]]))
-    first, last = np.where(theta < 0.5, u, v)[0].tolist()
-    nodes = [first]
-    out_times = [0.0]
-    for k in range(lo, hi):
-        nodes.append(curve.nodes[k])
-        out_times.append((times[k] - a) / span)
-    nodes.append(last)
-    out_times.append(1.0)
-    if len(nodes) == 2 and nodes[0] == nodes[1]:
-        return constant_curve(nodes[0])
-    return ParametricCurve(tuple(nodes), tuple(out_times))
+    u, v, theta = _table_occupation(*_curve_table([curve]), np.concatenate((a, b))[None])
+    ends = np.where(theta < 0.5, u, v)[0].tolist()
+    first, stop = np.searchsorted(times, a, side="right"), np.searchsorted(times, b)
+    pieces = []
+    for i, (s, e) in enumerate(zip(a.tolist(), b.tolist())):
+        inner = range(first[i], stop[i])
+        nodes = (ends[i], *(curve.nodes[j] for j in inner), ends[len(a) + i])
+        if len(nodes) == 2 and nodes[0] == nodes[1]:
+            pieces.append(constant_curve(nodes[0]))
+        else:
+            out_times = (0.0, *((times[j] - s) / (e - s) for j in inner), 1.0)
+            pieces.append(ParametricCurve(nodes, out_times))
+    return pieces
 
 
 def curves_equivalent(

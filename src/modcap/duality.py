@@ -88,6 +88,11 @@ def plan_barycenter(
             continue
         for idx, val in mu.items:
             mass[idx] += w * val
+    return _density(space, mass)
+
+
+def _density(space: MetricMeasureSpace, mass: np.ndarray) -> np.ndarray:
+    """mass / m, 0 where m = 0; NoBarycenterError for mass on a zero-mass point."""
     m = space.measure
     bad = np.nonzero((mass > 0) & (m == 0))[0]
     if bad.size:
@@ -100,6 +105,12 @@ def plan_barycenter(
     return g
 
 
+def _lq_norm(space: MetricMeasureSpace, g: np.ndarray, q: float) -> float:
+    """The L^q(m) norm of a density: the c_q of a plan with barycenter g."""
+    msk = space.positive_mask
+    return float(np.dot(space.measure[msk], g[msk] ** q)) ** (1.0 / q)
+
+
 def build_measure_plan(
     space: MetricMeasureSpace,
     support: Sequence[DiscreteMeasure],
@@ -110,9 +121,7 @@ def build_measure_plan(
     q = _check_p(q, "q")
     probabilities = tuple(float(w) for w in probabilities)
     g = plan_barycenter(space, support, probabilities)
-    msk = space.positive_mask
-    c_q = float(np.dot(space.measure[msk], g[msk] ** q)) ** (1.0 / q)
-    return MeasurePlan(tuple(support), probabilities, q, g, c_q)
+    return MeasurePlan(tuple(support), probabilities, q, g, _lq_norm(space, g, q))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import ParametricCurve, curve_integral, j_map
+from .curves import ParametricCurve, j_map, _line_integrals, _segment_table
 from .errors import InvalidInstanceError
 from .modulus import _check_limits, solve_modulus_explicit
 from .plans import CurvePlan, testplan_check
@@ -69,15 +69,11 @@ def check_upper_gradient(
         raise InvalidInstanceError("f must be finite")
     if not np.all(gv >= 0):  # also false on NaN
         raise InvalidInstanceError("upper gradient candidates must be nonnegative, not NaN")
-    worst = -math.inf
-    bad: list[int] = []
-    for i, c in enumerate(curves):
-        integral = curve_integral(space, c, gv)  # InvalidInstanceError off the space
-        resid = abs(float(fv[c.nodes[-1]]) - float(fv[c.nodes[0]])) - integral
-        worst = max(worst, resid)
-        if resid > tol:
-            bad.append(i)
-    return GradientCheckReport(len(curves), len(bad), tuple(bad), worst, tol)
+    t = _segment_table(space, curves)  # InvalidInstanceError off the space
+    first, last = t.u[t.start[:-1]], t.v[t.start[1:] - 1]  # each curve's ends
+    resid = (np.abs(fv[last] - fv[first]) - _line_integrals(t, gv)).tolist()
+    bad = tuple(i for i, r in enumerate(resid) if r > tol)
+    return GradientCheckReport(len(curves), len(bad), bad, max(resid, default=-math.inf), tol)
 
 
 def modulus_of_violating_family(

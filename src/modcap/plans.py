@@ -11,6 +11,13 @@ quadrature.  The module provides q-energy, the test-plan constant
 (supremum over time of the instantaneous marginal density), the
 barycenter-improving time reparameterization, the stretch-average
 construction, and the constant-speed pushforward.
+
+A call walks each plan it reads once, as one segment table of all its
+curves (``curves._segment_table``), validated in one pass, and reads
+barycenters, the line-measure c_q, energies and speeds off that table
+for all curves at once.  A point's barycenter sums its halves in
+segment order within a curve and adds the curves in plan order, the
+order of a loop over the curves.
 """
 
 from __future__ import annotations
@@ -25,17 +32,18 @@ import numpy as np
 from .curves import (
     ParametricCurve,
     constant_speed_reparam,
-    curve_energy,
-    j_map,
-    m_map,
-    metric_speed,
-    stretch,
+    _Segments,
+    _check_energy_exponent,
     _curve_table,
-    _segment_lengths,
+    _edges,
+    _energies,
+    _half_rows,
     _same_rep,
+    _segment_table,
     _table_occupation,
+    _windows,
 )
-from .duality import _check_probabilities, build_measure_plan, plan_barycenter
+from .duality import _check_probabilities, _density, _lq_norm
 from .errors import InvalidInstanceError
 from .modulus import _check_count, _check_p
 from .space import MetricMeasureSpace
@@ -70,9 +78,46 @@ class CurvePlan:
         ]
 
 
+_ROW_CELLS = 1 << 12  # curve x point cells per chunk of _plan_density: 32 KB arrays
+
+
+def _plan_density(
+    space: MetricMeasureSpace, t: _Segments, probs: Sequence[float], line: bool = False
+) -> np.ndarray:
+    """Barycenter density of a plan's occupation (or ``line``) measures.
+
+    The density of sum_c probs[c] x (``_half_rows`` row of curve c): one
+    ``np.bincount`` per chunk of about ``_ROW_CELLS`` cells adds each
+    point's terms in curve order after the running total, so the sums
+    are those of a loop over the curves, whatever the chunking.
+    """
+    curve, u, v, mass = _edges(t)[:4] if line else (t.curve, t.u, t.v, t.dt)
+    n, probs = space.n_points, np.asarray(probs)
+    step = max(1, _ROW_CELLS // n)
+    firsts = range(0, len(probs), step)
+    cuts = np.searchsorted(curve, [*firsts, len(probs)]).tolist()
+    total = np.zeros(n)
+    for a, lo, hi in zip(firsts, cuts, cuts[1:]):
+        w = probs[a:a + step, None]
+        rows = _half_rows(curve[lo:hi] - a, u[lo:hi], v[lo:hi], mass[lo:hi], len(w), n)
+        terms = np.concatenate((total, (w * rows).ravel()))
+        total = np.bincount(np.tile(np.arange(n), len(w) + 1), terms)
+    return _density(space, total)
+
+
+def _energy(t: _Segments, probs: Sequence[float], q: float) -> float:
+    """``q_energy`` of a plan from its segment table."""
+    return math.fsum(w * e for w, e in zip(probs, _energies(t, q).tolist()) if w > 0)
+
+
+def _lipschitz(t: _Segments, probs: Sequence[float]) -> float:
+    """``plan_lipschitz`` of a plan from its segment table."""
+    return float((t.length / t.dt)[np.asarray(probs)[t.curve] > 0].max())
+
+
 def plan_lipschitz(space: MetricMeasureSpace, plan: CurvePlan) -> float:
     """Largest segment speed over the support curves."""
-    return max(float(metric_speed(space, c).max()) for _, c in plan.support())
+    return _lipschitz(_segment_table(space, plan.curves), plan.probabilities)
 
 
 def parametric_barycenter(space: MetricMeasureSpace, plan: CurvePlan) -> np.ndarray:
@@ -82,13 +127,14 @@ def parametric_barycenter(space: MetricMeasureSpace, plan: CurvePlan) -> np.ndar
     of the occupation measures under the plan's probabilities.  Raises
     NoBarycenterError if occupation mass sits on a zero-mass point.
     """
-    occupations = [m_map(space, c) for c in plan.curves]
-    return plan_barycenter(space, occupations, plan.probabilities)
+    t = _segment_table(space, plan.curves)
+    return _plan_density(space, t, plan.probabilities)
 
 
 def q_energy(space: MetricMeasureSpace, plan: CurvePlan, q: float) -> float:
-    """Plan-averaged q-energy of the support curves."""
-    return math.fsum(w * curve_energy(space, c, q) for w, c in plan.support())
+    """Plan-averaged q-energy of the support curves (inf beyond the float range)."""
+    _check_energy_exponent(q)
+    return _energy(_segment_table(space, plan.curves), plan.probabilities, q)
 
 
 @dataclass(frozen=True)
@@ -109,13 +155,13 @@ def testplan_check(
     The marginal density is piecewise linear in t between the merged
     breakpoints of the support curves, so the supremum over all t is
     attained on that grid and the computed C_min is exact.  Mass on a
-    zero-mass point at any time gives C_min = inf.  A support curve that
-    leaves the space or steps between non-adjacent points raises
-    InvalidInstanceError.
+    zero-mass point at any time gives C_min = inf.  A curve of the plan,
+    of probability 0 or not, that leaves the space or steps between
+    non-adjacent points raises InvalidInstanceError.
     """
+    _segment_table(space, plan.curves)  # InvalidInstanceError off the space
     grid = {0.0, 1.0}
     for _, c in plan.support():
-        _segment_lengths(space, c)
         grid.update(c.times)
     grid.update(float(t) for t in extra_times if 0.0 <= t <= 1.0)
     times = np.array(sorted(grid))
@@ -214,17 +260,20 @@ def improve_barycenter(
     if not (eps > 0 and math.isfinite(eps)):
         raise InvalidInstanceError(f"eps must be a positive real, got {eps}")
     q = _check_p(q, "q")
-    g = parametric_barycenter(space, plan)
+    t = _segment_table(space, plan.curves)
+    g = _plan_density(space, t, plan.probabilities)
     h = 1.0 / np.maximum(eps, g)
 
     new_curves: list[ParametricCurve] = []
     weighted: list[float] = []  # rho G per support curve
-    for w, c in plan.support():
-        x, t = c.nodes, c.times
-        spans = [(t[i + 1] - t[i]) * min(h[x[i]], h[x[i + 1]]) for i in range(c.n_segments)]
+    rates, bounds = (t.dt * np.minimum(h[t.u], h[t.v])).tolist(), t.start.tolist()
+    for k, (w, c) in enumerate(zip(plan.probabilities, plan.curves)):
+        if w == 0:
+            continue
+        spans = rates[bounds[k]:bounds[k + 1]]
         total = math.fsum(spans)
         new_times = (0.0, *(acc / total for acc in accumulate(spans[:-1])), 1.0)
-        new_curves.append(ParametricCurve(x, new_times))
+        new_curves.append(ParametricCurve(c.nodes, new_times))
         weighted.append(w * total)
 
     z = math.fsum(weighted)
@@ -233,12 +282,14 @@ def improve_barycenter(
     new_probs = [w / drift for w in new_probs]
     out = CurvePlan(tuple(new_curves), tuple(new_probs))
 
-    new_bary = parametric_barycenter(space, out)
+    t_out = _segment_table(space, out.curves)
+    new_bary = _plan_density(space, t_out, out.probabilities)
     sup_new = float(new_bary.max(initial=0.0))
-    lip = plan_lipschitz(space, plan)
-    energy_new = q_energy(space, out, q)
+    lip = _lipschitz(t, plan.probabilities)
+    energy_new = _energy(t_out, out.probabilities, q)
     msk = space.positive_mask
-    mass = float(np.dot(space.measure[msk], g[msk] * np.maximum(eps, g[msk]) ** (q - 1.0)))
+    with np.errstate(over="ignore"):  # an inf mass gives an inf bound below
+        mass = float(np.dot(space.measure[msk], g[msk] * np.maximum(eps, g[msk]) ** (q - 1.0)))
     try:
         formula = lip**q / (z * eps**q) * mass
     except (OverflowError, ZeroDivisionError):  # eps**q underflowed or a power overflowed
@@ -296,13 +347,13 @@ def stretch_average(
     if not (0.0 < eps < 0.5):
         raise InvalidInstanceError(f"stretch parameter must lie in (0, 1/2), got {eps}")
     _check_count(n_tau, "n_tau")
-    c_in = float(parametric_barycenter(space, plan).max(initial=0.0))
-    taus = [(j + 0.5) * eps / n_tau for j in range(n_tau)]
+    t = _segment_table(space, plan.curves)
+    c_in = float(_plan_density(space, t, plan.probabilities).max(initial=0.0))
+    taus = (np.arange(n_tau) + 0.5) * eps / n_tau
 
     atoms: dict[ParametricCurve, float] = {}  # keyed by the first equal piece
     for w, c in plan.support():
-        for tau in taus:
-            piece = stretch(space, c, tau / (1.0 + eps), (1.0 + tau) / (1.0 + eps))
+        for piece in _windows(c, taus / (1.0 + eps), (1.0 + taus) / (1.0 + eps)):
             atoms[piece] = atoms.get(piece, 0.0) + w / n_tau
     out = CurvePlan(tuple(atoms), tuple(atoms.values()))
 
@@ -315,14 +366,12 @@ def stretch_average(
     exact_sup, _, _ = _marginal_sup(space, plan.support(), eval_times, taus, 1.0 + eps)
 
     # A curve's occupation weight at x jumps by 1 at each non-plateau
-    # step touching x, so its total variation in time is that count.
-    counts = []
-    for w, c in plan.support():
-        x = np.array(c.nodes)
-        moves = np.stack((x[:-1], x[1:]))[:, x[1:] != x[:-1]]  # one column per move
-        counts.append(w * np.bincount(moves.ravel(), minlength=space.n_points))
+    # step touching x, so its total variation in time is that count:
+    # the half rows of mass 2 per move.
+    moves = _half_rows(t.curve, t.u, t.v, 2.0 * (t.u != t.v), len(t.start) - 1, space.n_points)
+    counts = np.array(plan.probabilities)[:, None] * moves
     msk = space.positive_mask
-    tv = np.array([math.fsum(col) for col in np.transpose(counts)[msk]])
+    tv = np.array([math.fsum(col) for col in counts.T[msk].tolist()])
     dtau = eps / n_tau
     corr = float(np.max(dtau / (2.0 * eps) * tv / space.measure[msk], initial=0.0))
     bound = c_in * (1.0 + eps) / eps
@@ -381,11 +430,11 @@ def bridge_inequality(
     plan has c_q at most (q-energy of the plan)^(1/q) * (sup h)^(1/p),
     h the parametric barycenter and p the conjugate exponent.
     """
-    measures = [j_map(space, c) for _, c in plan.support()]
-    probs = [w for w, _ in plan.support()]
-    mplan = build_measure_plan(space, measures, probs, q)
-    energy = q_energy(space, plan, q)
-    h_sup = float(parametric_barycenter(space, plan).max(initial=0.0))
+    t = _segment_table(space, plan.curves)
+    q = _check_p(q, "q")
+    c_q = _lq_norm(space, _plan_density(space, t, plan.probabilities, line=True), q)
+    energy = _energy(t, plan.probabilities, q)
+    h_sup = float(_plan_density(space, t, plan.probabilities).max(initial=0.0))
     p = q / (q - 1.0)
     rhs = energy ** (1.0 / q) * h_sup ** (1.0 / p)
-    return BridgeReport(mplan.c_q, energy, h_sup, rhs, mplan.c_q <= rhs + 1e-6)
+    return BridgeReport(c_q, energy, h_sup, rhs, c_q <= rhs + 1e-6)

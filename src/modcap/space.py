@@ -86,6 +86,9 @@ class MetricMeasureSpace:
 
         self._n = n_points
         self._edges = tuple(norm_edges)
+        # Sorted edge keys u * n + v (u < v), then a sentinel n * n, for _edge_lengths.
+        self._keys = np.array([u * n_points + v for u, v, _ in norm_edges] + [n_points**2])
+        self._lengths = np.array([length for *_, length in norm_edges] + [math.nan])
         self._elen = elen
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._measure = m
@@ -132,6 +135,12 @@ class MetricMeasureSpace:
             return self._elen[key]
         except KeyError:
             raise InvalidInstanceError(f"points {u} and {v} are not adjacent") from None
+
+    def _edge_lengths(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Length of each edge {u[i], v[i]} of point ids, NaN where there is none."""
+        key = np.minimum(u, v) * self._n + np.maximum(u, v)
+        i = np.searchsorted(self._keys, key)
+        return np.where(self._keys[i] == key, self._lengths[i], math.nan)
 
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)

@@ -167,6 +167,9 @@ def test_plan_actions(tmp_path, capsys):
     # eps**q underflows to 0, which raised ZeroDivisionError (exit 5).
     assert main(["plan", "improve", "--instance", DEMO, "--eps", "1e-120", "--q", "3"]) == 0
     assert "closed-form bound: inf" in capsys.readouterr().out
+    # The new plan's energy overflows a float, which raised OverflowError (exit 5).
+    assert main(["plan", "improve", "--instance", DEMO, "--q", "1e6"]) == 0
+    assert "energy: inf  closed-form bound: inf" in capsys.readouterr().out
 
     out = tmp_path / "improved.json"
     assert main(["plan", "improve", "--instance", DEMO, "--eps", "0.1",

@@ -1,6 +1,7 @@
 """Curve plans: barycenters, test-plan constants, time-change operators."""
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -9,14 +10,19 @@ from modcap.curves import (
     ParametricCurve,
     constant_curve,
     constant_speed_reparam,
+    curve_energy,
+    edge_multiplicity,
     j_edge_measure,
     j_map,
     m_map,
+    metric_speed,
     occupation_at,
+    stretch,
     time_average,
 )
+from modcap.duality import build_measure_plan, plan_barycenter
 from modcap.errors import InvalidInstanceError, NoBarycenterError
-from modcap.gradients import check_upper_gradient
+from modcap.gradients import check_upper_gradient, check_w1p_pair
 from modcap.instance import random_walk_curve
 from modcap.plans import (
     CurvePlan,
@@ -28,7 +34,7 @@ from modcap.plans import (
     q_energy,
     stretch_average,
 )
-from modcap.plans import _BLOCK, _CELLS
+from modcap.plans import _BLOCK, _CELLS, _ROW_CELLS
 from modcap.plans import testplan_check as marginal_check
 from modcap.space import MetricMeasureSpace, build_grid_space
 
@@ -96,6 +102,22 @@ def test_q_energy_and_lipschitz_by_hand():
     assert plan_lipschitz(space, plan) == pytest.approx(2.0)
 
 
+def test_q_energy_beyond_the_float_range_is_inf():
+    # 2^1e6 overflows a float, which raised OverflowError.
+    space = chain_space(3)
+    fast = ParametricCurve((0, 1, 2), (0.0, 0.5, 1.0))
+    slow = ParametricCurve((0, 0, 1), (0.0, 0.5, 1.0))  # a plateau, then speed 2
+    crawl = ParametricCurve((1, 2), (0.0, 1.0))  # speed 1
+    assert curve_energy(space, fast, 1e6) == math.inf
+    assert q_energy(space, CurvePlan((fast, crawl), (0.5, 0.5)), 1e6) == math.inf
+    assert q_energy(space, CurvePlan((crawl,), (1.0,)), 1e6) == 1.0
+    assert q_energy(space, CurvePlan((slow, crawl), (0.25, 0.75)), 1e3) == math.fsum(
+        [0.25 * 2.0**1e3 * 0.5, 0.75]
+    )
+    # A curve of probability 0 does not count, even with infinite energy.
+    assert q_energy(space, CurvePlan((fast, crawl), (0.0, 1.0)), 1e6) == 1.0
+
+
 def test_testplan_constant_is_exact_on_breakpoints():
     space = chain_space(3)
     plan = CurvePlan(
@@ -126,37 +148,53 @@ def test_testplan_infinite_on_zero_mass_point():
     assert math.isinf(rep.c_min)
 
 
+def _ones(space):
+    return np.ones(space.n_points)
+
+
 _ON_PLAN = {
     "parametric_barycenter": parametric_barycenter,
     "testplan_check": marginal_check,
     "stretch_average": lambda space, plan: stretch_average(space, plan, 0.25, 4),
-    "time_average": lambda space, plan: time_average(
-        space, plan.curves[0], np.ones(space.n_points)
+    "q_energy": lambda space, plan: q_energy(space, plan, 2.0),
+    "plan_lipschitz": plan_lipschitz,
+    "improve_barycenter": lambda space, plan: improve_barycenter(space, plan, 2.0, 0.1),
+    "bridge_inequality": lambda space, plan: bridge_inequality(space, plan, 2.0),
+    "check_w1p_pair": lambda space, plan: check_w1p_pair(
+        space, _ones(space), _ones(space), [plan]
     ),
     "check_upper_gradient": lambda space, plan: check_upper_gradient(
-        space, np.ones(space.n_points), np.ones(space.n_points), plan.curves
+        space, _ones(space), _ones(space), plan.curves
     ),
-    "m_map": lambda space, plan: m_map(space, plan.curves[0]),
-    "j_map": lambda space, plan: j_map(space, plan.curves[0]),
-    "occupation_at": lambda space, plan: occupation_at(space, plan.curves[0], 0.5),
+    # Curve functions get the offending curve, the second of the plan.
+    "time_average": lambda space, plan: time_average(space, plan.curves[1], _ones(space)),
+    "m_map": lambda space, plan: m_map(space, plan.curves[1]),
+    "j_map": lambda space, plan: j_map(space, plan.curves[1]),
+    "occupation_at": lambda space, plan: occupation_at(space, plan.curves[1], 0.5),
 }
+
+_OFF_THE_SPACE = [constant_curve(99), ParametricCurve((0, 4), (0.0, 1.0))]
 
 
 @pytest.mark.parametrize("name", sorted(_ON_PLAN))
 @pytest.mark.parametrize(
-    "curve, message",
+    "bad, message",
     [
-        (constant_curve(99), "curve node 99 is not a point of the space"),
-        (ParametricCurve((0, 4), (0.0, 1.0)), r"non-adjacent points \(0,4\)"),
+        (0, "curve node 99 is not a point of the space"),
+        (1, r"non-adjacent points \(0,4\)"),
     ],
     ids=["constant-off-the-space", "diagonal-step"],
 )
-def test_curves_off_the_space_are_rejected(name, curve, message):
+def test_curves_off_the_space_are_rejected(name, bad, message):
     # On a 3x3 grid these raised IndexError or returned mass on point 99;
-    # testplan_check accepted the diagonal step with c_min = 9.
+    # testplan_check accepted the diagonal step with c_min = 9.  The bad
+    # curve is second and the third is bad the other way, so the whole
+    # plan is checked at once and the first offending curve is named.
     space = build_grid_space(3, 3)
+    good = ParametricCurve((3, 4, 4, 5), (0.0, 0.25, 0.5, 1.0))
+    plan = CurvePlan((good, _OFF_THE_SPACE[bad], _OFF_THE_SPACE[1 - bad]), (0.25, 0.5, 0.25))
     with pytest.raises(InvalidInstanceError, match=message):
-        _ON_PLAN[name](space, CurvePlan((curve,), (1.0,)))
+        _ON_PLAN[name](space, plan)
 
 
 def test_improve_barycenter_certificates():
@@ -489,15 +527,192 @@ def test_m_map_and_j_map_match_per_segment_loops():
     rng = np.random.default_rng(1700)
     space = build_grid_space(4, 4, rng.uniform(0.1, 1.0, 16))
     for _ in range(12):
-        for c in messy_plan(space, rng, 3).curves:
-            occ, line = {}, {}
+        # Walks that cross edges up to three times: count x length is
+        # not the sum of the lengths in floating point.
+        for c in revisiting_plan(space, rng, 3).curves:
+            occ, line, counts = {}, {}, {}
             for i in range(c.n_segments):
                 u, v = c.nodes[i], c.nodes[i + 1]
                 half = 0.5 * (c.times[i + 1] - c.times[i])
                 occ[u] = occ.get(u, 0.0) + half
                 occ[v] = occ.get(v, 0.0) + half
-            for (u, v), mass in j_edge_measure(space, c).items():
+                if u != v:
+                    edge = (min(u, v), max(u, v))
+                    counts[edge] = counts.get(edge, 0) + 1
+            edges = {(u, v): k * space.edge_length(u, v) for (u, v), k in counts.items()}
+            for (u, v), mass in edges.items():
                 line[u] = line.get(u, 0.0) + 0.5 * mass
                 line[v] = line.get(v, 0.0) + 0.5 * mass
+            assert list(edge_multiplicity(space, c).items()) == list(counts.items())
+            assert list(j_edge_measure(space, c).items()) == list(edges.items())
             assert dict(m_map(space, c).items) == occ
             assert dict(j_map(space, c).items) == line
+
+
+# Per-curve references for the plan functions, which read every curve of
+# a plan off one segment table: the parent implementations, one curve
+# (or one curve and window) per call.
+
+
+def per_curve_barycenter(space, plan):
+    return plan_barycenter(space, [m_map(space, c) for c in plan.curves], plan.probabilities)
+
+
+def scalar_stretch(space, curve, a, b):
+    """``stretch`` through bisect and occupation_at, one window per call."""
+    ends = []
+    for t in (a, b):
+        weights = occupation_at(space, curve, t)
+        ends.append(weights[0][0] if weights[-1][1] < 0.5 else weights[-1][0])
+    inner = range(bisect_right(curve.times, a), bisect_left(curve.times, b))
+    nodes = (ends[0], *(curve.nodes[k] for k in inner), ends[1])
+    if len(nodes) == 2 and nodes[0] == nodes[1]:
+        return constant_curve(nodes[0])
+    times = (0.0, *((curve.times[k] - a) / (b - a) for k in inner), 1.0)
+    return ParametricCurve(nodes, times)
+
+
+def per_window_stretch_plan(space, plan, eps, n_tau):
+    atoms = {}
+    for w, c in plan.support():
+        for j in range(n_tau):
+            tau = (j + 0.5) * eps / n_tau
+            a, b = tau / (1.0 + eps), (1.0 + tau) / (1.0 + eps)
+            piece = stretch(space, c, a, b)
+            assert piece == scalar_stretch(space, c, a, b)
+            atoms[piece] = atoms.get(piece, 0.0) + w / n_tau
+    return CurvePlan(tuple(atoms), tuple(atoms.values()))
+
+
+def per_curve_c_q(space, plan, q):
+    support = plan.support()
+    measures = [j_map(space, c) for _, c in support]
+    return build_measure_plan(space, measures, [w for w, _ in support], q).c_q
+
+
+def loop_energy(space, curve, q):
+    total = 0.0
+    for i in range(curve.n_segments):
+        u, v = curve.nodes[i], curve.nodes[i + 1]
+        dt = curve.times[i + 1] - curve.times[i]
+        if u != v:
+            total += (space.edge_length(u, v) / dt) ** q * dt
+    return total
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of its NoBarycenterError."""
+    try:
+        return fn(*args)
+    except NoBarycenterError as exc:
+        return (NoBarycenterError, str(exc))
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.tobytes() == b.tobytes()
+    return a == b
+
+
+def revisiting_plan(space, rng, n_curves):
+    """messy_plan with back-and-forth walks and zero-probability curves."""
+    base = messy_plan(space, rng, n_curves)
+    curves = list(base.curves)
+    for i, c in enumerate(curves[:2]):
+        if not c.is_constant():
+            nodes = c.nodes + c.nodes[-2::-1] + c.nodes[1:]  # every edge three times
+            times = np.linspace(0.0, 1.0, len(nodes))
+            times[1:-1] += rng.uniform(-0.2, 0.2, len(nodes) - 2) / len(nodes)
+            curves[i] = ParametricCurve(nodes, tuple(times.tolist()))
+    probs = list(base.probabilities)
+    curves.insert(1, messy_plan(space, rng, 1).curves[0])
+    probs.insert(1, 0.0)
+    curves.append(messy_plan(space, rng, 1).curves[0])
+    probs.append(0.0)
+    return CurvePlan(tuple(curves), tuple(probs))
+
+
+def test_plan_tables_match_per_curve_references():
+    q = 2.0
+    raised = 0
+    for s in range(24):
+        rng = np.random.default_rng(1800 + s)
+        weights = rng.uniform(0.1, 1.0, 16)
+        plan = revisiting_plan(build_grid_space(4, 4, weights.copy()), rng, 2 + s % 4)
+        # One zero-mass point: every third plan visits it.
+        visited = set().union(*(c.nodes for c in plan.curves))
+        pool = sorted(visited if s % 3 == 0 else set(range(16)) - visited or visited)
+        weights[pool[int(rng.integers(len(pool)))]] = 0.0
+        space = build_grid_space(4, 4, weights)
+        ref = outcome(per_curve_barycenter, space, plan)
+        assert _same(outcome(parametric_barycenter, space, plan), ref)
+        if isinstance(ref, tuple):
+            raised += 1
+            # Every plan function reports the same missing barycenter;
+            # the bridge checks the line measures first.
+            line = outcome(per_curve_c_q, space, plan, q)
+            expected = line if isinstance(line, tuple) else ref
+            assert outcome(bridge_inequality, space, plan, q) == expected
+            assert outcome(improve_barycenter, space, plan, q, 0.1) == ref
+            assert outcome(stretch_average, space, plan, 0.25, 8) == ref
+            continue
+        support = plan.support()
+        assert q_energy(space, plan, q) == math.fsum(
+            w * loop_energy(space, c, q) for w, c in support
+        )
+        assert plan_lipschitz(space, plan) == max(
+            float(metric_speed(space, c).max()) for _, c in support
+        )
+        rep = bridge_inequality(space, plan, q)
+        assert rep.c_q == per_curve_c_q(space, plan, q)
+        assert rep.h_sup == float(ref.max())
+        assert rep.energy == q_energy(space, plan, q)
+        imp = improve_barycenter(space, plan, q, 0.1)
+        assert np.array_equal(imp.g, ref)
+        assert np.array_equal(imp.new_barycenter, per_curve_barycenter(space, imp.plan))
+        n_tau = (4, 8)[s % 2]
+        res = stretch_average(space, plan, 0.25, n_tau)
+        assert res.c_in == float(ref.max())
+        assert res.plan == per_window_stretch_plan(space, plan, 0.25, n_tau)
+    assert 4 <= raised <= 12
+    # A constant curve charges its point in time but not in length, so
+    # the bridge gets past the line measures to the occupation.
+    space = build_grid_space(3, 3, [1, 1, 1, 1, 0, 1, 1, 1, 1])
+    plan = CurvePlan((constant_curve(4), ParametricCurve((0, 1), (0.0, 1.0))), (0.5, 0.5))
+    ref = (NoBarycenterError, "plan puts mass 0.5 on zero-mass point 4")
+    assert outcome(per_curve_barycenter, space, plan) == ref
+    assert outcome(parametric_barycenter, space, plan) == ref
+    assert per_curve_c_q(space, plan, q) > 0
+    assert outcome(bridge_inequality, space, plan, q) == ref
+
+
+def test_barycenters_match_per_curve_references_across_chunks():
+    # Enough curves for several chunks of rows: each chunk's sums must
+    # continue the running total, not start their own.
+    rng = np.random.default_rng(1850)
+    space = build_grid_space(8, 8, rng.uniform(0.1, 1.0, 64))
+    plan = revisiting_plan(space, rng, 250)
+    assert len(plan.curves) > 3 * (_ROW_CELLS // space.n_points)
+    assert _same(parametric_barycenter(space, plan), per_curve_barycenter(space, plan))
+    assert bridge_inequality(space, plan, 3.0).c_q == per_curve_c_q(space, plan, 3.0)
+
+
+def test_upper_gradient_integrals_match_per_curve_loop():
+    rng = np.random.default_rng(1900)
+    space = build_grid_space(4, 4, rng.uniform(0.1, 1.0, 16))
+    f = rng.uniform(0.0, 1.0, 16)
+    g = rng.uniform(0.0, 2.0, 16)
+    g[3] = math.inf
+    curves = revisiting_plan(space, rng, 5).curves + messy_plan(space, rng, 6).curves
+    rep = check_upper_gradient(space, f, g, curves, tol=0.0)
+    resid = []
+    for c in curves:
+        total = 0.0
+        for u, v in zip(c.nodes, c.nodes[1:]):
+            if u != v:
+                total += space.edge_length(u, v) * 0.5 * (g[u] + g[v])
+        resid.append(abs(float(f[c.nodes[-1]]) - float(f[c.nodes[0]])) - float(total))
+    assert rep.worst_residual == max(resid)
+    assert rep.violating == tuple(i for i, r in enumerate(resid) if r > 0.0)
+    empty = check_upper_gradient(space, f, g, [])
+    assert (empty.n_curves, empty.violating, empty.worst_residual) == (0, (), -math.inf)
