@@ -108,7 +108,8 @@ def _density(space: MetricMeasureSpace, mass: np.ndarray) -> np.ndarray:
 def _lq_norm(space: MetricMeasureSpace, g: np.ndarray, q: float) -> float:
     """The L^q(m) norm of a density: the c_q of a plan with barycenter g."""
     msk = space.positive_mask
-    return float(np.dot(space.measure[msk], g[msk] ** q)) ** (1.0 / q)
+    with np.errstate(over="ignore"):  # a power beyond the float range gives inf
+        return float(np.dot(space.measure[msk], g[msk] ** q)) ** (1.0 / q)
 
 
 def build_measure_plan(

@@ -19,7 +19,7 @@ import numpy as np
 from .curves import ParametricCurve, j_map, _line_integrals, _segment_table
 from .errors import InvalidInstanceError
 from .modulus import _check_limits, solve_modulus_explicit
-from .plans import CurvePlan, testplan_check
+from .plans import CurvePlan, _testplan
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -133,8 +133,8 @@ def check_w1p_pair(
     if not plans:
         warnings.append("no plans supplied; vacuous pass")
     for idx, plan in enumerate(plans):
-        tp = testplan_check(space, plan)
-        rep = check_upper_gradient(space, f, g, plan.curves, tol)
+        rep = check_upper_gradient(space, f, g, plan.curves, tol)  # one segment table
+        tp = _testplan(space, plan)
         prob = math.fsum(plan.probabilities[i] for i in rep.violating)
         entries.append(PlanViolation(tp.is_test_plan, tp.c_min, prob))
         if not tp.is_test_plan:

@@ -154,12 +154,23 @@ def testplan_check(
 
     The marginal density is piecewise linear in t between the merged
     breakpoints of the support curves, so the supremum over all t is
-    attained on that grid and the computed C_min is exact.  Mass on a
-    zero-mass point at any time gives C_min = inf.  A curve of the plan,
-    of probability 0 or not, that leaves the space or steps between
-    non-adjacent points raises InvalidInstanceError.
+    attained on that grid and the computed C_min is exact.  A screen,
+    prefix sums of the pieces' intercepts and slopes with a rounding bound
+    of gamma_N times a running sum of absolute values (``_screen``),
+    leaves the exact kernel only the grid times that may attain the
+    supremum; its recheck of those returns what it returns on the whole
+    grid.  Mass on a zero-mass point at any time gives C_min = inf.  A
+    curve of the plan, of probability 0 or not, that leaves the space or
+    steps between non-adjacent points raises InvalidInstanceError.
     """
     _segment_table(space, plan.curves)  # InvalidInstanceError off the space
+    return _testplan(space, plan, extra_times)
+
+
+def _testplan(
+    space: MetricMeasureSpace, plan: CurvePlan, extra_times: Sequence[float] = ()
+) -> TestPlanReport:
+    """``testplan_check`` of a plan whose curves lie on the space."""
     grid = {0.0, 1.0}
     for _, c in plan.support():
         grid.update(c.times)
@@ -169,7 +180,7 @@ def testplan_check(
     return TestPlanReport(math.isfinite(c_min), c_min, float(times[k]), x)
 
 
-_BLOCK = 256  # times per block; a block holds a (block x n_points) mass array
+_BLOCK = 256  # times per block; a block holds a few (block x n_points) arrays
 _CELLS = 1 << 15  # term x node x time cells per chunk: a 32 KB comparison array
 
 
@@ -184,22 +195,26 @@ def _marginal_sup(
 
     Each (w, curve) of the support and each shift tau, in that order, is
     a term: it adds w / len(shifts) times the occupation of the curve at
-    s = (t + tau) / scale to the mass at each time t.  A block of
-    ``_BLOCK`` times runs in chunks of at most ``_CELLS`` term x node x
-    time cells (or one term), so a chunk holds O(_CELLS) memory, and
-    ``np.add.at`` adds a chunk term by term, u before v: the sums do not
-    depend on the chunking.  Mass on a point with m = 0 has infinite
-    density.  Returns the supremum with the time index and point of its
-    first attainment in (time, point) order ((0.0, 0, -1) without mass).
+    s = (t + tau) / scale to the mass at each time t.  The exact kernel
+    runs on the times ``_screen`` keeps, a block of ``_BLOCK`` times in
+    chunks of at most ``_CELLS`` term x node x time cells (or one term),
+    so a chunk holds O(_CELLS) memory, and ``np.add.at`` adds a chunk term
+    by term, u before v: a cell's sum depends on neither, so the result is
+    that of the kernel on all times.  Mass on a point with m = 0 has
+    infinite density.  Returns the supremum with the time index and point
+    of its first attainment in (time, point) order ((0.0, 0, -1) without
+    mass).
     """
     m, n, k = space.measure, space.n_points, len(shifts)
-    table_times, table_nodes = _curve_table([c for _, c in support])
+    table_times, table_nodes = table = _curve_table([c for _, c in support])
+    w_k = [w / k for w, _ in support]
+    picks = _screen(space, table, np.array(w_k), times, np.asarray(shifts, dtype=float), scale)
     rows = np.repeat(np.arange(len(support)), k)
-    weights = np.repeat([w / k for w, _ in support], k)[:, None]
+    weights = np.repeat(w_k, k)[:, None]
     shifts = np.tile(shifts, len(support))[:, None]
     best, best_k, best_x = 0.0, 0, -1
-    for start in range(0, len(times), _BLOCK):
-        ts = times[start:start + _BLOCK]
+    for start in range(0, len(picks), _BLOCK):
+        ts = times[picks[start:start + _BLOCK]]
         cells = np.arange(len(ts)) * n
         mass = np.zeros((len(ts), n))
         step = max(1, _CELLS // (len(ts) * table_times.shape[1]))
@@ -215,8 +230,97 @@ def _marginal_sup(
         flat = int(np.argmax(dens))
         if dens.flat[flat] > best:
             best = float(dens.flat[flat])
-            best_k, best_x = divmod(start * n + flat, n)
+            at, best_x = divmod(flat, n)
+            best_k = int(picks[start + at])
     return best, best_k, best_x
+
+
+def _screen(
+    space: MetricMeasureSpace,
+    table: tuple[np.ndarray, np.ndarray],
+    weights: np.ndarray,
+    times: np.ndarray,
+    taus: np.ndarray,
+    scale: float,
+) -> np.ndarray:
+    """Indices of the times where ``_marginal_sup``'s kernel may attain its supremum.
+
+    While s = (t + tau) / scale stays in a segment [t0, t1) of a table
+    row, a term of weight w puts a_v + b t on v and w - a_v - b t on u,
+    with b = w / (scale (t1 - t0)), a_v = -b (scale t0 - tau), and b = 0
+    on a plateau (so on the last node from s = 1 on).  Each such piece
+    writes (a, b, mu, 1) at its first grid time and (-a, -b, mu, -1) past
+    its last into difference arrays, mu = w + 2 kappa b, kappa = 1 + scale
+    + max |tau| >= t, |scale t0 - tau|.  Prefix sums carried from block to
+    block give per (time, point) the mass M = A + t B, the sum R of the
+    entries' magnitudes so far, and an exact occupancy count.
+
+    Error bound (u = 2^-53, gamma_k = k u / (1 - k u); k floats summed in
+    any order err by at most gamma_k-1 times their absolute sum: Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1, 4.2).
+    Against the pieces' exact sum at s* = (t + tau) / scale, M errs by
+    gamma_8 mu per coefficient and gamma_N R for the N entries' sums,
+    ended pieces cancelling exactly.  The kernel uses the same pieces,
+    found at its rounded s; its 2K values (K terms) err by gamma_5 w each
+    and sum within gamma_2K of their total (at most R), and its s, within
+    gamma_2 s* of s*, moves a term by the slope w / (t1 - t0) <= kappa b
+    times that: delta R in all, delta = gamma_3 max s.  So E = eps R, eps
+    = gamma_2N+4K+64 + 8 u max s, bounds |kernel mass - M| with the
+    rounding of R and of hi = (M + E) / m and lo = (M - E) / m, which bound
+    the kernel's density as division rounds monotonically.  A time is kept
+    when its largest hi reaches the largest lo of all cells, or when it
+    occupies a point with m = 0; every other time is below the kernel's
+    supremum, and every time attaining it is kept.
+    """
+    (t_row, x_row), n_t, n, m, u = table, len(times), space.n_points, space.measure, 2.0**-53
+    # Per (shift, row, column) the first grid index whose s, rounded as the
+    # kernel rounds it, reaches the row's time: s is nondecreasing in the
+    # index, so steps from a search for scale x time - tau settle on it.
+    tau, top = taus[:, None, None], n_t - 1
+    first, step = np.searchsorted(times, scale * t_row - tau), 1
+    while np.any(step):
+        back = (first > 0) & ((times[np.maximum(first - 1, 0)] + tau) / scale >= t_row)
+        ahead = (first <= top) & ((times[np.minimum(first, top)] + tau) / scale < t_row)
+        step = ahead.astype(np.int64) - back
+        first += step
+    sh, r, i = np.nonzero(first[..., :-1] < first[..., 1:])  # pieces held at some grid time
+    t0, w, x0, x1 = t_row[r, i], weights[r], x_row[r, i], x_row[r, i + 1]
+    moves = x0 != x1
+    b = np.divide(w, scale * (t_row[r, i + 1] - t0), out=np.zeros(len(r)), where=moves)
+    a_v = -b * (scale * t0 - taus[sh])
+    mu = w + 2.0 * (1.0 + scale + np.abs(taus).max()) * b
+    both = lambda x, y: np.concatenate((x, y[moves]))  # v only off plateaus
+    col, a, b, mu = both(x0, x1), both(w - a_v, a_v), both(-b, b), both(mu, mu)
+    f, e = first[sh, r, i], first[sh, r, i + 1]
+    at = np.concatenate((both(f, f), both(e, e)))  # the starts, then the ends
+    del sh, r, i, t0, w, x0, x1, a_v, f, e, first  # only the entries are needed from here
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    gam = (2 * len(at) + 4 * len(taus) * len(weights) + 64) * u
+    eps = gam / (1.0 - gam) + 8.0 * u * (times[-1] + taus.max()) / scale
+    zero = m == 0
+    rows = 3 + bool(zero.any())  # occupancy counts only with a zero-mass point
+    m_pos = np.where(zero, np.inf, m)  # zero-mass points go by their counts
+    cuts = np.searchsorted(at, [*range(0, n_t, _BLOCK), n_t])
+    carry, lo, hi = np.zeros((rows, 1, n)), 0.0, []
+    for blk, start in enumerate(range(0, n_t, _BLOCK)):
+        ts, c0, c1 = times[start:start + _BLOCK], cuts[blk], cuts[blk + 1]
+        p, size = order[c0:c1], len(ts) * n
+        sg = np.where(p < len(col), 1.0, -1.0)
+        p = p % len(col)
+        cells = (at[c0:c1] - start) * n + col[p] + np.arange(rows)[:, None] * size
+        vals = np.concatenate((sg * a[p], sg * b[p], mu[p], sg)[:rows])
+        d = np.bincount(cells.ravel(), vals, minlength=rows * size).reshape(rows, len(ts), n)
+        d[:, :1] += carry
+        np.cumsum(d, axis=1, out=d)
+        carry = d[:, -1:].copy()
+        mass, spare, err = d[0], d[1], d[2]
+        mass += ts[:, None] * spare
+        err *= eps
+        lo = max(lo, float((np.subtract(mass, err, out=spare) / m_pos).max()))
+        occupied = (d[3:, :, zero] > 0.5).any(axis=(0, 2))
+        hi.append(np.where(occupied, np.inf, (np.add(mass, err, out=spare) / m_pos).max(axis=1)))
+    return np.flatnonzero(np.concatenate(hi) >= lo)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,14 @@ def test_measure_plan_validation():
             build_measure_plan(space, [mu], [1.0], q)
 
 
+def test_measure_plan_c_q_beyond_the_float_range_is_inf():
+    space = interval_space(4)
+    mu = DiscreteMeasure(((1, 1.0),))  # barycenter 4 on point 1: 4 ** q overflows
+    plan = build_measure_plan(space, [mu], [1.0], 1e6)
+    assert math.isinf(plan.c_q)
+    assert build_measure_plan(space, [mu], [1.0], 3.0).c_q == pytest.approx(4.0 * 0.25 ** (1 / 3))
+
+
 def test_plan_barycenter_by_hand():
     space = MetricMeasureSpace(3, [(0, 1, 1.0), (1, 2, 1.0)], [0.5, 0.25, 0.25])
     mu0 = DiscreteMeasure(((0, 1.0),))

@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import modcap.curves
+import modcap.gradients
+import modcap.plans
 from modcap.curves import ParametricCurve, constant_speed_reparam
 from modcap.gradients import (
+    PlanViolation,
     check_upper_gradient,
     check_w1p_pair,
     equivalence_experiment,
@@ -14,6 +18,7 @@ from modcap.gradients import (
 )
 from modcap.instance import random_walk_curve
 from modcap.plans import CurvePlan
+from modcap.plans import testplan_check as marginal_check
 from modcap.space import MetricMeasureSpace, build_grid_space
 
 
@@ -156,3 +161,27 @@ def test_equivalence_over_seeded_instances():
         rec = equivalence_experiment(space, f, g, curves, plans, 2.0)
         assert rec.modulus_of_violations == 0.0
         assert rec.implication_ok
+
+
+def test_w1p_check_builds_one_segment_table_per_plan(monkeypatch):
+    rng = np.random.default_rng(2100)
+    space = build_grid_space(4, 4, rng.uniform(0.1, 1.0, 16))
+    f = rng.uniform(0.0, 1.0, 16)
+    g = rng.uniform(0.0, 0.5, 16)
+    plans = []
+    for n_curves in (2, 3, 4):
+        w = rng.uniform(0.2, 1.0, n_curves)
+        plans.append(CurvePlan(tuple(walks(space, rng, n_curves)), tuple((w / w.sum()).tolist())))
+    expected = []
+    for plan in plans:
+        tp = marginal_check(space, plan)
+        bad = check_upper_gradient(space, f, g, plan.curves).violating
+        prob = math.fsum(plan.probabilities[i] for i in bad)
+        expected.append(PlanViolation(tp.is_test_plan, tp.c_min, prob))
+    builds = []
+    real = modcap.curves._segment_table
+    for module in (modcap.gradients, modcap.plans):
+        monkeypatch.setattr(module, "_segment_table", lambda *a: builds.append(1) or real(*a))
+    rep = check_w1p_pair(space, f, g, plans)
+    assert len(builds) == len(plans)
+    assert rep.per_plan == tuple(expected)

@@ -34,6 +34,7 @@ from modcap.plans import (
     q_energy,
     stretch_average,
 )
+from modcap import plans
 from modcap.plans import _BLOCK, _CELLS, _ROW_CELLS
 from modcap.plans import testplan_check as marginal_check
 from modcap.space import MetricMeasureSpace, build_grid_space
@@ -313,6 +314,14 @@ def test_bridge_inequality_on_random_plans():
         rep = bridge_inequality(space, plan, q)
         assert rep.ok, rep
         assert rep.c_q <= rep.rhs + 1e-6
+
+
+def test_bridge_c_q_beyond_the_float_range_is_inf():
+    # The line-measure barycenter exceeds 1 on point 1, so g ** q overflows.
+    space = chain_space(3)
+    plan = CurvePlan((ParametricCurve((0, 1, 2), (0.0, 0.5, 1.0)),), (1.0,))
+    rep = bridge_inequality(space, plan, 1e6)  # without an overflow warning
+    assert math.isinf(rep.c_q) and math.isinf(rep.energy) and rep.ok
 
 
 def scalar_testplan(space, plan, extra_times=()):
@@ -716,3 +725,119 @@ def test_upper_gradient_integrals_match_per_curve_loop():
     assert rep.violating == tuple(i for i, r in enumerate(resid) if r > 0.0)
     empty = check_upper_gradient(space, f, g, [])
     assert (empty.n_curves, empty.violating, empty.worst_residual) == (0, (), -math.inf)
+
+
+# The screen of ``_marginal_sup``: its result must equal that of the
+# exact kernel run on every time.
+
+
+def exhaustive(fn, *args):
+    """fn(*args) with the screen keeping every time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plans, "_screen", lambda space, table, weights, times, *_: np.arange(len(times)))
+        return fn(*args)
+
+
+def screen_calls(fn, *args):
+    """Per ``_marginal_sup`` call that fn(*args) makes: its arguments and the
+    indices its screen keeps."""
+    calls, real_sup, real_screen = [], plans._marginal_sup, plans._screen
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plans, "_marginal_sup", lambda *a: calls.append([a]) or real_sup(*a))
+        mp.setattr(plans, "_screen", lambda *a: calls[-1].append(real_screen(*a)) or calls[-1][-1])
+        fn(*args)
+    return calls
+
+
+def assert_screen_is_exact(fn, *args):
+    calls = screen_calls(fn, *args)
+    assert calls
+    for a, _ in calls:
+        assert plans._marginal_sup(*a) == exhaustive(plans._marginal_sup, *a)
+    return calls
+
+
+def test_screened_marginal_sup_equals_exhaustive_kernel():
+    shifted = infinite = 0
+    for s in range(18):
+        rng = np.random.default_rng(2200 + s)
+        side = 3 + s % 3
+        # Plateaus, revisits, shared breakpoints and zero-probability curves.
+        plan = revisiting_plan(build_grid_space(side, side), rng, 1 + s % 4)
+        weights = rng.uniform(0.1, 1.0, side * side)
+        # A zero-mass point: one the plan visits, or any.
+        if s % 3:
+            nodes = plan.support()[0][1].nodes if s % 3 == 1 else range(side * side)
+            weights[rng.choice(nodes)] = 0.0
+        space = build_grid_space(side, side, weights)
+        extra = rng.uniform(-0.2, 1.2, 5 + s) if s % 2 else ()
+        calls = assert_screen_is_exact(marginal_check, space, plan, extra)
+        infinite += math.isinf(plans._marginal_sup(*calls[0][0])[0])
+        eps, n_tau = (0.1, 0.25, 0.4)[s % 3], (64, 128)[s % 2]
+        try:
+            calls = assert_screen_is_exact(stretch_average, space, plan, eps, n_tau)
+        except NoBarycenterError:
+            continue
+        shifted += 1
+        assert len(calls[0][0][3]) == n_tau  # the shifted call comes first
+    assert shifted >= 10 and infinite >= 6
+
+
+def test_screen_keeps_every_time_of_a_flat_marginal():
+    # Constant curves make the marginal flat in time, and these masses tie
+    # across points: every time is kept and the first (time, point) wins.
+    space = build_grid_space(3, 3, [1, 2, 1, 2, 1, 2, 1, 2, 1])
+    plan = CurvePlan((constant_curve(7), constant_curve(4), constant_curve(2)), (0.5, 0.25, 0.25))
+    extra = np.random.default_rng(2300).uniform(0.0, 1.0, 40)
+    (call, kept), = assert_screen_is_exact(marginal_check, space, plan, extra)
+    assert np.array_equal(kept, np.arange(len(call[2])))
+    rep = marginal_check(space, plan, extra)
+    assert (rep.c_min, rep.worst_time, rep.worst_point) == (0.25, 0.0, 2)
+    for call, kept in assert_screen_is_exact(stretch_average, space, plan, 0.25, 64):
+        assert np.array_equal(kept, np.arange(len(call[2])))
+
+
+def test_screen_carries_prefix_sums_across_blocks(monkeypatch):
+    monkeypatch.setattr(plans, "_BLOCK", 7)
+    rng = np.random.default_rng(2400)
+    weights = rng.uniform(0.1, 1.0, 16)
+    weights[9] = 0.0
+    space = build_grid_space(4, 4, weights)
+    plan = revisiting_plan(space, rng, 6)
+    extra = rng.uniform(0.0, 1.0, 30)
+    calls = assert_screen_is_exact(marginal_check, space, plan, extra)
+    assert len(calls[0][0][2]) > 5 * plans._BLOCK
+    for plan in avoiding_plans(space, rng, 9, 3):
+        assert_screen_is_exact(stretch_average, space, plan, 0.25, 64)
+
+
+def test_screen_follows_the_kernels_rounding_of_shifted_times():
+    # The grid time t = (1 + eps) T - tau of breakpoint T can give back
+    # s = (t + tau) / (1 + eps) just below T; the kernel then puts a tiny
+    # mass on the node before T.  Find such a T for the smallest tau, so no
+    # other term reaches that node then.
+    eps, n_tau = 0.25, 64
+    taus = (np.arange(n_tau) + 0.5) * eps / n_tau
+    rng = np.random.default_rng(2500)
+    while True:
+        T = float(rng.uniform(0.2, 0.8))
+        t = float(((1.0 + eps) * np.array([T]) - taus)[0])
+        s = (t + taus[0]) / (1.0 + eps)
+        walk = ParametricCurve((0, 1, 2), (0.0, T, 1.0))
+        if s < T and dict(occupation_at(chain_space(5), walk, s)).get(0, 0.0) > 0.0:
+            break
+    # A falling density on point 3 holds the supremum at t = 0.
+    slide = ParametricCurve((3, 4), (0.0, 1.0))
+    plan = CurvePlan((walk, slide), (0.5, 0.5))
+    kept, edges = {}, [(i, i + 1, 1.0) for i in range(4)]
+    for m0 in (1.0, 0.0):
+        space = MetricMeasureSpace(5, edges, [m0, 1.0, 1.0, 0.05, 1.0])
+        grid = np.array([0.0, t, 1.0])
+        (call, kept[m0]), = screen_calls(
+            lambda *a: plans._marginal_sup(*a), space, plan.support(), grid, taus, 1.0 + eps
+        )
+        exact = exhaustive(plans._marginal_sup, *call)
+        assert plans._marginal_sup(*call) == exact
+        assert exact[1] in kept[m0]
+    assert 1 not in kept[1.0]  # t, far below the supremum
+    assert 1 in kept[0.0]  # the tiny mass on the zero-mass point 0 counts
