@@ -13,8 +13,8 @@ row per segment of any number of curves, holding its curve, ends,
 duration and edge length, built and validated in one pass.  The
 per-curve functions read a one-curve table; ``plans`` reads one table
 per plan.  ``_half_rows`` codes the half rule on a table, adding halves
-in segment order, u before v (``_half_weights`` is the same rule as a
-dict, for the node paths of ``families``).
+in segment order, u before v; ``families`` applies it to the steps of
+node paths.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -215,19 +215,6 @@ def constant_speed_reparam(
     arcs = list(accumulate(t.length[moves].tolist()))  # arc length at each surviving node
     times = (0.0, *(acc / total for acc in arcs[:-1]), 1.0)
     return ParametricCurve((curve.nodes[0], *t.v[moves].tolist()), times)
-
-
-def _half_weights(segments: Iterable[tuple[int, int, float]]) -> dict[int, float]:
-    """Point -> summed half masses: each (u, v, mass) gives mass / 2 to u and to v.
-
-    The rule of ``_half_rows`` as a dict, for the node paths of ``families``.
-    """
-    acc: dict[int, float] = {}
-    for u, v, mass in segments:
-        half = 0.5 * mass
-        acc[u] = acc.get(u, 0.0) + half
-        acc[v] = acc.get(v, 0.0) + half
-    return acc
 
 
 def edge_multiplicity(

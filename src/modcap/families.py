@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .curves import ParametricCurve, _half_weights, j_map, m_map
+import numpy as np
+
+from .curves import ParametricCurve, _half_rows, j_map, m_map
 from .errors import InvalidInstanceError
 from .space import DiscreteMeasure, MetricMeasureSpace
 
@@ -111,12 +113,23 @@ def path_line_measure(
     Half of each edge's length lands on each endpoint: the ``j_map`` of
     the path at any parameterization, without building the curve.
     """
-    return DiscreteMeasure.from_dict(_line_weights(space, path))
+    return DiscreteMeasure.from_array(_path_rows(space, [path])[0])
 
 
-def _line_weights(space: MetricMeasureSpace, path: tuple[int, ...]) -> dict[int, float]:
-    """Point weights of ``path_line_measure``: half-edge lengths summed per point."""
-    return _half_weights((u, v, space.edge_length(u, v)) for u, v in zip(path, path[1:]))
+def _path_rows(space: MetricMeasureSpace, paths: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Rows of n_points entries, row r ``path_line_measure`` of paths[r], from one
+    ``_half_rows`` scatter; InvalidInstanceError names the first non-edge step."""
+    sizes = np.array([len(path) for path in paths], dtype=np.int64)
+    nodes = np.fromiter((x for path in paths for x in path), np.int64, sizes.sum())
+    row = np.repeat(np.arange(len(paths)), sizes - 1)
+    at = np.arange(len(row)) + row  # node index of each step's first end
+    u, v = nodes[at], nodes[at + 1]
+    outside = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= space.n_points)
+    if outside.any() or np.isnan(length := space._edge_lengths(u, v)).any():
+        for path in paths:  # edge_length raises on the first such step
+            for a, b in zip(path, path[1:]):
+                space.edge_length(a, b)
+    return _half_rows(row, u, v, length, len(paths), space.n_points)
 
 
 def enumerate_family(

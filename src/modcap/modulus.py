@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInstanceError, SolverError
-from .families import _line_weights
+from .families import _path_rows
 from .space import DiscreteMeasure, MetricMeasureSpace
 
 __all__ = [
@@ -136,14 +136,13 @@ def _constraint_matrix(
 ) -> tuple[np.ndarray, list[int], tuple[int, ...], bool]:
     """Constraint matrix U of a family, and which measures it keeps.
 
-    Each measure is given by its (point, weight) pairs, each point once:
-    ``mu.items`` of a ``DiscreteMeasure``, or ``_line_weights(...).items()``
-    of a path.  Row r of U is the r-th kept measure on the positive-mass
-    columns, written with all other rows in one scatter.  Returns U, the
-    kept indices, the dropped ones (measures that charge a zero-mass
-    point, met for free) and whether a zero measure (no pairs) is
-    present.  Raises InvalidInstanceError naming the first measure that
-    charges a point outside the space.
+    Each measure is given by its (point, weight) pairs, each point once,
+    as in ``mu.items`` of a ``DiscreteMeasure``.  Row r of U is the r-th
+    kept measure on the positive-mass columns, written with all other
+    rows in one scatter.  Returns U, the kept indices, the dropped ones
+    (measures that charge a zero-mass point, met for free) and whether a
+    zero measure (no pairs) is present.  Raises InvalidInstanceError
+    naming the first measure that charges a point outside the space.
     """
     rows = [tuple(row) for row in measures]
     pairs = [pair for row in rows for pair in row]
@@ -202,12 +201,20 @@ class _PlanProblem:
     brackets the modulus between the plan's content^p = phi^(1-p) and the
     energy ||f / s||_p^p = phi / s^p: the relative width of the bracket
     is 1 - (s / phi)^p.
+
+    At q = 2 (p = 2) phi = sum (wU)^2 / m is quadratic: its Hessian
+    2 U diag(1/m) U^T is fixed, and ``hessian`` keeps the Gram entries it
+    has computed.  ``gram``, from ``kept_gram``, seeds them.
     """
 
-    def __init__(self, space: MetricMeasureSpace, U: np.ndarray, p: float):
+    def __init__(self, space: MetricMeasureSpace, U: np.ndarray, p: float, gram=None):
         self.space, self.U, self.p = space, U, p
         self.q = p / (p - 1.0)
         self.mpos = space.measure[space.positive_mask]
+        # Rows with known Gram entries in the order they came, and each row's place.
+        self._known, self._gram = gram or (np.zeros(0, np.intp), np.zeros((0, 0)))
+        self._pos = np.full(len(U), -1)
+        self._pos[self._known] = np.arange(len(self._known))
 
     def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray, float]:
         """phi, the constraint values G and the bracket gap at w."""
@@ -231,12 +238,35 @@ class _PlanProblem:
         return G, max(1.0 - (s / phi) ** self.p, 0.0) if s > 0 else 1.0
 
     def hessian(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Hessian of phi at w, restricted to the rows of the mask ``rows``."""
+        """Hessian of phi at w, restricted to the rows of the mask ``rows``.
+
+        At q = 2 each row's entries are computed once, when first asked for,
+        against the rows known by then; a call returns a fresh slice of them.
+        """
+        if self.q == 2.0:
+            new, n = np.flatnonzero(rows & (self._pos < 0)), len(self._known)
+            if new.size:
+                scale, Vn = np.sqrt(2.0 / self.mpos), self.U[new]
+                Vn *= scale  # scaled in place: one temporary of the new rows' size
+                gram = np.empty((n + new.size,) * 2)
+                gram[:n, :n], gram[n:, n:] = self._gram, Vn @ Vn.T
+                Vn *= scale  # now U[new] * 2 / m, against the unscaled known rows
+                gram[n:, :n] = Vn @ self.U[self._known].T
+                gram[:n, n:] = gram[n:, :n].T
+                self._pos[new] = np.arange(n, n + new.size)
+                self._known, self._gram = np.concatenate([self._known, new]), gram
+            at = self._pos[rows]
+            return self._gram[np.ix_(at, at)]
         q, h = self.q, (w @ self.U) / self.mpos
         coef = q * (q - 1.0) * np.maximum(h, 1e-12 * h.max()) ** (q - 2.0) / self.mpos
         Ur = self.U[rows]  # a copy, scaled in place: one temporary of this size
         Ur *= np.sqrt(coef)
         return Ur @ Ur.T
+
+    def kept_gram(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``gram`` for a problem whose U starts with the rows of the mask ``keep``."""
+        at = self._pos[keep]
+        return np.flatnonzero(at >= 0), self._gram[np.ix_(at[at >= 0], at[at >= 0])]
 
     def solve(
         self, w: np.ndarray, gap_tol: float, max_iter: int
@@ -850,8 +880,9 @@ def solve_modulus_paths(
     ``dual_value`` and ``gap`` bracket the modulus of the whole family.
     Otherwise the round drops the working paths at plan weight exactly 0
     and adds every violated path not yet present: U keeps its surviving
-    rows in one copy, and ``_constraint_matrix`` writes the new paths'
-    line measures below them.  Dropping inactive
+    rows in one copy, one ``_path_rows`` scatter writes the new paths'
+    line measures below them, and at p = 2 the surviving rows' block of
+    the fixed Hessian is carried over (see ``_PlanProblem``).  Dropping inactive
     constraints leaves the working problem's unique optimal f unchanged,
     and each added path is violated by that f, so the working modulus
     rises strictly every round and no working set repeats.  Each round
@@ -886,12 +917,12 @@ def solve_modulus_paths(
         return replace(_trivial_solution(space, 1, (), True), paths=probe[:1])
 
     # Oracle paths have an edge and avoid zero-mass points: no row is dropped.
-    working = [probe[0]]
-    U = _constraint_matrix(space, [_line_weights(space, probe[0]).items()])[0]
-    w = np.ones(1)
+    working, msk = [probe[0]], space.positive_mask
+    U = _path_rows(space, working)[:, msk]
+    w, gram = np.ones(1), None
     total_it = 0
     for outer in range(1, max_outer + 1):
-        prob = _PlanProblem(space, U, p)
+        prob, gram = _PlanProblem(space, U, p, gram), None  # the block has one holder
         if outer > 1:  # polish the previous optimum, new paths at weight 0
             w = prob.polish(w, *prob.evaluate(w))[0]
         w, it = prob.solve(w, gap_tol, max_iter=100000)
@@ -918,11 +949,10 @@ def solve_modulus_paths(
             )
         keep = w > 0
         n_keep = int(keep.sum())
+        gram, prob = prob.kept_gram(keep), None  # the old Gram goes before U grows
         U_next = np.empty((n_keep + len(new), U.shape[1]))  # one copy of U per round
         np.compress(keep, U, axis=0, out=U_next[:n_keep])
-        U_next[n_keep:] = _constraint_matrix(
-            space, (_line_weights(space, pth).items() for pth in new)
-        )[0]
+        np.compress(msk, _path_rows(space, new), axis=1, out=U_next[n_keep:])
         U = U_next
         working = [path for path, k in zip(working, keep) if k] + new
         w = np.concatenate([w[keep], np.zeros(len(new))])

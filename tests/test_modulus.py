@@ -424,10 +424,11 @@ def test_grid16_certifies_in_few_rounds():
 
 @pytest.mark.parametrize("n_null", [0, 1])
 def test_path_rows_match_the_constraint_matrix_builder(n_null):
-    # The path solver builds rows from each path's line weights; they must
-    # equal, bit for bit, the rows built from its line measure, and no
-    # oracle path is dropped.
-    from modcap.families import _line_weights
+    # The path solver builds all rows of a round with one scatter; they
+    # must equal, bit for bit, the rows built from each path's line
+    # measure and the half-edge lengths summed per point in step order,
+    # and no oracle path is dropped.
+    from modcap.families import _path_rows
     from modcap.modulus import _cheapest_paths, _constraint_matrix
 
     for seed in range(4):
@@ -442,16 +443,89 @@ def test_path_rows_match_the_constraint_matrix_builder(n_null):
             if len(path) > 1 and cost < math.inf
         ]
         assert len(paths) > 30
+        rows = _path_rows(space, paths)
         U, kept, dropped, has_zero = _constraint_matrix(
-            space, [_line_weights(space, path).items() for path in paths]
-        )
-        ref = _constraint_matrix(
             space, [path_line_measure(space, path).items for path in paths]
         )
         assert (kept, dropped, has_zero) == (list(range(len(paths))), (), False)
-        assert ref[1:] == (kept, dropped, has_zero)
         assert U.shape == (len(paths), space.n_points - n_null)
-        assert U.tobytes() == ref[0].tobytes()
+        assert not rows[:, null].any()
+        assert rows[:, ~null].tobytes() == U.tobytes()
+        ref = np.zeros_like(rows)
+        for r, path in enumerate(paths):
+            for a, b in zip(path, path[1:]):
+                half = 0.5 * space.edge_length(a, b)
+                ref[r, a] += half
+                ref[r, b] += half
+        assert rows.tobytes() == ref.tobytes()
+
+
+def test_non_adjacent_path_names_the_pair():
+    from modcap.families import _path_rows
+
+    space = interval_space(5)
+    assert path_line_measure(space, (2,)).items == ()
+    for path in ((0, 1, 3, 4), (0, 1, 1), (0, 1, 7), (4, 3, -1)):
+        pair = f"points {path[1]} and {path[2]} are not adjacent"
+        with pytest.raises(InvalidInstanceError, match=pair):
+            path_line_measure(space, path)
+    with pytest.raises(InvalidInstanceError, match=r"points 2 and 0 are not adjacent"):
+        _path_rows(space, [(0, 1, 2), (3, 2, 0), (4, 2)])
+
+
+def test_fixed_hessian_at_p2_is_a_cached_gram(monkeypatch):
+    # At p = 2 the Hessian of phi is 2 U diag(1/m) U^T for every w.  Each
+    # call returns a fresh, exactly symmetric slice of a Gram matrix that
+    # grows with the rows asked for; a path round carries the kept rows'
+    # block of it into the next round's problem.
+    from modcap.modulus import _constraint_matrix, _PlanProblem
+
+    inst = generate_random_instance(2, n_points=60, n_measures=90, n_null_points=2)
+    measures = inst.families["random"].measures
+    U, kept, _, _ = _constraint_matrix(inst.space, [mu.items for mu in measures])
+    prob = _PlanProblem(inst.space, U, 2.0)
+    scale = np.sqrt(2.0 / prob.mpos)
+    rng = np.random.default_rng(0)
+    k = len(kept)
+    masks = [rng.random(k) < 0.2]
+    masks.append(masks[0] | (rng.random(k) < 0.3))  # grow
+    masks.append(masks[1] & (rng.random(k) < 0.5))  # shrink
+    masks.append(masks[2] | (rng.random(k) < 0.6))  # grow again
+    masks.append(np.ones(k, bool))
+    for rows in masks:
+        V = U[rows] * scale
+        ref = V @ V.T
+        H = [prob.hessian(rng.dirichlet(np.ones(k)), rows) for _ in range(2)]
+        for Hw in H:
+            assert np.abs(Hw - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.array_equal(Hw, Hw.T)
+        assert np.array_equal(H[0], H[1])
+        H[0][np.diag_indices(len(ref))] += 1.0  # as face_newton shifts it
+        assert np.array_equal(prob.hessian(None, rows), H[1])
+
+    # The block each path round hands on is the Gram of those rows of its U.
+    from modcap.space import build_grid_space, grid_node
+
+    space = build_grid_space(10, 10, rng.uniform(0.1, 1.0, 100))
+    scale = np.sqrt(2.0 / space.measure)
+    init, carried = _PlanProblem.__init__, []
+
+    def recorded(self, space, U, p, gram=None):
+        init(self, space, U, p, gram)
+        if gram is not None:
+            carried.append((U, *gram))
+
+    monkeypatch.setattr(_PlanProblem, "__init__", recorded)
+    left = [grid_node(10, 0, y) for y in range(10)]
+    right = [grid_node(10, 9, y) for y in range(10)]
+    sol = solve_modulus_paths(space, left, right, 2.0)
+    assert len(carried) == sol.outer_iterations - 1 > 3
+    assert sum(len(rows) for _, rows, _ in carried) > 0
+    for U, rows, block in carried:
+        V = U[rows] * scale
+        ref = V @ V.T
+        assert np.abs(block - ref).max(initial=0.0) <= 1e-13 * np.abs(ref).max(initial=0.0)
+        assert np.array_equal(block, block.T)
 
 
 def test_constraint_matrix_rows_match_dense_measures():
