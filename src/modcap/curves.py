@@ -114,7 +114,10 @@ def _segment_table(space: MetricMeasureSpace, curves: Sequence[ParametricCurve])
     if np.isnan(length).any():
         _reject(space, curves)
     start = np.concatenate(([0], np.cumsum(sizes - 1)))
-    return _Segments(start, curve, u, v, times[at + 1] - times[at], length)
+    table = _Segments(start, curve, u, v, times[at + 1] - times[at], length)
+    for a in table:  # read-only, so that a plan can carry its table
+        a.setflags(write=False)
+    return table
 
 
 def _reject(space: MetricMeasureSpace, curves: Sequence[ParametricCurve]) -> None:
@@ -359,16 +362,31 @@ def _windows(curve: ParametricCurve, a: np.ndarray, b: np.ndarray) -> list[Param
     u, v, theta = _table_occupation(*_curve_table([curve]), np.concatenate((a, b))[None])
     ends = np.where(theta < 0.5, u, v)[0].tolist()
     first, stop = np.searchsorted(times, a, side="right"), np.searchsorted(times, b)
-    pieces = []
+    nodes, out_times = [], []
     for i, (s, e) in enumerate(zip(a.tolist(), b.tolist())):
-        inner = range(first[i], stop[i])
-        nodes = (ends[i], *(curve.nodes[j] for j in inner), ends[len(a) + i])
-        if len(nodes) == 2 and nodes[0] == nodes[1]:
-            pieces.append(constant_curve(nodes[0]))
-        else:
-            out_times = (0.0, *((times[j] - s) / (e - s) for j in inner), 1.0)
-            pieces.append(ParametricCurve(nodes, out_times))
-    return pieces
+        nodes.append((ends[i], *curve.nodes[first[i]:stop[i]], ends[len(a) + i]))
+        out_times.append((0.0, *((t - s) / (e - s) for t in times[first[i]:stop[i]]), 1.0))
+    return _derived(nodes, out_times)
+
+
+def _derived(nodes: list[tuple], times: list[tuple]) -> list[ParametricCurve]:
+    """Curves cut or retimed from curves on a space (Python ints and floats),
+    unchecked but for one pass over all times: rounded times that collide (or
+    pass 1.0) are moved apart by ulps."""
+    sizes = [len(ts) for ts in times]
+    ok = np.diff(np.fromiter(chain.from_iterable(times), float, sum(sizes))) > 0
+    ok[np.cumsum(sizes)[:-1] - 1] = True  # one curve's 1.0, the next one's 0.0
+    for i in set(np.repeat(np.arange(len(times)), sizes)[1:][~ok].tolist()):
+        ts = list(times[i])  # lift each time above the last, then lower it below the next
+        for k in range(1, len(ts) - 1):
+            ts[k] = max(ts[k], math.nextafter(ts[k - 1], 1.0))
+        for k in range(len(ts) - 2, 0, -1):
+            ts[k] = min(ts[k], math.nextafter(ts[k + 1], 0.0))
+        times[i] = tuple(ts)
+    curves = [object.__new__(ParametricCurve) for _ in nodes]
+    for c, ns, ts in zip(curves, nodes, times):
+        c.__dict__.update(nodes=ns, times=ts)  # frozen: no __setattr__
+    return curves
 
 
 def curves_equivalent(

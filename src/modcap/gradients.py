@@ -19,7 +19,7 @@ import numpy as np
 from .curves import ParametricCurve, j_map, _line_integrals, _segment_table
 from .errors import InvalidInstanceError
 from .modulus import _check_limits, solve_modulus_explicit
-from .plans import CurvePlan, _testplan
+from .plans import CurvePlan, _plan_table, _testplan
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -60,6 +60,12 @@ def check_upper_gradient(
     f must be finite; g may be +inf (an infinite upper gradient) but not
     negative or NaN.
     """
+    return _check_gradient(space, f, g, tol, _segment_table, curves)
+
+
+def _check_gradient(space: MetricMeasureSpace, f, g, tol, table, source) -> GradientCheckReport:
+    """``check_upper_gradient`` of the curves of ``table(space, source)``, the
+    segment table of a curve list or a plan, made once f and g are valid."""
     _check_limits(tol)
     fv = np.asarray(f, dtype=float)
     gv = np.asarray(g, dtype=float)
@@ -69,11 +75,11 @@ def check_upper_gradient(
         raise InvalidInstanceError("f must be finite")
     if not np.all(gv >= 0):  # also false on NaN
         raise InvalidInstanceError("upper gradient candidates must be nonnegative, not NaN")
-    t = _segment_table(space, curves)  # InvalidInstanceError off the space
+    t = table(space, source)  # InvalidInstanceError off the space
     first, last = t.u[t.start[:-1]], t.v[t.start[1:] - 1]  # each curve's ends
     resid = (np.abs(fv[last] - fv[first]) - _line_integrals(t, gv)).tolist()
     bad = tuple(i for i, r in enumerate(resid) if r > tol)
-    return GradientCheckReport(len(curves), len(bad), bad, max(resid, default=-math.inf), tol)
+    return GradientCheckReport(len(resid), len(bad), bad, max(resid, default=-math.inf), tol)
 
 
 def modulus_of_violating_family(
@@ -133,8 +139,9 @@ def check_w1p_pair(
     if not plans:
         warnings.append("no plans supplied; vacuous pass")
     for idx, plan in enumerate(plans):
-        rep = check_upper_gradient(space, f, g, plan.curves, tol)  # one segment table
-        tp = _testplan(space, plan)
+        rep = _check_gradient(space, f, g, tol, _plan_table, plan)  # at most one table
+        born = plan._born or (None,) * 3  # a stretched plan carries its report
+        tp = born[2] if born[0] is space and born[2] else _testplan(space, plan)
         prob = math.fsum(plan.probabilities[i] for i in rep.violating)
         entries.append(PlanViolation(tp.is_test_plan, tp.c_min, prob))
         if not tp.is_test_plan:

@@ -17,13 +17,15 @@ curves (``curves._segment_table``), validated in one pass, and reads
 barycenters, the line-measure c_q, energies and speeds off that table
 for all curves at once.  A point's barycenter sums its halves in
 segment order within a curve and adds the curves in plan order, the
-order of a loop over the curves.
+order of a loop over the curves.  A plan that ``stretch_average`` or
+``improve_barycenter`` builds is born validated and carries its table for its
+space (``_plan_table``); a plan the caller builds is validated on every call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
@@ -35,6 +37,7 @@ from .curves import (
     _Segments,
     _check_energy_exponent,
     _curve_table,
+    _derived,
     _edges,
     _energies,
     _half_rows,
@@ -67,15 +70,26 @@ class CurvePlan:
 
     curves: tuple[ParametricCurve, ...]
     probabilities: tuple[float, ...]
+    # (space, table, test-plan report or None) of a plan built on that space
+    _born: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_probabilities(self.curves, self.probabilities, "curve")
+
+    def __getstate__(self) -> dict:  # pickled without its table
+        return {"curves": self.curves, "probabilities": self.probabilities}
 
     def support(self):
         """Pairs (probability, curve) with positive probability."""
         return [
             (w, c) for w, c in zip(self.probabilities, self.curves) if w > 0
         ]
+
+
+def _plan_table(space: MetricMeasureSpace, plan: CurvePlan) -> _Segments:
+    """The table the plan was born with on the space, or one built and validated now."""
+    born = plan._born
+    return born[1] if born and born[0] is space else _segment_table(space, plan.curves)
 
 
 _ROW_CELLS = 1 << 12  # curve x point cells per chunk of _plan_density: 32 KB arrays
@@ -117,7 +131,7 @@ def _lipschitz(t: _Segments, probs: Sequence[float]) -> float:
 
 def plan_lipschitz(space: MetricMeasureSpace, plan: CurvePlan) -> float:
     """Largest segment speed over the support curves."""
-    return _lipschitz(_segment_table(space, plan.curves), plan.probabilities)
+    return _lipschitz(_plan_table(space, plan), plan.probabilities)
 
 
 def parametric_barycenter(space: MetricMeasureSpace, plan: CurvePlan) -> np.ndarray:
@@ -127,14 +141,13 @@ def parametric_barycenter(space: MetricMeasureSpace, plan: CurvePlan) -> np.ndar
     of the occupation measures under the plan's probabilities.  Raises
     NoBarycenterError if occupation mass sits on a zero-mass point.
     """
-    t = _segment_table(space, plan.curves)
-    return _plan_density(space, t, plan.probabilities)
+    return _plan_density(space, _plan_table(space, plan), plan.probabilities)
 
 
 def q_energy(space: MetricMeasureSpace, plan: CurvePlan, q: float) -> float:
     """Plan-averaged q-energy of the support curves (inf beyond the float range)."""
     _check_energy_exponent(q)
-    return _energy(_segment_table(space, plan.curves), plan.probabilities, q)
+    return _energy(_plan_table(space, plan), plan.probabilities, q)
 
 
 @dataclass(frozen=True)
@@ -163,7 +176,7 @@ def testplan_check(
     curve of the plan, of probability 0 or not, that leaves the space or
     steps between non-adjacent points raises InvalidInstanceError.
     """
-    _segment_table(space, plan.curves)  # InvalidInstanceError off the space
+    _plan_table(space, plan)  # InvalidInstanceError off the space
     return _testplan(space, plan, extra_times)
 
 
@@ -364,29 +377,29 @@ def improve_barycenter(
     if not (eps > 0 and math.isfinite(eps)):
         raise InvalidInstanceError(f"eps must be a positive real, got {eps}")
     q = _check_p(q, "q")
-    t = _segment_table(space, plan.curves)
+    t = _plan_table(space, plan)
     g = _plan_density(space, t, plan.probabilities)
     h = 1.0 / np.maximum(eps, g)
 
-    new_curves: list[ParametricCurve] = []
-    weighted: list[float] = []  # rho G per support curve
+    nodes, new_times, weighted = [], [], []  # weighted: rho G per support curve
     rates, bounds = (t.dt * np.minimum(h[t.u], h[t.v])).tolist(), t.start.tolist()
     for k, (w, c) in enumerate(zip(plan.probabilities, plan.curves)):
         if w == 0:
             continue
         spans = rates[bounds[k]:bounds[k + 1]]
         total = math.fsum(spans)
-        new_times = (0.0, *(acc / total for acc in accumulate(spans[:-1])), 1.0)
-        new_curves.append(ParametricCurve(c.nodes, new_times))
+        new_times.append((0.0, *(acc / total for acc in accumulate(spans[:-1])), 1.0))
+        nodes.append(c.nodes)
         weighted.append(w * total)
 
     z = math.fsum(weighted)
     new_probs = [wg / z for wg in weighted]
     drift = math.fsum(new_probs)
     new_probs = [w / drift for w in new_probs]
-    out = CurvePlan(tuple(new_curves), tuple(new_probs))
+    out = CurvePlan(tuple(_derived(nodes, new_times)), tuple(new_probs))
 
     t_out = _segment_table(space, out.curves)
+    object.__setattr__(out, "_born", (space, t_out, None))
     new_bary = _plan_density(space, t_out, out.probabilities)
     sup_new = float(new_bary.max(initial=0.0))
     lip = _lipschitz(t, plan.probabilities)
@@ -451,7 +464,7 @@ def stretch_average(
     if not (0.0 < eps < 0.5):
         raise InvalidInstanceError(f"stretch parameter must lie in (0, 1/2), got {eps}")
     _check_count(n_tau, "n_tau")
-    t = _segment_table(space, plan.curves)
+    t = _plan_table(space, plan)
     c_in = float(_plan_density(space, t, plan.probabilities).max(initial=0.0))
     taus = (np.arange(n_tau) + 0.5) * eps / n_tau
 
@@ -479,7 +492,8 @@ def stretch_average(
     dtau = eps / n_tau
     corr = float(np.max(dtau / (2.0 * eps) * tv / space.measure[msk], initial=0.0))
     bound = c_in * (1.0 + eps) / eps
-    report = testplan_check(space, out)
+    report = _testplan(space, out)
+    object.__setattr__(out, "_born", (space, _segment_table(space, out.curves), report))
     return StretchResult(
         plan=out,
         c_in=c_in,
@@ -534,7 +548,7 @@ def bridge_inequality(
     plan has c_q at most (q-energy of the plan)^(1/q) * (sup h)^(1/p),
     h the parametric barycenter and p the conjugate exponent.
     """
-    t = _segment_table(space, plan.curves)
+    t = _plan_table(space, plan)
     q = _check_p(q, "q")
     c_q = _lq_norm(space, _plan_density(space, t, plan.probabilities, line=True), q)
     energy = _energy(t, plan.probabilities, q)

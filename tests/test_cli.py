@@ -487,3 +487,25 @@ def test_curve_node_outside_the_space_exits_2(tmp_path, capsys, nodes):
     path.write_text(json.dumps(doc))
     assert main(["plan", "check", "--instance", str(path)]) == 2
     assert "invalid input: curves['a']:" in capsys.readouterr().err
+
+
+def test_plan_stretch_of_breakpoints_an_ulp_apart_exits_0(tmp_path, capsys):
+    # Two breakpoints one ulp apart collided in a stretch window, and the
+    # valid plan was reported as invalid input (exit 2).
+    import math
+
+    from modcap.curves import ParametricCurve
+    from modcap.instance import Instance, NamedPlan, save_instance
+    from modcap.plans import CurvePlan
+    from modcap.space import build_grid_space
+
+    t = float.fromhex("0x1.a4b11fbee8d2ep-1")
+    c = ParametricCurve((0, 1, 2, 3), (0.0, t, math.nextafter(t, 1.0), 1.0))
+    path = tmp_path / "ulps.json"
+    save_instance(Instance("ulps", build_grid_space(4, 1), curves={"c": c},
+                           plans={"p": NamedPlan(("c",), CurvePlan((c,), (1.0,)))}), path)
+    out = tmp_path / "stretched.json"
+    assert main(["plan", "stretch", "--instance", str(path), "--eps", "0.40160970597833545",
+                 "--n-tau", "3", "--out", str(out)]) == 0
+    assert "p.stretch" in load_instance(out).plans
+    capsys.readouterr()

@@ -185,3 +185,11 @@ def test_w1p_check_builds_one_segment_table_per_plan(monkeypatch):
     rep = check_w1p_pair(space, f, g, plans)
     assert len(builds) == len(plans)
     assert rep.per_plan == tuple(expected)
+    # A stretch_average output carries its table and test-plan report.
+    stretched = [modcap.plans.stretch_average(space, plan, 0.25, 8).plan for plan in plans]
+    copies = [CurvePlan(plan.curves, plan.probabilities) for plan in stretched]
+    del builds[:]
+    rep = check_w1p_pair(space, f, g, stretched)
+    assert builds == []
+    assert rep == check_w1p_pair(space, f, g, copies)
+    assert len(builds) == len(plans)

@@ -841,3 +841,191 @@ def test_screen_follows_the_kernels_rounding_of_shifted_times():
         assert exact[1] in kept[m0]
     assert 1 not in kept[1.0]  # t, far below the supremum
     assert 1 in kept[0.0]  # the tiny mass on the zero-mass point 0 counts
+
+
+def ulp_apart_curve(t_hex):
+    """A 4-point chain curve with two breakpoints one ulp apart at t."""
+    t = float.fromhex(t_hex)
+    return ParametricCurve((0, 1, 2, 3), (0.0, t, math.nextafter(t, 1.0), 1.0))
+
+
+def assert_valid_curves(curves):
+    for c in curves:
+        assert all(b > a for a, b in zip(c.times, c.times[1:]))
+        assert ParametricCurve(c.nodes, c.times) == c  # the checked constructor agrees
+
+
+def test_stretch_of_breakpoints_an_ulp_apart_keeps_times_increasing():
+    # Two source times that map to one window time after rounding made
+    # the piece's times collide, and stretch_average raised
+    # "curve times must be strictly increasing" on a valid plan.
+    space = build_grid_space(4, 1)
+    c = ulp_apart_curve("0x1.a4b11fbee8d2ep-1")
+    eps, n_tau = 0.40160970597833545, 3
+    res = stretch_average(space, CurvePlan((c,), (1.0,)), eps, n_tau)
+    assert res.marginal_ok
+    assert_valid_curves(res.plan.curves)
+    taus = (np.arange(n_tau) + 0.5) * eps / n_tau
+    collided = 0
+    for a, b in zip((taus / (1 + eps)).tolist(), ((1 + taus) / (1 + eps)).tolist()):
+        inner = [(t - a) / (b - a) for t in c.times if a < t < b]
+        collided += len(set(inner)) < len(inner)
+        piece = stretch(space, c, a, b)
+        assert_valid_curves([piece])
+        # Repaired times move by at most an ulp each.
+        assert all(abs(x - y) <= math.ulp(y) for x, y in zip(piece.times[1:-1], inner))
+    assert collided
+
+
+def test_stretch_window_time_rounding_to_one_is_lowered_below_it():
+    # A breakpoint one ulp below a window's end maps to 1.0 after
+    # rounding: the backward pass from 1.0 moves it below.
+    space = build_grid_space(4, 1)
+    t = float.fromhex("0x1.d9e2c4907970ap-1")
+    c = ParametricCurve((0, 1, 2, 3), (0.0, 0.1, t, 1.0))
+    eps = float.fromhex("0x1.b234a6727ef13p-2")
+    res = stretch_average(space, CurvePlan((c,), (1.0,)), eps, 2)
+    assert_valid_curves(res.plan.curves)
+    assert (0.0, math.nextafter(1.0, 0.0), 1.0) in [p.times for p in res.plan.curves]
+
+
+def test_improve_barycenter_of_colliding_partial_sums_keeps_times_increasing():
+    space = build_grid_space(4, 1)
+    plan = CurvePlan((ulp_apart_curve("0x1.63d844b93b950p-4"),), (1.0,))
+    res = improve_barycenter(space, plan, 2.0, 0.1)
+    assert_valid_curves(res.plan.curves)
+    assert res.barycenter_ok
+
+
+@pytest.mark.parametrize(
+    "times, expected",
+    [
+        ((0.0, 0.5, 0.5, 0.5, 1.0), (0.0, 0.5, 0.5000000000000001, 0.5000000000000002, 1.0)),
+        ((0.0, 1.0, 1.0), (0.0, 0.9999999999999999, 1.0)),
+        ((0.0, 0.25, 1.0, 1.0), (0.0, 0.25, 0.9999999999999999, 1.0)),
+        ((0.0, 1.0000000000000002, 1.0), (0.0, 0.9999999999999999, 1.0)),
+        ((0.0, 0.0, 0.75, 1.0), (0.0, 5e-324, 0.75, 1.0)),
+        ((0.0, 0.25, 0.75, 1.0), (0.0, 0.25, 0.75, 1.0)),
+    ],
+)
+def test_derived_curves_move_colliding_times_apart_by_ulps(times, expected):
+    from modcap.curves import _derived
+
+    nodes = tuple(range(len(times)))
+    (fixed,) = _derived([nodes], [times])
+    assert fixed.nodes == nodes and fixed.times == expected
+
+
+def test_stretch_and_improve_build_no_checked_curves(monkeypatch):
+    space = build_grid_space(4, 4)
+    plan = walk_plan(space, np.random.default_rng(2400), 3)
+    calls = []
+    real = ParametricCurve.__post_init__
+    monkeypatch.setattr(ParametricCurve, "__post_init__", lambda c: calls.append(1) or real(c))
+    res = stretch_average(space, plan, 0.25, n_tau=16)
+    improve_barycenter(space, res.plan, 2.0, 0.1)
+    assert calls == []
+    assert_valid_curves(res.plan.curves)
+
+
+def count_tables(monkeypatch):
+    """A list that gets one entry per segment table built by plans or gradients."""
+    import modcap.gradients
+
+    builds = []
+    real = plans._segment_table
+    for module in (modcap.gradients, plans):
+        monkeypatch.setattr(module, "_segment_table", lambda *a: builds.append(1) or real(*a))
+    return builds
+
+
+def test_a_plan_op_builds_three_segment_tables(monkeypatch):
+    # stretch_average tables its input and output; the w1p check, the
+    # improvement and the bridge read the tables the plans were born with.
+    space = build_grid_space(4, 4)
+    rng = np.random.default_rng(2500)
+    plan = walk_plan(space, rng, 3)
+    f, g = rng.uniform(0.0, 1.0, 16), np.full(16, 10.0)
+    builds = count_tables(monkeypatch)
+    res = stretch_average(space, plan, 0.25, n_tau=16)
+    assert len(builds) == 2
+    w1p = check_w1p_pair(space, f, g, [res.plan])
+    imp = improve_barycenter(space, res.plan, 2.0, 0.1)
+    assert len(builds) == 3
+    bridge = bridge_inequality(space, imp.plan, 2.0)
+    assert len(builds) == 3
+    # The same numbers from caller-built copies, which are tabled every call.
+    stretched = CurvePlan(res.plan.curves, res.plan.probabilities)
+    improved = CurvePlan(imp.plan.curves, imp.plan.probabilities)
+    assert check_w1p_pair(space, f, g, [stretched]) == w1p
+    assert w1p.per_plan[0].c_min == res.output_c_min
+    again = improve_barycenter(space, stretched, 2.0, 0.1)
+    assert again.plan == imp.plan and again.new_barycenter.tobytes() == imp.new_barycenter.tobytes()
+    assert bridge_inequality(space, improved, 2.0) == bridge
+    assert len(builds) == 3 + 1 + 2 + 1
+
+
+def test_caller_built_plans_are_tabled_on_every_call(monkeypatch):
+    space = build_grid_space(4, 4)
+    rng = np.random.default_rng(2600)
+    plan = walk_plan(space, rng, 3)
+    f, g = rng.uniform(0.0, 1.0, 16), np.full(16, 10.0)
+    builds = count_tables(monkeypatch)
+    for k in range(1, 3):
+        check_w1p_pair(space, f, g, [plan])
+        marginal_check(space, plan)
+        bridge_inequality(space, plan, 2.0)
+        assert len(builds) == 3 * k
+    assert plan._born is None
+
+
+def test_carried_table_is_read_only_and_bound_to_its_space():
+    space = build_grid_space(4, 4)
+    rng = np.random.default_rng(2700)
+    res = stretch_average(space, walk_plan(space, rng, 3), 0.25, n_tau=8)
+    born_space, table, report = res.plan._born
+    assert born_space is space and report.c_min == res.output_c_min
+    assert not any(a.flags.writeable for a in table)
+    assert plans._plan_table(space, res.plan) is table
+    # An equal space is another object: the plan is tabled again.
+    twin = build_grid_space(4, 4)
+    assert plans._plan_table(twin, res.plan) is not table
+    # A space the curves leave still rejects them.
+    small = build_grid_space(2, 2)
+    f, g = np.zeros(4), np.ones(4)
+    with pytest.raises(InvalidInstanceError, match="not a point of the space"):
+        check_w1p_pair(small, f, g, [res.plan])
+    with pytest.raises(InvalidInstanceError, match="not a point of the space"):
+        marginal_check(small, res.plan)
+
+
+def test_replaced_plan_carries_no_stale_report():
+    import dataclasses
+
+    space = build_grid_space(4, 4)
+    rng = np.random.default_rng(2800)
+    res = stretch_average(space, walk_plan(space, rng, 3), 0.25, n_tau=8)
+    w = rng.uniform(0.2, 1.0, len(res.plan.curves))
+    probs = tuple((w / w.sum()).tolist())
+    moved = dataclasses.replace(res.plan, probabilities=probs)
+    assert moved._born is None
+    fresh = marginal_check(space, CurvePlan(res.plan.curves, probs))
+    rep = check_w1p_pair(space, np.zeros(16), np.zeros(16), [moved])
+    assert rep.per_plan[0].c_min == fresh.c_min != res.output_c_min
+
+
+def test_born_plans_compare_hash_print_and_pickle_as_caller_built_ones():
+    import pickle
+
+    space = build_grid_space(4, 4)
+    rng = np.random.default_rng(2900)
+    res = stretch_average(space, walk_plan(space, rng, 3), 0.25, n_tau=8)
+    imp = improve_barycenter(space, res.plan, 2.0, 0.1)
+    for born in (res.plan, imp.plan):
+        plain = CurvePlan(born.curves, born.probabilities)
+        assert born._born is not None
+        assert born == plain and hash(born) == hash(plain)
+        assert repr(born) == repr(plain) and "_born" not in repr(born)
+        assert pickle.dumps(born) == pickle.dumps(plain)
+        back = pickle.loads(pickle.dumps(born))
+        assert back == born and back._born is None
