@@ -60,12 +60,12 @@ def check_upper_gradient(
     f must be finite; g may be +inf (an infinite upper gradient) but not
     negative or NaN.
     """
-    return _check_gradient(space, f, g, tol, _segment_table, curves)
+    fv, gv = _checked_pair(space, f, g, tol)  # before the table
+    return _check_gradient(fv, gv, tol, _segment_table(space, curves))
 
 
-def _check_gradient(space: MetricMeasureSpace, f, g, tol, table, source) -> GradientCheckReport:
-    """``check_upper_gradient`` of the curves of ``table(space, source)``, the
-    segment table of a curve list or a plan, made once f and g are valid."""
+def _checked_pair(space: MetricMeasureSpace, f, g, tol) -> tuple[np.ndarray, np.ndarray]:
+    """f and g as float arrays; InvalidInstanceError unless they and tol are valid."""
     _check_limits(tol)
     fv = np.asarray(f, dtype=float)
     gv = np.asarray(g, dtype=float)
@@ -75,7 +75,11 @@ def _check_gradient(space: MetricMeasureSpace, f, g, tol, table, source) -> Grad
         raise InvalidInstanceError("f must be finite")
     if not np.all(gv >= 0):  # also false on NaN
         raise InvalidInstanceError("upper gradient candidates must be nonnegative, not NaN")
-    t = table(space, source)  # InvalidInstanceError off the space
+    return fv, gv
+
+
+def _check_gradient(fv: np.ndarray, gv: np.ndarray, tol: float, t) -> GradientCheckReport:
+    """``check_upper_gradient`` of the curves of segment table t, for a checked pair."""
     first, last = t.u[t.start[:-1]], t.v[t.start[1:] - 1]  # each curve's ends
     resid = (np.abs(fv[last] - fv[first]) - _line_integrals(t, gv)).tolist()
     bad = tuple(i for i, r in enumerate(resid) if r > tol)
@@ -136,10 +140,11 @@ def check_w1p_pair(
     entries: list[PlanViolation] = []
     warnings: list[str] = []
     passed = True
+    fv, gv = _checked_pair(space, f, g, tol)  # also when there is no plan
     if not plans:
         warnings.append("no plans supplied; vacuous pass")
     for idx, plan in enumerate(plans):
-        rep = _check_gradient(space, f, g, tol, _plan_table, plan)  # at most one table
+        rep = _check_gradient(fv, gv, tol, _plan_table(space, plan))  # at most one table
         born = plan._born or (None,) * 3  # a stretched plan carries its report
         tp = born[2] if born[0] is space and born[2] else _testplan(space, plan)
         prob = math.fsum(plan.probabilities[i] for i in rep.violating)

@@ -739,16 +739,16 @@ def shortest_weighted_path(
     Edge (u, v) costs length * (f_u + f_v) / 2, so the path cost equals
     the integral of f against the path's node-projected line measure,
     accumulated edge by edge from the source; ``inf`` in f makes a point
-    impassable at infinite cost.  Ties: the Dijkstra heap settles equal
-    distances in point-id order, each point keeps the first predecessor
-    that reaches its final distance, and the first target settled is
-    returned, so its path crosses no other target.  With ``max_hops``, a
-    layered relaxation bounds the edge count: each point keeps the
-    cheapest route with the fewest hops (the first found, relaxing from
-    points in id order), and the answer is the cheapest target, then the
-    fewest hops, then the smallest id.  Raises InvalidInstanceError
-    unless f has one nonnegative entry per point and every endpoint is an
-    integer point id.
+    impassable at infinite cost.  ``max_hops`` bounds the edge count (a
+    layered relaxation).  One tie rule holds with or without it: each
+    point keeps its cheapest route with the fewest hops (the first
+    found), and the answer is the cheapest target, then the fewest hops,
+    then the smallest id; without ``max_hops`` it is the first target
+    settled, so its path crosses no other target.  The hop rule matters
+    where f is 0, where every route costs 0: the shortest ones are
+    straight and disjoint, not branches of one shared tree.  Raises
+    InvalidInstanceError unless f has one nonnegative entry per point and
+    every endpoint is an integer point id.
     """
     found = _cheapest_paths(space, f, source, target, max_hops)
     if not found:
@@ -771,10 +771,12 @@ def _cheapest_paths(
     One Dijkstra pass from all sources at once (the layered relaxation
     under ``max_hops``), with the costs and tie rule documented in
     ``shortest_weighted_path``, which returns the first entry: targets
-    come in settle order (by cost, hops and id under ``max_hops``).  The
-    path to one target may cross another; its constraint is then weaker
-    than that of its prefix.  ``bound`` keeps the targets cheaper than
-    it, and ends the pass once the settled distance reaches it.
+    come by cost, then hops, then id.  The Dijkstra heap key is (cost,
+    hops, point), and a point takes a new predecessor only if that
+    strictly lowers its (cost, hops) pair.  The path to one target may
+    cross another; its constraint is then weaker than that of its prefix.
+    ``bound`` keeps the targets cheaper than it, and ends the pass once
+    the settled distance reaches it.
     """
     vals = np.asarray(f, dtype=float)
     if vals.shape != (space.n_points,):
@@ -809,16 +811,16 @@ def _cheapest_paths(
         return [(cost, path) for cost, _, _, path in found]
 
     n = space.n_points
-    dist: list[float | None] = [None] * n
+    dist: list[tuple[float, int] | None] = [None] * n  # (cost, hops)
     pred = [-1] * n
     done = bytearray(n)
     for s in sources:
-        dist[s] = 0.0
-    heap = [(0.0, s) for s in sources]
+        dist[s] = (0.0, 0)
+    heap = [(0.0, 0, s) for s in sources]
     out: list[tuple[float, tuple[int, ...]]] = []
     left = len(targets)
     while heap:
-        d, u = heapq.heappop(heap)
+        d, k, u = heapq.heappop(heap)
         if done[u]:
             continue
         if bound is not None and d >= bound:
@@ -832,14 +834,14 @@ def _cheapest_paths(
             left -= 1
             if not left:
                 break
-        hu = half[u]
+        hu, k = half[u], k + 1
         for v, ell in space.neighbors(u):
             if not done[v]:
                 cost = d + ell * (hu + half[v])
                 old = dist[v]
-                if old is None or cost < old:
-                    dist[v], pred[v] = cost, u
-                    heapq.heappush(heap, (cost, v))
+                if old is None or (cost, k) < old:
+                    dist[v], pred[v] = (cost, k), u
+                    heapq.heappush(heap, (cost, k, v))
     return out
 
 
@@ -875,7 +877,10 @@ def solve_modulus_paths(
     Constraint generation (Albin, Brunner, Perez, Poggi-Corradini &
     Wiens 2015): solve on a working set of paths, then run one Dijkstra
     pass (edge weight f * length) that finds the cheapest path to every
-    target; stop when every path integrates f to at least 1 - feas_tol,
+    target, ties broken by fewest hops (see ``shortest_weighted_path``):
+    f is 0 where no weighted working path passes, and there the
+    fewest-hop paths are disjoint, so one round adds many that the next
+    plan keeps; stop when every path integrates f to at least 1 - feas_tol,
     then divide f by the least integral that pass found, so that ``value``,
     ``dual_value`` and ``gap`` bracket the modulus of the whole family.
     Otherwise the round drops the working paths at plan weight exactly 0

@@ -509,3 +509,33 @@ def test_plan_stretch_of_breakpoints_an_ulp_apart_exits_0(tmp_path, capsys):
                  "--n-tau", "3", "--out", str(out)]) == 0
     assert "p.stretch" in load_instance(out).plans
     capsys.readouterr()
+
+
+def grid8_paths():
+    """The instance stored in data/grid8_paths.json: left-right paths on an
+    8x8 grid with seeded point masses."""
+    from modcap.families import MeasureFamily
+    from modcap.instance import Instance
+    from modcap.space import build_grid_space, grid_node
+
+    weights = np.random.default_rng([8, 8]).uniform(0.1, 1.0, size=64)
+    left = tuple(grid_node(8, 0, y) for y in range(8))
+    right = tuple(grid_node(8, 7, y) for y in range(8))
+    fam = MeasureFamily("lr", "paths", source=left, target=right)
+    return Instance("grid8_paths", build_grid_space(8, 8, weights), {"lr": fam})
+
+
+def test_grid8_path_instance_solves_and_certifies(tmp_path, capsys):
+    # The stored path instance is exactly its recipe, and both solve
+    # commands run the path oracle on it to a certified answer.
+    from modcap.instance import save_instance
+
+    save_instance(grid8_paths(), tmp_path / "grid8_paths.json")
+    stored = DATA / "grid8_paths.json"
+    assert (tmp_path / "grid8_paths.json").read_bytes() == stored.read_bytes()
+    for p in ("2", "3"):
+        assert main(["solve", "--instance", str(stored), "--p", p]) == 0
+        text = capsys.readouterr().out
+        assert "generated paths:" in text and "modulus:" in text
+        assert main(["duality", "--instance", str(stored), "--p", p]) == 0
+        assert "duality certificate ok" in capsys.readouterr().out

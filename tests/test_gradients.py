@@ -9,6 +9,7 @@ import modcap.curves
 import modcap.gradients
 import modcap.plans
 from modcap.curves import ParametricCurve, constant_speed_reparam
+from modcap.errors import InvalidInstanceError
 from modcap.gradients import (
     PlanViolation,
     check_upper_gradient,
@@ -125,6 +126,31 @@ def test_w1p_check_vacuous_without_plans():
     rep = check_w1p_pair(space, np.zeros(3), np.zeros(3), [])
     assert rep.passed
     assert any("vacuous" in w for w in rep.warnings)
+
+
+ONE_PLAN = [CurvePlan((ParametricCurve((0, 1), (0.0, 1.0)),), (1.0,))]
+
+
+@pytest.mark.parametrize("plans", [[], ONE_PLAN])
+def test_w1p_check_validates_inputs_with_or_without_plans(plans):
+    # f, g and tol are checked before any plan is looked at, so an empty
+    # plan list no longer passes whatever they hold.
+    space = build_grid_space(2, 2)
+    ok = [0.0] * 4
+    bad = [
+        (dict(f=[math.nan] * 4, g=[-1.0] * 4, tol=-5), "tolerance must be finite"),
+        (dict(f=[math.nan] * 4, g=ok, tol=1e-10), "f must be finite"),
+        (dict(f=ok, g=[-1.0] * 4, tol=1e-10), "nonnegative"),
+        (dict(f=ok, g=[math.nan] * 4, tol=1e-10), "nonnegative"),
+        (dict(f=[0.0] * 3, g=ok, tol=1e-10), "per-point"),
+    ]
+    for args, message in bad:
+        f, g, tol = args["f"], args["g"], args["tol"]
+        with pytest.raises(InvalidInstanceError, match=message):
+            check_w1p_pair(space, f, g, plans, tol)
+        with pytest.raises(InvalidInstanceError, match=message):
+            equivalence_experiment(space, f, g, [], plans, 2.0, tol=tol)
+    assert check_w1p_pair(space, ok, ok, plans).passed
 
 
 def test_w1p_check_flags_charged_violations():

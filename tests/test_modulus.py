@@ -251,6 +251,35 @@ def test_shortest_path_breaks_ties_lexicographically():
     assert cost == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("max_hops", [None, 5])
+def test_equal_cost_routes_tie_by_fewest_hops(max_hops):
+    # 0-1-2-3 and 0-4-3 cost the same; the longer route has the smaller
+    # ids, so an id-only tie rule would return it.  Both branches return
+    # the route with fewer hops, at zero density and at equal positive cost.
+    from modcap.modulus import _cheapest_paths
+
+    space = MetricMeasureSpace(
+        5,
+        [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 1.0), (0, 4, 1.0), (4, 3, 1.0)],
+        np.ones(5),
+    )
+    for f, cost in ((np.zeros(5), 0.0), (np.ones(5), 2.0)):
+        assert shortest_weighted_path(space, f, [0], [3], max_hops) == ((0, 4, 3), cost)
+        assert _cheapest_paths(space, f, [0], [2, 3], max_hops) == [
+            (cost / 2, (0, 1, 2)), (cost, (0, 4, 3))
+        ]
+    # At zero density every left-right path of a grid costs 0; each row
+    # gets its straight path, not a branch of one shared tree.
+    from modcap.space import build_grid_space, grid_node
+
+    grid = build_grid_space(5, 5)
+    left = [grid_node(5, 0, y) for y in range(5)]
+    right = [grid_node(5, 4, y) for y in range(5)]
+    rows = [tuple(grid_node(5, x, y) for x in range(5)) for y in range(5)]
+    found = _cheapest_paths(grid, np.zeros(25), left, right, max_hops)
+    assert found == [(0.0, row) for row in rows]
+
+
 def test_hop_bound_cuts_long_routes():
     space = MetricMeasureSpace(
         4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 10.0)], np.ones(4)
@@ -287,12 +316,15 @@ def random_oracle_case(rng):
 
 
 def cheapest_enumerated(space, f, source, target, max_hops=None):
-    """Least accumulated cost over the enumerated family, or None if empty."""
+    """Least (accumulated cost, edge count) over the enumerated family, or None."""
     from modcap.families import MeasureFamily, enumerate_family
 
     fam = MeasureFamily("t", "paths", source=source, target=target, max_hops=max_hops)
     paths = enumerate_family(space, fam).paths
-    return min((accumulated_cost(space, f, path) for path in paths), default=None)
+    return min(
+        ((accumulated_cost(space, f, path), len(path) - 1) for path in paths),
+        default=None,
+    )
 
 
 def test_enumeration_limit_caps_paths_only():
@@ -340,19 +372,21 @@ def test_oracle_is_exact_against_enumeration(max_hops):
         if best is None:
             assert found is None
             continue
+        # The cheapest path, and among the cheapest one with the fewest edges.
         path, cost = found
-        assert cost == best
+        assert (cost, len(path) - 1) == best
         assert_simple_path(space, f, path, cost, source, target)
         assert not set(path[:-1]) & set(target)
 
         per_target = _cheapest_paths(space, f, source, target, max_hops)
-        assert [c for c, _ in per_target] == sorted(c for c, _ in per_target)
+        order = [(c, len(p), p[-1]) for c, p in per_target]
+        assert order == sorted(order)  # by cost, then hops, then id
         reached = {}
         for t in sorted(set(target)):
             best_t = cheapest_enumerated(space, f, source, (t,), max_hops)
             if best_t is not None:
                 reached[t] = best_t
-        assert {p[-1]: c for c, p in per_target} == reached
+        assert {p[-1]: (c, len(p) - 1) for c, p in per_target} == reached
         for c, p in per_target:
             assert_simple_path(space, f, p, c, source, target)
         assert per_target[0][0] == cost
@@ -407,7 +441,8 @@ def test_constraint_generation_matches_enumeration_on_random_grid(zero_mass):
 
 
 def test_grid16_certifies_in_few_rounds():
-    # The 16x16 benchmark grid: one path per round needed 61 rounds.
+    # The 16x16 benchmark grid: one path per round needed 61 rounds, and an
+    # oracle that broke cost ties by id alone 26.
     from modcap.space import build_grid_space, grid_node
 
     weights = np.random.default_rng([7, 16]).uniform(0.1, 1.0, size=256)
@@ -415,11 +450,25 @@ def test_grid16_certifies_in_few_rounds():
     left = [grid_node(16, 0, y) for y in range(16)]
     right = [grid_node(16, 15, y) for y in range(16)]
     sol = solve_modulus_paths(space, left, right, 2.0)
-    assert sol.outer_iterations < 40
+    assert sol.outer_iterations <= 15
     assert shortest_weighted_path(space, sol.f, left, right)[1] >= 1.0 - 1e-9
     # Rounds after the first start from a Newton polish of the previous
     # plan; 16 gradient steps per round before it (400 in all).
     assert sol.iterations <= 16
+
+
+@pytest.mark.parametrize("p", [1.1, 2.0, 3.0, 12.0])
+@pytest.mark.parametrize("k", [6, 10, 16])
+def test_uniform_grid_certifies_in_two_rounds(k, p):
+    # The first plan's f is 0 off its one path, so the oracle's zero-cost
+    # ties decide the second round: fewest hops gives every row's straight
+    # path at once, and those k disjoint rows are optimal.  Breaking the
+    # ties by id alone added one row per round, k rounds in all.
+    solve, [(exact, _)] = degenerate_case(f"paths{k}", p)
+    sol = solve()
+    assert sol.outer_iterations == 2
+    assert sol.gap <= 1e-9
+    assert sol.dual_value <= exact * (1 + 1e-12) and exact <= sol.value * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("n_null", [0, 1])
