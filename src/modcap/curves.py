@@ -8,9 +8,14 @@ single quadrature convention: along a segment, a per-point function is
 interpolated linearly, so a segment contributes half of its time (or
 length) to each endpoint.
 
-Curves are read through a segment table (``_segment_table``): one flat
-row per segment of any number of curves, holding its curve, ends,
-duration and edge length, built and validated in one pass.  The
+One reader, ``_steps``, cuts the node sequences of curves and of paths
+into steps: it checks every node against the space before any edge, and
+names the first bad node or step, in order, as "node x is not a point
+of the space" or "points u and v are not adjacent".  A curve may stay
+at a point (a plateau, a step of length 0); a path may not.  Curves are
+read through a segment table (``_segment_table``): one flat row per
+segment of any number of curves, holding its curve, ends, duration and
+edge length.  The
 per-curve functions read a one-curve table; ``plans`` reads one table
 per plan.  ``_half_rows`` codes the half rule on a table, adding halves
 in segment order, u before v; ``families`` applies it to the steps of
@@ -100,39 +105,52 @@ def constant_curve(point: int) -> ParametricCurve:
 _Segments = namedtuple("_Segments", "start curve u v dt length")
 
 
+def _steps(
+    space: MetricMeasureSpace, seqs: Sequence[Sequence[int]], plateaus: bool = True
+) -> tuple[np.ndarray, ...]:
+    """The steps of node sequences on the space, as arrays (seq, at, u, v, length).
+
+    Step i of sequence seq[i] runs from u[i] to v[i], the nodes at flat
+    indices at[i] and at[i] + 1 of the sequences laid end to end, along
+    an edge of length length[i]; ``plateaus`` is True for curves, False
+    for paths.  All nodes are checked before any edge lookup, as the key
+    u * n + v of a node off the space can equal that of a real edge.
+    """
+    sizes = np.array([len(s) for s in seqs], dtype=np.int64)
+    try:
+        nodes = np.fromiter(chain.from_iterable(seqs), np.int64, sizes.sum())
+        ok = not len(nodes) or (nodes.min() >= 0 and nodes.max() < space.n_points)
+    except OverflowError:  # a node beyond int64 is off the space too
+        ok = False
+    if ok:
+        seq = np.repeat(np.arange(len(seqs)), sizes - 1)
+        at = np.arange(len(seq)) + seq
+        u, v = nodes[at], nodes[at + 1]
+        length = space._edge_lengths(u, v)
+        if plateaus:
+            length = np.where(u == v, 0.0, length)
+        ok = not np.isnan(length).any()
+    if not ok:
+        for s in seqs:
+            for i, b in enumerate(s):
+                if not 0 <= b < space.n_points:
+                    raise InvalidInstanceError(f"node {b} is not a point of the space")
+                a = s[i - 1]
+                if i and not (plateaus and a == b) and not space.has_edge(a, b):
+                    raise InvalidInstanceError(f"points {a} and {b} are not adjacent")
+    return seq, at, u, v, length
+
+
 def _segment_table(space: MetricMeasureSpace, curves: Sequence[ParametricCurve]) -> _Segments:
-    """The segments of all the curves, validated in one pass (see ``_reject``)."""
-    if max((max(c.nodes) for c in curves), default=-1) >= space.n_points:
-        _reject(space, curves)
-    sizes = np.array([len(c.nodes) for c in curves], dtype=np.int64)
-    nodes = np.fromiter(chain.from_iterable(c.nodes for c in curves), np.int64, sizes.sum())
-    times = np.fromiter(chain.from_iterable(c.times for c in curves), float, sizes.sum())
-    curve = np.repeat(np.arange(len(curves)), sizes - 1)
-    at = np.arange(len(curve)) + curve  # node index of each segment's first end
-    u, v = nodes[at], nodes[at + 1]
-    length = np.where(u == v, 0.0, space._edge_lengths(u, v))
-    if np.isnan(length).any():
-        _reject(space, curves)
-    start = np.concatenate(([0], np.cumsum(sizes - 1)))
+    """The segments of all the curves, read and validated by ``_steps``."""
+    curve, at, u, v, length = _steps(space, [c.nodes for c in curves])
+    n_nodes = len(at) + len(curves)
+    times = np.fromiter(chain.from_iterable(c.times for c in curves), float, n_nodes)
+    start = np.searchsorted(curve, np.arange(len(curves) + 1))
     table = _Segments(start, curve, u, v, times[at + 1] - times[at], length)
     for a in table:  # read-only, so that a plan can carry its table
         a.setflags(write=False)
     return table
-
-
-def _reject(space: MetricMeasureSpace, curves: Sequence[ParametricCurve]) -> None:
-    """Raise InvalidInstanceError for the first curve, in order, with a node outside
-    the space (naming its largest node) or a step between non-adjacent points."""
-    for c in curves:
-        if max(c.nodes) >= space.n_points:  # nodes are never negative
-            raise InvalidInstanceError(
-                f"curve node {max(c.nodes)} is not a point of the space"
-            )
-        for u, v in zip(c.nodes, c.nodes[1:]):
-            if u != v and not space.has_edge(u, v):
-                raise InvalidInstanceError(
-                    f"curve steps between non-adjacent points ({u},{v})"
-                )
 
 
 def _half_rows(

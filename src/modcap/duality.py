@@ -79,15 +79,15 @@ def plan_barycenter(
     """Barycenter density g = (sum_i prob_i mu_i) / m, 0 where m = 0.
 
     Raises NoBarycenterError when the averaged measure puts mass on a
-    point with m = 0 (no density exists there).
+    point with m = 0 (no density exists there).  Each point's mass sums
+    its terms w * mu(x) from 0.0 in support order (``np.bincount``).
     """
     _check_probabilities(support, probabilities, "measure")
-    mass = np.zeros(space.n_points)
-    for w, mu in zip(probabilities, support):
-        if w == 0:
-            continue
-        for idx, val in mu.items:
-            mass[idx] += w * val
+    points = [x for mu in support for x, _ in mu.items]
+    if points and max(points) >= space.n_points:  # ids are never negative
+        raise InvalidInstanceError(f"plan charges point {max(points)} outside the space")
+    terms = [w * val for w, mu in zip(probabilities, support) for _, val in mu.items]
+    mass = np.bincount(np.array(points, dtype=np.int64), terms, minlength=space.n_points)
     return _density(space, mass)
 
 

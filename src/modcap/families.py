@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .curves import ParametricCurve, _half_rows, j_map, m_map
+from .curves import ParametricCurve, _half_rows, _steps, j_map, m_map
 from .errors import InvalidInstanceError
 from .space import DiscreteMeasure, MetricMeasureSpace
 
@@ -117,18 +117,9 @@ def path_line_measure(
 
 
 def _path_rows(space: MetricMeasureSpace, paths: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Rows of n_points entries, row r ``path_line_measure`` of paths[r], from one
-    ``_half_rows`` scatter; InvalidInstanceError names the first non-edge step."""
-    sizes = np.array([len(path) for path in paths], dtype=np.int64)
-    nodes = np.fromiter((x for path in paths for x in path), np.int64, sizes.sum())
-    row = np.repeat(np.arange(len(paths)), sizes - 1)
-    at = np.arange(len(row)) + row  # node index of each step's first end
-    u, v = nodes[at], nodes[at + 1]
-    outside = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= space.n_points)
-    if outside.any() or np.isnan(length := space._edge_lengths(u, v)).any():
-        for path in paths:  # edge_length raises on the first such step
-            for a, b in zip(path, path[1:]):
-                space.edge_length(a, b)
+    """Rows of n_points entries, row r ``path_line_measure`` of paths[r]: the
+    steps read by ``curves._steps`` (no plateaus) and one ``_half_rows`` scatter."""
+    row, _, u, v, length = _steps(space, paths, plateaus=False)
     return _half_rows(row, u, v, length, len(paths), space.n_points)
 
 

@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .curves import ParametricCurve
+from .curves import ParametricCurve, _segment_table
 from .errors import InvalidInstanceError
 from .families import MeasureFamily
 from .plans import CurvePlan
@@ -159,16 +159,9 @@ def _parse_curve(name: str, data: Any, space: MetricMeasureSpace) -> ParametricC
     times = [_number(t, at) for t in _array(times, at)]
     try:
         curve = ParametricCurve(tuple(nodes), tuple(times))
+        _segment_table(space, [curve])
     except InvalidInstanceError as exc:
         raise InvalidInstanceError(f"{where}: {exc}") from exc
-    outside = [x for x in curve.nodes if x >= space.n_points]
-    if outside:
-        raise InvalidInstanceError(f"{where}: node {outside[0]} is not a point")
-    for u, v in zip(curve.nodes, curve.nodes[1:]):
-        if u != v and not space.has_edge(u, v):
-            raise InvalidInstanceError(
-                f"{where}: consecutive nodes ({u}, {v}) are not adjacent"
-            )
     return curve
 
 

@@ -13,8 +13,9 @@ minimize the L^q(m) norm of a plan's barycenter g over the probability
 simplex, then rescale f = g^(q-1) to be admissible.  The plan and the
 density bracket the modulus between content^p and ||f||_p^p, and a
 solve either closes that bracket to its tolerance or raises
-SolverError.  A primal projected descent on f and an exhaustive lattice
-search stay as independent oracles for cross-checks on small instances.
+SolverError.  A primal projected descent on f (``_solve_modulus_primal``,
+not public) and an exhaustive lattice search stay as independent oracles
+for cross-checks on small instances.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .space import DiscreteMeasure, MetricMeasureSpace
 __all__ = [
     "ModulusSolution",
     "solve_modulus_explicit",
-    "solve_modulus_primal",
     "brute_force_lattice",
     "solve_modulus_paths",
     "shortest_weighted_path",
@@ -53,10 +53,10 @@ class ModulusSolution:
     The stationarity relation is
     p * m_x * f_x^(p-1) = sum_i multipliers[i] * mu_i(x) on {m > 0}.
     ``dual_value <= Mod <= value`` is a weak-duality bracket and ``gap``
-    its relative width (both NaN from the primal oracle).  ``iterations``
-    counts projected-gradient and barrier steps, not Newton steps of the
-    polish, so a solve the polish alone certifies reports 0.  Only path
-    solves fill ``paths`` and ``outer_iterations``.
+    its relative width.  ``iterations`` counts projected-gradient and
+    barrier steps, not Newton steps of the polish, so a solve the polish
+    alone certifies reports 0.  Only path solves fill ``paths`` and
+    ``outer_iterations``.
     """
 
     value: float
@@ -598,12 +598,12 @@ def _primal_face_polish(
     return out
 
 
-def solve_modulus_primal(
+def _solve_modulus_primal(
     space: MetricMeasureSpace,
     measures: Sequence[DiscreteMeasure],
     p: float,
-) -> ModulusSolution:
-    """Primal cross-solver: projected descent on the density f.
+) -> tuple[float, np.ndarray | None]:
+    """Primal test oracle: (value, f) by projected descent on the density f.
 
     Independent of the plan solve: works on the admissible polyhedron
     {f >= 0, <mu_i, f> >= 1} directly, stepping along the energy
@@ -612,12 +612,14 @@ def solve_modulus_primal(
     uses 1.5 to 3).  It is not sound at the ends of p: it gives no
     bracket, and on small random families it has overshot the
     certified modulus by 4-13% at p = 1.05 and by a factor of 4.8 at
-    p = 12, and raised on an infeasible density at p = 12.
+    p = 12, and raised on an infeasible density at p = 12.  So it is no
+    public solver and returns no ``ModulusSolution``: a zero measure gives
+    (inf, None), a family with nothing left to constrain (0, zeros).
     """
     p = _check_p(p)
-    U, kept, dropped, has_zero = _constraint_matrix(space, (mu.items for mu in measures))
+    U, kept, _, has_zero = _constraint_matrix(space, (mu.items for mu in measures))
     if has_zero or not kept:
-        return _trivial_solution(space, len(measures), dropped, has_zero)
+        return (math.inf, None) if has_zero else (0.0, np.zeros(space.n_points))
 
     msk = space.positive_mask
     mpos = space.measure[msk]
@@ -627,7 +629,6 @@ def solve_modulus_primal(
     f = np.full(U.shape[1], 1.0 / totals.min())
     obj = float(np.dot(mpos, f**p))
     step = 1.0
-    it = 0
     for it in range(1, 20001):
         grad = p * mpos * f ** (p - 1.0)
         trial = step
@@ -673,15 +674,7 @@ def solve_modulus_primal(
     value, f = best
     f_out = np.zeros(space.n_points)
     f_out[msk] = f
-    return ModulusSolution(
-        value=value,
-        f=f_out,
-        multipliers=None,
-        iterations=it,
-        gap=math.nan,
-        dual_value=math.nan,
-        dropped=dropped,
-    )
+    return value, f_out
 
 
 def brute_force_lattice(
@@ -747,8 +740,9 @@ def shortest_weighted_path(
     settled, so its path crosses no other target.  The hop rule matters
     where f is 0, where every route costs 0: the shortest ones are
     straight and disjoint, not branches of one shared tree.  Raises
-    InvalidInstanceError unless f has one nonnegative entry per point and
-    every endpoint is an integer point id.
+    InvalidInstanceError unless f has one nonnegative entry per point,
+    every endpoint is an integer point id and ``max_hops`` is None or an
+    integer >= 1.
     """
     found = _cheapest_paths(space, f, source, target, max_hops)
     if not found:
@@ -786,6 +780,8 @@ def _cheapest_paths(
     if not np.all(vals >= 0):  # also false on NaN; inf blocks a point
         raise InvalidInstanceError("path weights need a nonnegative density, not NaN")
     source, target = _point_ids(space, source), _point_ids(space, target)
+    if max_hops is not None:
+        _check_count(max_hops, "max_hops")
     half = (0.5 * vals).tolist()
     targets = set(target)
     sources = sorted(set(source))

@@ -33,11 +33,11 @@ from .gradients import (
 )
 from .instance import generate_random_instance, random_walk_curve
 from .modulus import (
+    _solve_modulus_primal,
     brute_force_lattice,
     saturated_subfamily,
     solve_modulus_explicit,
     solve_modulus_paths,
-    solve_modulus_primal,
 )
 from .plans import (
     CurvePlan,
@@ -287,9 +287,9 @@ def criterion_solver_agreement() -> CriterionResult:
         inst = generate_random_instance(s, n_points=n, n_measures=k)
         measures = inst.families["random"].measures
         dual = solve_modulus_explicit(inst.space, measures, p, gap_tol=1e-11)
-        prim = solve_modulus_primal(inst.space, measures, p)
-        dv = abs(dual.value - prim.value) / max(1.0, dual.value)
-        df = float(np.abs(dual.f - prim.f).max()) / max(1.0, float(np.abs(dual.f).max()))
+        prim_value, prim_f = _solve_modulus_primal(inst.space, measures, p)
+        dv = abs(dual.value - prim_value) / max(1.0, dual.value)
+        df = float(np.abs(dual.f - prim_f).max()) / max(1.0, float(np.abs(dual.f).max()))
         worst_dv = max(worst_dv, dv)
         worst_df = max(worst_df, df)
         if dv > 1e-6:

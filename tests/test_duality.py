@@ -1,6 +1,7 @@
 """Content solver, plan barycenters, and duality certificates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from modcap.duality import (
 )
 from modcap.errors import NoBarycenterError, SolverError
 from modcap.instance import generate_random_instance
-from modcap.modulus import solve_modulus_explicit, solve_modulus_primal
+from modcap.modulus import solve_modulus_explicit
 from modcap.space import DiscreteMeasure, MetricMeasureSpace
 
 
@@ -80,6 +81,28 @@ def test_plan_barycenter_by_hand():
     assert np.array_equal(g, plan.barycenter_density)
     with pytest.raises(ValueError, match="one probability per"):
         plan_barycenter(space, [mu0, mu1], [1.0])
+    with pytest.raises(ValueError, match="plan charges point 7 outside the space"):
+        plan_barycenter(space, [mu0, DiscreteMeasure(((7, 1.0),))], [0.5, 0.5])
+
+
+def test_plan_barycenter_matches_a_loop_over_the_support():
+    # One scatter adds the terms w * mu(x) in support order from 0.0, as a
+    # loop over the measures does, so the densities agree bit for bit.
+    for seed in range(20):
+        inst = generate_random_instance(seed, n_points=6 + seed, n_measures=2 + seed % 7)
+        measures = inst.families["random"].measures
+        u = np.random.default_rng(seed).uniform(size=(2, len(measures)))
+        w = np.where(u[0] < 0.3, 0.0, u[1])  # about 30% of the weights are 0
+        w[0] += 1.0
+        probs = (w / w.sum()).tolist()
+        mass = np.zeros(inst.space.n_points)
+        for p, mu in zip(probs, measures):
+            for x, val in mu.items:
+                mass[x] += p * val
+        m, ref = inst.space.measure, np.zeros(inst.space.n_points)
+        ref[m > 0] = mass[m > 0] / m[m > 0]
+        g = plan_barycenter(inst.space, measures, probs)
+        assert g.tobytes() == ref.tobytes()
 
 
 def test_plan_barycenter_names_zero_mass_point():
@@ -190,10 +213,10 @@ def test_content_from_multipliers_matches_content_solve():
 
 
 def test_content_from_multipliers_needs_multipliers():
-    # The primal oracle's solutions carry no multipliers to read a plan off.
+    # A solution built without multipliers has no plan to read off.
     inst = generate_random_instance(seed=0, n_points=7, n_measures=4)
     measures = inst.families["random"].measures
-    primal = solve_modulus_primal(inst.space, measures, 2.0)
+    primal = replace(solve_modulus_explicit(inst.space, measures, 2.0), multipliers=None)
     with pytest.raises(ValueError, match="multipliers"):
         content_from_multipliers(inst.space, measures, primal, 2.0)
 

@@ -117,7 +117,7 @@ def test_non_adjacent_curve_names_the_pair():
         "measure": [1.0, 1.0, 1.0],
     }
     doc["curves"] = {"c": {"nodes": [0, 1, 2], "times": [0.0, 0.5, 1.0]}}
-    with pytest.raises(InvalidInstanceError, match=r"\(1, 2\) are not adjacent"):
+    with pytest.raises(InvalidInstanceError, match=r"curves\['c'\]: points 1 and 2 are not adjacent"):
         instance_from_dict(doc)
 
 

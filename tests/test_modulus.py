@@ -10,15 +10,15 @@ from modcap.errors import InvalidInstanceError, SolverError
 from modcap.families import path_line_measure
 from modcap.instance import generate_random_instance
 from modcap.modulus import (
+    _solve_modulus_primal,
     brute_force_lattice,
     mod_properties_check,
     saturated_subfamily,
     shortest_weighted_path,
     solve_modulus_explicit,
     solve_modulus_paths,
-    solve_modulus_primal,
 )
-from modcap.space import DiscreteMeasure, MetricMeasureSpace
+from modcap.space import DiscreteMeasure, MetricMeasureSpace, build_grid_space
 
 
 def interval_space(n=10):
@@ -68,7 +68,7 @@ def test_measure_outside_the_space_is_rejected(point):
         return
     family = [restriction(space, range(2)), DiscreteMeasure(((point, 1.0),))]
     for solve in (
-        solve_modulus_explicit, solve_content, solve_modulus_primal, brute_force_lattice
+        solve_modulus_explicit, solve_content, _solve_modulus_primal, brute_force_lattice
     ):
         with pytest.raises(ValueError, match=f"measure 1 charges point {point} "):
             solve(space, family, 2.0)
@@ -78,10 +78,10 @@ def test_null_supported_measures_are_dropped():
     space = MetricMeasureSpace(3, [(0, 1, 1.0), (1, 2, 1.0)], [1.0, 1.0, 0.0])
     ghost = DiscreteMeasure(((2, 5.0),))
     real = DiscreteMeasure(((0, 1.0),))
-    for solve in (solve_modulus_explicit, solve_modulus_primal):
-        sol = solve(space, [real, ghost], 2.0)
-        assert sol.dropped == (1,)
-        assert sol.value == pytest.approx(1.0)
+    sol = solve_modulus_explicit(space, [real, ghost], 2.0)
+    assert sol.dropped == (1,)
+    assert sol.value == pytest.approx(1.0)
+    assert _solve_modulus_primal(space, [real, ghost], 2.0)[0] == pytest.approx(1.0)
     lower, upper = brute_force_lattice(space, [real, ghost], 2.0)
     assert lower <= 1.0 <= upper
 
@@ -226,9 +226,9 @@ def test_primal_matches_dual_solver():
         measures = inst.families["random"].measures
         p = (1.5, 2.0, 2.5, 3.0)[seed % 4]
         dual = solve_modulus_explicit(inst.space, measures, p, gap_tol=1e-11)
-        prim = solve_modulus_primal(inst.space, measures, p)
-        assert prim.value == pytest.approx(dual.value, rel=1e-8, abs=1e-10)
-        assert np.abs(prim.f - dual.f).max() < 1e-5 * max(1.0, dual.f.max())
+        value, f = _solve_modulus_primal(inst.space, measures, p)
+        assert value == pytest.approx(dual.value, rel=1e-8, abs=1e-10)
+        assert np.abs(f - dual.f).max() < 1e-5 * max(1.0, dual.f.max())
 
 
 def test_brute_force_brackets_the_optimum():
@@ -288,7 +288,14 @@ def test_hop_bound_cuts_long_routes():
     assert free[0] == (0, 1, 2, 3)
     capped = shortest_weighted_path(space, np.ones(4), [0], [3], max_hops=1)
     assert capped[0] == (0, 3)
-    assert shortest_weighted_path(space, np.ones(4), [0], [3], max_hops=0) is None
+
+    # A hop bound is an integer >= 1, as in a path family.
+    grid = build_grid_space(3, 3)
+    for bad, message in ((2.5, "an integer"), (0, "at least 1"), (-1, "at least 1")):
+        with pytest.raises(InvalidInstanceError, match=f"max_hops must be {message}"):
+            shortest_weighted_path(space, np.ones(4), [0], [3], max_hops=bad)
+        with pytest.raises(InvalidInstanceError, match=f"max_hops must be {message}"):
+            solve_modulus_paths(grid, [0, 3, 6], [2, 5, 8], 2.0, max_hops=bad)
 
 
 def accumulated_cost(space, f, path):
@@ -514,12 +521,28 @@ def test_non_adjacent_path_names_the_pair():
 
     space = interval_space(5)
     assert path_line_measure(space, (2,)).items == ()
-    for path in ((0, 1, 3, 4), (0, 1, 1), (0, 1, 7), (4, 3, -1)):
+    for path in ((0, 1, 3, 4), (0, 1, 1)):
         pair = f"points {path[1]} and {path[2]} are not adjacent"
         with pytest.raises(InvalidInstanceError, match=pair):
             path_line_measure(space, path)
+    # Every node is checked, a lone one too, before any edge lookup.
+    for path in ((0, 1, 7), (4, 3, -1), (0, 1, 10**30)):
+        node = f"node {path[2]} is not a point of the space"
+        with pytest.raises(InvalidInstanceError, match=node):
+            path_line_measure(space, path)
+    grid = build_grid_space(3, 3)
+    assert path_line_measure(grid, (2,)).items == ()
+    for bad in (12, -2):
+        with pytest.raises(InvalidInstanceError, match=f"node {bad} is not a point"):
+            path_line_measure(grid, (bad,))
+    # The step (0, 11) has the key 0 * 9 + 11 of the grid edge (1, 2).
+    with pytest.raises(InvalidInstanceError, match="node 11 is not a point"):
+        path_line_measure(grid, (0, 11))
+    # The first bad step or node, in order, is named.
     with pytest.raises(InvalidInstanceError, match=r"points 2 and 0 are not adjacent"):
         _path_rows(space, [(0, 1, 2), (3, 2, 0), (4, 2)])
+    with pytest.raises(InvalidInstanceError, match=r"points 1 and 3 are not adjacent"):
+        _path_rows(space, [(0, 1), (1, 3, 9), (12,)])
 
 
 def test_fixed_hessian_at_p2_is_a_cached_gram(monkeypatch):
@@ -838,7 +861,7 @@ def test_barrier_certifies_at_both_ends_of_p(seed, shape, p):
     assert prob.calls == 1
     sol = solve_modulus_explicit(inst.space, measures, p)
     assert sol.gap <= 1e-9
-    primal = solve_modulus_primal(inst.space, measures, p).value
+    primal = _solve_modulus_primal(inst.space, measures, p)[0]
     assert primal >= sol.dual_value * (1.0 - 1e-12)
     assert primal == pytest.approx(sol.value, rel=1e-6)
 

@@ -181,8 +181,8 @@ _OFF_THE_SPACE = [constant_curve(99), ParametricCurve((0, 4), (0.0, 1.0))]
 @pytest.mark.parametrize(
     "bad, message",
     [
-        (0, "curve node 99 is not a point of the space"),
-        (1, r"non-adjacent points \(0,4\)"),
+        (0, "node 99 is not a point of the space"),
+        (1, "points 0 and 4 are not adjacent"),
     ],
     ids=["constant-off-the-space", "diagonal-step"],
 )
