@@ -20,7 +20,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .curves import ParametricCurve, _segment_table
+from .curves import ParametricCurve, _steps
 from .errors import InvalidInstanceError
 from .families import MeasureFamily
 from .plans import CurvePlan
@@ -147,7 +147,7 @@ def _parse_space(data: Any) -> MetricMeasureSpace:
         raise InvalidInstanceError(f"space: {exc}") from exc
 
 
-def _parse_curve(name: str, data: Any, space: MetricMeasureSpace) -> ParametricCurve:
+def _parse_curve(name: str, data: Any) -> ParametricCurve:
     where = f"curves[{name!r}]"
     _object(data, where, ("nodes",), ("times",))
     at = f"{where}.nodes"
@@ -158,11 +158,28 @@ def _parse_curve(name: str, data: Any, space: MetricMeasureSpace) -> ParametricC
     at = f"{where}.times"
     times = [_number(t, at) for t in _array(times, at)]
     try:
-        curve = ParametricCurve(tuple(nodes), tuple(times))
-        _segment_table(space, [curve])
+        return ParametricCurve(tuple(nodes), tuple(times))
     except InvalidInstanceError as exc:
         raise InvalidInstanceError(f"{where}: {exc}") from exc
-    return curve
+
+
+def _parse_curves(items: Any, space: MetricMeasureSpace) -> dict[str, ParametricCurve]:
+    """The named curves, their walks read by one ``_steps`` pass (the curves
+    before a malformed one too): a fault names the first bad curve in file order."""
+    curves = {}
+    try:
+        for k, v in items:
+            curves[str(k)] = _parse_curve(str(k), v)
+    finally:
+        try:
+            _steps(space, [c.nodes for c in curves.values()])
+        except InvalidInstanceError:
+            for k, c in curves.items():
+                try:
+                    _steps(space, [c.nodes])
+                except InvalidInstanceError as exc:
+                    raise InvalidInstanceError(f"curves[{k!r}]: {exc}") from exc
+    return curves
 
 
 def _parse_measure(entry: Any, where: str, n_points: int) -> DiscreteMeasure:
@@ -241,7 +258,7 @@ def instance_from_dict(data: Any, name: str = "instance") -> Instance:
     }
     space = _parse_space(data["space"])
     n = space.n_points
-    curves = {str(k): _parse_curve(str(k), v, space) for k, v in named["curves"]}
+    curves = _parse_curves(named["curves"], space)
     families = {
         str(k): _parse_family(str(k), v, n, curves) for k, v in named["families"]
     }

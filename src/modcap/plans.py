@@ -167,8 +167,8 @@ def testplan_check(
 
     The marginal density is piecewise linear in t between the merged
     breakpoints of the support curves, so the supremum over all t is
-    attained on that grid and the computed C_min is exact.  A screen,
-    prefix sums of the pieces' intercepts and slopes with a rounding bound
+    attained on that grid and the computed C_min is exact.  A screen, a
+    running sum of the pieces' intercepts and slopes per point with a bound
     of gamma_N times a running sum of absolute values (``_screen``),
     leaves the exact kernel only the grid times that may attain the
     supremum; its recheck of those returns what it returns on the whole
@@ -262,30 +262,38 @@ def _screen(
     row, a term of weight w puts a_v + b t on v and w - a_v - b t on u,
     with b = w / (scale (t1 - t0)), a_v = -b (scale t0 - tau), and b = 0
     on a plateau (so on the last node from s = 1 on).  Each such piece
-    writes (a, b, mu, 1) at its first grid time and (-a, -b, mu, -1) past
-    its last into difference arrays, mu = w + 2 kappa b, kappa = 1 + scale
-    + max |tau| >= t, |scale t0 - tau|.  Prefix sums carried from block to
-    block give per (time, point) the mass M = A + t B, the sum R of the
-    entries' magnitudes so far, and an exact occupancy count.
+    has an entry (a, b, mu, 1) at its first grid index and (-a, -b, mu, -1)
+    past its last (n_t if it holds to the end), mu = w + 2 kappa b, kappa
+    = 1 + scale + max |tau| >= t, |scale t0 - tau|, so |a| + t |b| <= mu
+    for both entries.  One running sum over the N entries sorted by (point,
+    grid index) gives a point's mass M = A + t B and occupancy count from
+    each of its entries to its next, as earlier points' entries cancel
+    exactly; the running sum of the mu is the magnitude R summed so far.
 
     Error bound (u = 2^-53, gamma_k = k u / (1 - k u); k floats summed in
     any order err by at most gamma_k-1 times their absolute sum: Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1, 4.2).
     Against the pieces' exact sum at s* = (t + tau) / scale, M errs by
-    gamma_8 mu per coefficient and gamma_N R for the N entries' sums,
-    ended pieces cancelling exactly.  The kernel uses the same pieces,
-    found at its rounded s; its 2K values (K terms) err by gamma_5 w each
-    and sum within gamma_2K of their total (at most R), and its s, within
-    gamma_2 s* of s*, moves a term by the slope w / (t1 - t0) <= kappa b
-    times that: delta R in all, delta = gamma_3 max s.  So E = eps R, eps
-    = gamma_2N+4K+64 + 8 u max s, bounds |kernel mass - M| with the
-    rounding of R and of hi = (M + E) / m and lo = (M - E) / m, which bound
-    the kernel's density as division rounds monotonically.  A time is kept
-    when its largest hi reaches the largest lo of all cells, or when it
-    occupies a point with m = 0; every other time is below the kernel's
-    supremum, and every time attaining it is kept.
+    gamma_8 mu per coefficient and gamma_N R for the running sum (counts
+    are exact).  The kernel uses the same pieces, found at its rounded s;
+    its 2K values (K terms) err by gamma_5 w each and sum within gamma_2K
+    of their total (at most R), and its s, within gamma_2 s* of s*, moves a
+    term by the slope w / (t1 - t0) <= kappa b times that: delta R in all,
+    delta = gamma_3 max s.  A + t B is linear between two entries of a
+    point, and rounding it at a time inside instead of at the interval's
+    end times moves it by at most 2 gamma_2 (|A| + t |B|) < 5 u R.  So E =
+    eps R, eps = gamma_2N+4K+64 + 8 u (1 + max s), with the rounding of R
+    and of hi = (M + E) / m and lo = (M - E) / m (division rounds
+    monotonically), makes the larger hi at an interval's end times bound
+    the kernel's density at each time inside, and lo at any end time a
+    lower bound of its supremum.  The intervals whose end bound reaches the
+    largest such lo, or that occupy a point with m = 0, are expanded to
+    their grid times, and a time is kept when its own hi reaches lo or it
+    occupies such a point: every time left out lies below the kernel's
+    supremum, and every time that attains it is kept.  Work and memory go
+    with N, not with times x points.
     """
-    (t_row, x_row), n_t, n, m, u = table, len(times), space.n_points, space.measure, 2.0**-53
+    (t_row, x_row), n_t, m, u = table, len(times), space.measure, 2.0**-53
     # Per (shift, row, column) the first grid index whose s, rounded as the
     # kernel rounds it, reaches the row's time: s is nondecreasing in the
     # index, so steps from a search for scale x time - tau settle on it.
@@ -307,33 +315,32 @@ def _screen(
     f, e = first[sh, r, i], first[sh, r, i + 1]
     at = np.concatenate((both(f, f), both(e, e)))  # the starts, then the ends
     del sh, r, i, t0, w, x0, x1, a_v, f, e, first  # only the entries are needed from here
-    order = np.argsort(at, kind="stable")
-    at = at[order]
+    order = np.argsort(np.tile(col, 2) * (n_t + 1) + at)  # by (point, grid index)
+    at, x, neg = at[order], col[order % len(col)], order >= len(col)
+    A, B, R = (np.cumsum(np.concatenate((v, s * v))[order])
+               for v, s in ((a, -1), (b, -1), (mu, 1)))
+    del col, a, b, mu, order
     gam = (2 * len(at) + 4 * len(taus) * len(weights) + 64) * u
-    eps = gam / (1.0 - gam) + 8.0 * u * (times[-1] + taus.max()) / scale
+    eps = gam / (1.0 - gam) + 8.0 * u * (1.0 + (times[-1] + taus.max()) / scale)
+    E = np.multiply(R, eps, out=R)  # in R's place
     zero = m == 0
-    rows = 3 + bool(zero.any())  # occupancy counts only with a zero-mass point
     m_pos = np.where(zero, np.inf, m)  # zero-mass points go by their counts
-    cuts = np.searchsorted(at, [*range(0, n_t, _BLOCK), n_t])
-    carry, lo, hi = np.zeros((rows, 1, n)), 0.0, []
-    for blk, start in enumerate(range(0, n_t, _BLOCK)):
-        ts, c0, c1 = times[start:start + _BLOCK], cuts[blk], cuts[blk + 1]
-        p, size = order[c0:c1], len(ts) * n
-        sg = np.where(p < len(col), 1.0, -1.0)
-        p = p % len(col)
-        cells = (at[c0:c1] - start) * n + col[p] + np.arange(rows)[:, None] * size
-        vals = np.concatenate((sg * a[p], sg * b[p], mu[p], sg)[:rows])
-        d = np.bincount(cells.ravel(), vals, minlength=rows * size).reshape(rows, len(ts), n)
-        d[:, :1] += carry
-        np.cumsum(d, axis=1, out=d)
-        carry = d[:, -1:].copy()
-        mass, spare, err = d[0], d[1], d[2]
-        mass += ts[:, None] * spare
-        err *= eps
-        lo = max(lo, float((np.subtract(mass, err, out=spare) / m_pos).max()))
-        occupied = (d[3:, :, zero] > 0.5).any(axis=(0, 2))
-        hi.append(np.where(occupied, np.inf, (np.add(mass, err, out=spare) / m_pos).max(axis=1)))
-    return np.flatnonzero(np.concatenate(hi) >= lo)
+    occupied = zero[x]
+    if occupied.any():
+        occupied &= np.cumsum(1 - 2 * neg) > 0
+    # Entry j holds its point's mass from grid index at[j] up to the next
+    # entry's; after a point's last entry (an end) that mass is 0 anywhere.
+    nxt = np.append(at[1:], n_t)
+    j = np.flatnonzero(at < nxt)
+    m_j = m_pos[x[j]]
+    mass = np.maximum(A[j] + times[at[j]] * B[j], A[j] + times[nxt[j] - 1] * B[j])
+    lo = float(((mass - E[j]) / m_j).max(initial=0.0))
+    j = j[((mass + E[j]) / m_j >= lo) | occupied[j]]
+    size = nxt[j] - at[j]
+    j, k = np.repeat(j, size), np.repeat(at[j] - np.cumsum(size) + size, size)
+    k += np.arange(len(k))
+    hi = (A[j] + times[k] * B[j] + E[j]) / m_pos[x[j]]
+    return np.flatnonzero(np.bincount(k[(hi >= lo) | occupied[j]], minlength=n_t))
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,30 @@ def test_non_adjacent_curve_names_the_pair():
         instance_from_dict(doc)
 
 
+def test_first_bad_curve_in_file_order_is_named():
+    # The curves' walks are read in one pass; a fault names the first bad
+    # curve in file order, whether its fault is in its walk or its fields.
+    doc = minimal_doc()
+    doc["space"] = {"n_points": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]], "measure": [1.0] * 3}
+    ok = {"nodes": [0, 1, 2]}
+    off = {"nodes": [0, 1, 5]}  # node 5 is off the space
+    jump = {"nodes": [2, 1, 0, 2]}  # 0 and 2 are not adjacent
+    shape = {"nodes": [0, 1], "times": [0.0, 0.0]}
+    cases = [
+        ({"a": ok, "b": off, "c": jump}, r"curves\['b'\]: node 5 is not a point"),
+        ({"a": ok, "b": jump, "c": off}, r"curves\['b'\]: points 0 and 2 are not adjacent"),
+        ({"a": jump, "b": shape}, r"curves\['a'\]: points 0 and 2"),
+        ({"a": ok, "b": shape, "c": off}, r"curves\['b'\]: curve times must start at 0"),
+        ({"a": ok, "b": {"times": [0.0]}, "c": jump}, r"curves\['b'\]: missing key 'nodes'"),
+    ]
+    for curves, message in cases:
+        doc["curves"] = curves
+        with pytest.raises(InvalidInstanceError, match=message):
+            instance_from_dict(doc)
+    doc["curves"] = {"a": ok, "b": {"nodes": [2, 2, 1]}}
+    assert instance_from_dict(doc).curves["b"].nodes == (2, 2, 1)
+
+
 def test_plan_referencing_missing_curve_is_rejected():
     doc = minimal_doc()
     doc["curves"] = {"c": {"nodes": [0, 1], "times": [0.0, 1.0]}}
@@ -153,6 +177,16 @@ def test_shipped_instances_are_byte_stable(tmp_path):
         out = tmp_path / name
         save_instance(inst, out)
         assert out.read_bytes() == src.read_bytes()
+
+
+def test_chain_zero_is_chain_demo_with_a_zero_mass_point(tmp_path):
+    # The CI plan check on it runs the marginal kernel's m = 0 branch.
+    doc = instance_to_dict(load_instance(DATA / "chain_demo.json"))
+    doc["space"]["measure"] = [0.25, 0.0, 0.5, 0.25]
+    doc["name"] = "chain_zero"
+    out = tmp_path / "chain_zero.json"
+    save_instance(instance_from_dict(doc), out)
+    assert out.read_bytes() == (DATA / "chain_zero.json").read_bytes()
 
 
 def test_round_trip_preserves_document(tmp_path):

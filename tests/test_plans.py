@@ -757,6 +757,22 @@ def assert_screen_is_exact(fn, *args):
     return calls
 
 
+def attaining_times(call):
+    """Indices of all the times at which the exhaustive kernel attains the
+    supremum of ``_marginal_sup(*call)``: each is the first attainment among
+    the times after the one before, as a cell's sum does not depend on the
+    other times of its call."""
+    space, support, times, *rest = call
+    sup, found, start = exhaustive(plans._marginal_sup, *call)[0], [], 0
+    while start < len(times):
+        d, k, _ = exhaustive(plans._marginal_sup, space, support, times[start:], *rest)
+        if d != sup:
+            break
+        found.append(start + k)
+        start += k + 1
+    return np.array(found, dtype=np.int64)
+
+
 def test_screened_marginal_sup_equals_exhaustive_kernel():
     shifted = infinite = 0
     for s in range(18):
@@ -797,18 +813,71 @@ def test_screen_keeps_every_time_of_a_flat_marginal():
         assert np.array_equal(kept, np.arange(len(call[2])))
 
 
-def test_screen_carries_prefix_sums_across_blocks(monkeypatch):
-    monkeypatch.setattr(plans, "_BLOCK", 7)
+def test_screen_reads_each_points_entries(monkeypatch):
+    # The screen sorts the pieces' entries by (point, grid index) and reads
+    # each point's mass between two of its entries.  Here: 100 points; point
+    # 0 occupied from grid index 0, so its entries open the sorted run; the
+    # supremum on the light point 12 at t = 1, in an interval that ends past
+    # the last grid time; and in shifted calls too.
     rng = np.random.default_rng(2400)
-    weights = rng.uniform(0.1, 1.0, 16)
-    weights[9] = 0.0
-    space = build_grid_space(4, 4, weights)
-    plan = revisiting_plan(space, rng, 6)
+    weights = rng.uniform(0.1, 1.0, 100)
+    weights[12] = 0.01
+    space = build_grid_space(10, 10, weights)
+    base = revisiting_plan(space, rng, 8)
+    walk = ParametricCurve((0, 1, 2, 12), (0.0, 0.3, 0.6, 1.0))
+    plan = CurvePlan((walk, *base.curves), (0.5, *(0.5 * w for w in base.probabilities)))
     extra = rng.uniform(0.0, 1.0, 30)
-    calls = assert_screen_is_exact(marginal_check, space, plan, extra)
-    assert len(calls[0][0][2]) > 5 * plans._BLOCK
-    for plan in avoiding_plans(space, rng, 9, 3):
-        assert_screen_is_exact(stretch_average, space, plan, 0.25, 64)
+    (call, kept), = assert_screen_is_exact(marginal_check, space, plan, extra)
+    _, k, x = plans._marginal_sup(*call)
+    assert (k, x) == (len(call[2]) - 1, 12) and k in kept
+    for call, kept in assert_screen_is_exact(stretch_average, space, plan, 0.25, 64):
+        assert np.array_equal(kept, attaining_times(call))
+    # A zero-mass point occupied only inside the grid: point 55 from t = 0.3
+    # to t = 0.6, unshifted and shifted.  Every time it is occupied is kept.
+    weights = weights.copy()
+    weights[55] = 0.0
+    space = build_grid_space(10, 10, weights)
+    inside = ParametricCurve((44, 45, 55, 65, 66), (0.0, 0.3, 0.5, 0.6, 1.0))
+    plan = CurvePlan((inside, *base.curves), plan.probabilities)
+    eps, n_tau = 0.25, 64
+    taus = (np.arange(n_tau) + 0.5) * eps / n_tau
+    grid = np.linspace(0.0, 1.0, 81)
+    for run, shifts, scale in (
+        ((marginal_check, space, plan, extra), np.zeros(1), 1.0),
+        ((lambda *a: plans._marginal_sup(*a), space, plan.support(), grid, taus, 1.0 + eps),
+         taus, 1.0 + eps),
+    ):
+        (call, kept), = screen_calls(*run)
+        exact = exhaustive(plans._marginal_sup, *call)
+        assert plans._marginal_sup(*call) == exact and exact[::2] == (math.inf, 55)
+        s = np.add.outer(call[2], shifts) / scale
+        held = np.flatnonzero(((s >= 0.3) & (s < 0.6)).any(axis=1))
+        assert 0 < held[0] and held[-1] < len(s) - 1 and np.isin(held, kept).all()
+    # The kernel runs the kept times in blocks of _BLOCK: on a flat marginal
+    # the screen keeps every time, more than a block.
+    monkeypatch.setattr(plans, "_BLOCK", 7)
+    space = build_grid_space(3, 3, [1, 2, 1, 2, 1, 2, 1, 2, 1])
+    plan = CurvePlan((constant_curve(7), constant_curve(4), constant_curve(2)), (0.5, 0.25, 0.25))
+    (call, kept), = assert_screen_is_exact(marginal_check, space, plan, extra)
+    assert np.array_equal(kept, np.arange(len(call[2]))) and len(kept) > 4 * plans._BLOCK
+
+
+def test_screen_keeps_just_the_times_that_attain_the_supremum():
+    # A bound too loose still passes the exactness tests, but makes the
+    # kernel recheck every time.  On random-walk plans built like the
+    # benchmark's (4x4 and 8x8 grids, 2-4 curves), every screen call keeps
+    # exactly the times at which the exhaustive kernel attains the supremum.
+    counts = []
+    for s in range(8):
+        side = (4, 8)[s % 2]
+        rng = np.random.default_rng([2450, s])
+        space = build_grid_space(side, side)
+        plan = walk_plan(space, rng, 2 + s % 3, {4: 5, 8: 10}[side])
+        for run in ((marginal_check, space, plan), (stretch_average, space, plan, 0.25, 64)):
+            for call, kept in screen_calls(*run):
+                assert np.array_equal(kept, attaining_times(call))
+                counts.append(len(kept))
+    assert len(counts) == 24 and min(counts) >= 1
 
 
 def test_screen_follows_the_kernels_rounding_of_shifted_times():
