@@ -15,11 +15,13 @@ of the space" or "points u and v are not adjacent".  A curve may stay
 at a point (a plateau, a step of length 0); a path may not.  Curves are
 read through a segment table (``_segment_table``): one flat row per
 segment of any number of curves, holding its curve, ends, duration and
-edge length.  The
-per-curve functions read a one-curve table; ``plans`` reads one table
-per plan.  ``_half_rows`` codes the half rule on a table, adding halves
-in segment order, u before v; ``families`` applies it to the steps of
-node paths.
+edge length; time lookups read padded rows (``_curve_table``).  Both
+validate with ``_steps``, then lay the curves end to end as flat arrays
+(``_flat``) for the builders ``_table`` and ``_padded``; stretch windows,
+cut as flat arrays by ``_windows``, go to the same builders unvalidated.
+The per-curve functions read a one-curve table; ``plans`` reads one table
+per plan.  ``_half_rows`` codes the half rule on a table, adding halves in
+segment order, u before v; ``families`` applies it to the steps of paths.
 """
 
 from __future__ import annotations
@@ -102,7 +104,11 @@ def constant_curve(point: int) -> ParametricCurve:
 # Flat segment table of curves, curve after curve: segment s of curve
 # curve[s] runs from u[s] to v[s] in time dt[s] along an edge of length
 # length[s] (0 on a plateau); curve c owns segments start[c]:start[c + 1].
-_Segments = namedtuple("_Segments", "start curve u v dt length")
+class _Segments(namedtuple("_Segments", "start curve u v dt length")):
+    def __new__(cls, *arrays):  # read-only, so that a plan can carry its table
+        for a in arrays:
+            a.setflags(write=False)
+        return super().__new__(cls, *arrays)
 
 
 def _steps(
@@ -141,16 +147,31 @@ def _steps(
     return seq, at, u, v, length
 
 
+def _flat(curves: Sequence[ParametricCurve]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (start, nodes, times) of the curves laid end to end: curve c
+    owns the nodes and times start[c]:start[c + 1]."""
+    start = np.array([0, *accumulate(len(c.nodes) for c in curves)])
+    nodes = np.fromiter(chain.from_iterable(c.nodes for c in curves), np.int64, start[-1])
+    times = np.fromiter(chain.from_iterable(c.times for c in curves), float, start[-1])
+    return start, nodes, times
+
+
+def _table(
+    space: MetricMeasureSpace, start: np.ndarray, nodes: np.ndarray, times: np.ndarray
+) -> _Segments:
+    """The segment table of curves on the space laid end to end (``_flat``),
+    unchecked: edge lengths are looked up, 0 on a plateau."""
+    curve = np.repeat(np.arange(len(start) - 1), np.diff(start) - 1)
+    at = np.arange(len(curve)) + curve
+    u, v, dt = nodes[at], nodes[at + 1], times[at + 1] - times[at]
+    length = np.where(u == v, 0.0, space._edge_lengths(u, v))
+    return _Segments(start - np.arange(len(start)), curve, u, v, dt, length)
+
+
 def _segment_table(space: MetricMeasureSpace, curves: Sequence[ParametricCurve]) -> _Segments:
     """The segments of all the curves, read and validated by ``_steps``."""
-    curve, at, u, v, length = _steps(space, [c.nodes for c in curves])
-    n_nodes = len(at) + len(curves)
-    times = np.fromiter(chain.from_iterable(c.times for c in curves), float, n_nodes)
-    start = np.searchsorted(curve, np.arange(len(curves) + 1))
-    table = _Segments(start, curve, u, v, times[at + 1] - times[at], length)
-    for a in table:  # read-only, so that a plan can carry its table
-        a.setflags(write=False)
-    return table
+    _steps(space, [c.nodes for c in curves])
+    return _table(space, *_flat(curves))
 
 
 def _half_rows(
@@ -304,17 +325,29 @@ def curve_integral(
     return float(_line_integrals(_segment_table(space, [curve]), vals)[0])
 
 
-def _curve_table(curves: Sequence[ParametricCurve]) -> tuple[np.ndarray, np.ndarray]:
-    """One padded row of times and of nodes per curve.
+def _padded(
+    start: np.ndarray, nodes: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One padded row of times and of nodes per curve of curves laid end to
+    end (``_flat``).  A row of times ends in a sentinel 2.0 and then +inf; a
+    row of nodes repeats the last node from there on, so t = 1 falls on a
+    plateau."""
+    size = np.diff(start)
+    rows, width = np.arange(len(size)), size.max() + 1
+    at = np.arange(len(nodes)) + np.repeat(rows * width - start[:-1], size)  # flat cells
+    padded_times = np.full(len(size) * width, math.inf)
+    padded_times[at], padded_times[rows * width + size] = times, 2.0
+    padded_nodes = np.repeat(nodes[start[1:] - 1], width)
+    padded_nodes[at] = nodes
+    return padded_times.reshape(-1, width), padded_nodes.reshape(-1, width)
 
-    A row of times ends in a sentinel 2.0 and then +inf; a row of nodes
-    repeats the last node from there on, so t = 1 falls on a plateau.
-    """
-    width = max(len(c.times) for c in curves) + 1
-    rows = [(c, width - len(c.times)) for c in curves]
-    times = np.array([c.times + (2.0,) + (math.inf,) * (k - 1) for c, k in rows])
-    nodes = np.array([c.nodes + c.nodes[-1:] * k for c, k in rows])
-    return times, nodes
+
+def _curve_table(
+    space: MetricMeasureSpace, curves: Sequence[ParametricCurve]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The padded rows (``_padded``) of the curves, read and validated by ``_steps``."""
+    _steps(space, [c.nodes for c in curves])
+    return _padded(*_flat(curves))
 
 
 def _table_occupation(
@@ -348,8 +381,7 @@ def occupation_at(
     """
     if not (0.0 <= t <= 1.0):
         raise InvalidInstanceError(f"time {t} outside [0, 1]")
-    _segment_table(space, [curve])  # InvalidInstanceError off the space
-    table = _curve_table([curve])
+    table = _curve_table(space, [curve])  # InvalidInstanceError off the space
     u, v, theta = (x.item() for x in _table_occupation(*table, np.array([[t]])))
     if theta == 0.0:
         return [(u, 1.0)]
@@ -366,45 +398,59 @@ def stretch(
     a segment is snapped to the nearest node of that segment, which is
     the finest position the node representation can express.
     """
-    _segment_table(space, [curve])  # InvalidInstanceError off the space
+    table = _curve_table(space, [curve])  # InvalidInstanceError off the space
     if not (0.0 <= a < b <= 1.0):
         raise InvalidInstanceError(f"invalid window [{a}, {b}]")
-    return _windows(curve, np.array([a], dtype=float), np.array([b], dtype=float))[0]
+    _, nodes, times = _windows(table, np.array([a], dtype=float), np.array([b], dtype=float))
+    return _trusted(tuple(nodes.tolist()), tuple(times.tolist()))
 
 
-def _windows(curve: ParametricCurve, a: np.ndarray, b: np.ndarray) -> list[ParametricCurve]:
-    """``stretch`` of a curve on the space to each window [a[i], b[i]]: all
-    window ends from one occupation lookup, and the interior breakpoints
-    a < t < b from one search of the curve's times per side."""
-    times = curve.times
-    u, v, theta = _table_occupation(*_curve_table([curve]), np.concatenate((a, b))[None])
-    ends = np.where(theta < 0.5, u, v)[0].tolist()
-    first, stop = np.searchsorted(times, a, side="right"), np.searchsorted(times, b)
-    nodes, out_times = [], []
-    for i, (s, e) in enumerate(zip(a.tolist(), b.tolist())):
-        nodes.append((ends[i], *curve.nodes[first[i]:stop[i]], ends[len(a) + i]))
-        out_times.append((0.0, *((t - s) / (e - s) for t in times[first[i]:stop[i]]), 1.0))
-    return _derived(nodes, out_times)
+def _windows(
+    table: tuple[np.ndarray, np.ndarray], a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``stretch`` of each curve of a padded table (``_padded``) to each window
+    [a[i], b[i]], as arrays (start, nodes, times) of the windows, row after row
+    (``_flat``): all ends from one occupation lookup, and the interior nodes
+    a < t < b of a row by counting its times, each time becoming (t - a) / (b - a)."""
+    times, nodes = table
+    rows, width, n = len(times), times.shape[1], len(a)
+    u, v, theta = _table_occupation(times, nodes, np.tile(np.concatenate((a, b)), (rows, 1)))
+    ends = np.where(theta < 0.5, u, v)
+    base = np.arange(0, times.size, width)[:, None]  # flat index of each row's time 0
+    first = ((times[:, :, None] <= a).sum(1) + base).ravel()
+    size = ((times[:, :, None] < b).sum(1) + base).ravel() - first + 2
+    start = np.concatenate(([0], np.cumsum(size)))
+    head, tail = start[:-1], start[1:] - 1
+    at = np.repeat(first - 1 - head, size) + np.arange(start[-1])  # nodes first - 1 to stop
+    lo, span = (np.repeat(np.tile(x, rows), size) for x in (a, b - a))
+    out_nodes, out_times = nodes.ravel()[at], (times.ravel()[at] - lo) / span
+    out_nodes[head], out_nodes[tail] = ends[:, :n].ravel(), ends[:, n:].ravel()
+    out_times[head], out_times[tail] = 0.0, 1.0
+    _derived(start, out_times)
+    return start, out_nodes, out_times
 
 
-def _derived(nodes: list[tuple], times: list[tuple]) -> list[ParametricCurve]:
-    """Curves cut or retimed from curves on a space (Python ints and floats),
-    unchecked but for one pass over all times: rounded times that collide (or
-    pass 1.0) are moved apart by ulps."""
-    sizes = [len(ts) for ts in times]
-    ok = np.diff(np.fromiter(chain.from_iterable(times), float, sum(sizes))) > 0
-    ok[np.cumsum(sizes)[:-1] - 1] = True  # one curve's 1.0, the next one's 0.0
-    for i in set(np.repeat(np.arange(len(times)), sizes)[1:][~ok].tolist()):
-        ts = list(times[i])  # lift each time above the last, then lower it below the next
+def _derived(start: np.ndarray, times: np.ndarray) -> None:
+    """Make the times of curves cut or retimed from curves on a space, laid end
+    to end (``_flat``), strictly increasing in place: rounded times that
+    collide (or pass 1.0) are moved apart by ulps."""
+    ok = np.diff(times) > 0
+    ok[start[1:-1] - 1] = True  # one curve's 1.0, the next one's 0.0
+    for c in set((np.searchsorted(start, np.flatnonzero(~ok), side="right") - 1).tolist()):
+        ts = times[start[c]:start[c + 1]]  # lift each time above the last, then below the next
         for k in range(1, len(ts) - 1):
             ts[k] = max(ts[k], math.nextafter(ts[k - 1], 1.0))
         for k in range(len(ts) - 2, 0, -1):
             ts[k] = min(ts[k], math.nextafter(ts[k + 1], 0.0))
-        times[i] = tuple(ts)
-    curves = [object.__new__(ParametricCurve) for _ in nodes]
-    for c, ns, ts in zip(curves, nodes, times):
-        c.__dict__.update(nodes=ns, times=ts)  # frozen: no __setattr__
-    return curves
+
+
+def _trusted(nodes: tuple[int, ...], times: tuple[float, ...]) -> ParametricCurve:
+    """A curve cut or retimed from curves on a space (Python ints and floats),
+    built without the checks of ``ParametricCurve``."""
+    curve = object.__new__(ParametricCurve)
+    fields = curve.__dict__  # frozen: no __setattr__
+    fields["nodes"], fields["times"] = nodes, times
+    return curve
 
 
 def curves_equivalent(

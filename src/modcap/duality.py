@@ -101,7 +101,8 @@ def _density(space: MetricMeasureSpace, mass: np.ndarray) -> np.ndarray:
         )
     g = np.zeros(space.n_points)
     msk = space.positive_mask
-    g[msk] = mass[msk] / m[msk]
+    with np.errstate(over="ignore"):  # inf is the density on a subnormal mass
+        g[msk] = mass[msk] / m[msk]
     return g
 
 

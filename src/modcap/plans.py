@@ -19,14 +19,15 @@ for all curves at once.  A point's barycenter sums its halves in
 segment order within a curve and adds the curves in plan order, the
 order of a loop over the curves.  A plan that ``stretch_average`` or
 ``improve_barycenter`` builds is born validated and carries its table for its
-space (``_plan_table``); a plan the caller builds is validated on every call.
+space (``_plan_table``): its windows or retimed curves are cut as flat arrays,
+and its table and test-plan grid come from those or from the input's table.
+A plan the caller builds is validated on every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -36,18 +37,21 @@ from .curves import (
     constant_speed_reparam,
     _Segments,
     _check_energy_exponent,
-    _curve_table,
     _derived,
     _edges,
     _energies,
+    _flat,
     _half_rows,
+    _padded,
     _same_rep,
     _segment_table,
+    _table,
     _table_occupation,
+    _trusted,
     _windows,
 )
 from .duality import _check_probabilities, _density, _lq_norm
-from .errors import InvalidInstanceError
+from .errors import InvalidInstanceError, NoBarycenterError
 from .modulus import _check_count, _check_p
 from .space import MetricMeasureSpace
 
@@ -177,19 +181,33 @@ def testplan_check(
     steps between non-adjacent points raises InvalidInstanceError.
     """
     _plan_table(space, plan)  # InvalidInstanceError off the space
-    return _testplan(space, plan, extra_times)
+    return _testplan(space, *_support(plan), extra_times)
+
+
+def _support(plan: CurvePlan) -> tuple[tuple[np.ndarray, np.ndarray], list[float]]:
+    """The padded table (``curves._padded``) and the weights of the plan's support."""
+    support = plan.support()
+    return _padded(*_flat([c for _, c in support])), [w for w, _ in support]
 
 
 def _testplan(
-    space: MetricMeasureSpace, plan: CurvePlan, extra_times: Sequence[float] = ()
+    space: MetricMeasureSpace,
+    table: tuple[np.ndarray, np.ndarray],
+    weights: Sequence[float],
+    extra_times: Sequence[float] = (),
+    shifts: Sequence[float] = (0.0,),
+    scale: float = 1.0,
 ) -> TestPlanReport:
-    """``testplan_check`` of a plan whose curves lie on the space."""
-    grid = {0.0, 1.0}
-    for _, c in plan.support():
-        grid.update(c.times)
-    grid.update(float(t) for t in extra_times if 0.0 <= t <= 1.0)
-    times = np.array(sorted(grid))
-    c_min, k, x = _marginal_sup(space, plan.support(), times)
+    """The report of ``_marginal_sup`` for curves on the space with positive
+    weights, from their padded table, on a grid in [0, 1]: 0, 1, the extra
+    times and each t = scale s - tau at which a curve reaches a breakpoint s."""
+    ts = np.subtract.outer(scale * table[0].ravel(), shifts).ravel()
+    ts = np.concatenate(([0.0, 1.0], ts, np.asarray(extra_times, dtype=float)))
+    # Sorted, each once: a stable sort keeps the 0.0 before any -0.0, and
+    # np.unique would import numpy.ma.
+    ts = np.sort(ts[(0.0 <= ts) & (ts <= 1.0)], kind="stable")
+    times = ts[np.append(True, ts[1:] != ts[:-1])]
+    c_min, k, x = _marginal_sup(space, table, weights, times, shifts, scale)
     return TestPlanReport(math.isfinite(c_min), c_min, float(times[k]), x)
 
 
@@ -199,32 +217,32 @@ _CELLS = 1 << 15  # term x node x time cells per chunk: a 32 KB comparison array
 
 def _marginal_sup(
     space: MetricMeasureSpace,
-    support: Sequence[tuple[float, ParametricCurve]],
+    table: tuple[np.ndarray, np.ndarray],
+    weights: Sequence[float],
     times: np.ndarray,
     shifts: Sequence[float] = (0.0,),
     scale: float = 1.0,
 ) -> tuple[float, int, int]:
     """Supremum over times and points of a marginal density mass / m.
 
-    Each (w, curve) of the support and each shift tau, in that order, is
-    a term: it adds w / len(shifts) times the occupation of the curve at
-    s = (t + tau) / scale to the mass at each time t.  The exact kernel
-    runs on the times ``_screen`` keeps, a block of ``_BLOCK`` times in
-    chunks of at most ``_CELLS`` term x node x time cells (or one term),
-    so a chunk holds O(_CELLS) memory, and ``np.add.at`` adds a chunk term
-    by term, u before v: a cell's sum depends on neither, so the result is
-    that of the kernel on all times.  Mass on a point with m = 0 has
-    infinite density.  Returns the supremum with the time index and point
-    of its first attainment in (time, point) order ((0.0, 0, -1) without
-    mass).
+    Each curve of the padded table (``curves._padded``) with its weight w and
+    each shift tau, in that order, is a term: it adds w / len(shifts) times the
+    occupation of the curve at s = (t + tau) / scale to the mass at each time
+    t.  The exact kernel runs on the times ``_screen`` keeps, a block of
+    ``_BLOCK`` times in chunks of at most ``_CELLS`` term x node x time cells
+    (or one term), so a chunk holds O(_CELLS) memory, and ``np.add.at`` adds
+    a chunk term by term, u before v: a cell's sum depends on neither, so the
+    result is that of the kernel on all times.  Mass on a point with m = 0
+    has infinite density.  Returns the supremum with the time index and point
+    of its first attainment in (time, point) order ((0.0, 0, -1) without mass).
     """
     m, n, k = space.measure, space.n_points, len(shifts)
-    table_times, table_nodes = table = _curve_table([c for _, c in support])
-    w_k = [w / k for w, _ in support]
+    table_times, table_nodes = table
+    w_k = [w / k for w in weights]
     picks = _screen(space, table, np.array(w_k), times, np.asarray(shifts, dtype=float), scale)
-    rows = np.repeat(np.arange(len(support)), k)
+    rows = np.repeat(np.arange(len(w_k)), k)
     weights = np.repeat(w_k, k)[:, None]
-    shifts = np.tile(shifts, len(support))[:, None]
+    shifts = np.tile(shifts, len(w_k))[:, None]
     best, best_k, best_x = 0.0, 0, -1
     for start in range(0, len(picks), _BLOCK):
         ts = times[picks[start:start + _BLOCK]]
@@ -238,7 +256,7 @@ def _marginal_sup(
             uv = np.stack((u, v), axis=1) + cells
             add = np.stack((w * (1.0 - theta), w * theta), axis=1)
             np.add.at(mass.ravel(), uv.ravel(), add.ravel())  # a view of mass
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dens = np.where(mass > 0, mass / m, 0.0)
         flat = int(np.argmax(dens))
         if dens.flat[flat] > best:
@@ -334,12 +352,13 @@ def _screen(
     j = np.flatnonzero(at < nxt)
     m_j = m_pos[x[j]]
     mass = np.maximum(A[j] + times[at[j]] * B[j], A[j] + times[nxt[j] - 1] * B[j])
-    lo = float(((mass - E[j]) / m_j).max(initial=0.0))
-    j = j[((mass + E[j]) / m_j >= lo) | occupied[j]]
-    size = nxt[j] - at[j]
-    j, k = np.repeat(j, size), np.repeat(at[j] - np.cumsum(size) + size, size)
-    k += np.arange(len(k))
-    hi = (A[j] + times[k] * B[j] + E[j]) / m_pos[x[j]]
+    with np.errstate(over="ignore"):  # inf is the density on a subnormal mass
+        lo = float(((mass - E[j]) / m_j).max(initial=0.0))
+        j = j[((mass + E[j]) / m_j >= lo) | occupied[j]]
+        size = nxt[j] - at[j]
+        j, k = np.repeat(j, size), np.repeat(at[j] - np.cumsum(size) + size, size)
+        k += np.arange(len(k))
+        hi = (A[j] + times[k] * B[j] + E[j]) / m_pos[x[j]]
     return np.flatnonzero(np.bincount(k[(hi >= lo) | occupied[j]], minlength=n_t))
 
 
@@ -386,26 +405,42 @@ def improve_barycenter(
     q = _check_p(q, "q")
     t = _plan_table(space, plan)
     g = _plan_density(space, t, plan.probabilities)
+    if np.isinf(g).any():  # h = 0 there: a curve that stays there would never leave
+        x = int(np.argmax(np.isinf(g)))
+        raise NoBarycenterError(f"barycenter is infinite at point {x} (mass {space.measure[x]:g})")
     h = 1.0 / np.maximum(eps, g)
 
-    nodes, new_times, weighted = [], [], []  # weighted: rho G per support curve
-    rates, bounds = (t.dt * np.minimum(h[t.u], h[t.v])).tolist(), t.start.tolist()
-    for k, (w, c) in enumerate(zip(plan.probabilities, plan.curves)):
-        if w == 0:
-            continue
-        spans = rates[bounds[k]:bounds[k + 1]]
-        total = math.fsum(spans)
-        new_times.append((0.0, *(acc / total for acc in accumulate(spans[:-1])), 1.0))
-        nodes.append(c.nodes)
-        weighted.append(w * total)
+    # The support curves keep their nodes: their rows of t, with rho G per
+    # curve and new times from the partial sums of dt H, curve by curve.
+    probs = np.asarray(plan.probabilities)
+    rows = probs[t.curve] > 0
+    curve = (np.cumsum(probs > 0) - 1)[t.curve[rows]]
+    rates = (t.dt * np.minimum(h[t.u], h[t.v]))[rows]
+    start = np.searchsorted(curve, np.arange(curve[-1] + 2))
+    bounds, spans = start.tolist(), rates.tolist()
+    totals = np.array([math.fsum(spans[i:j]) for i, j in zip(bounds, bounds[1:])])
+    col = np.arange(len(curve)) - start[curve]
+    sums = np.zeros((len(totals), col.max() + 1))
+    sums[curve, col] = rates
+    at, node_start = np.arange(len(curve)) + curve, start + np.arange(len(start))
+    times = np.zeros(node_start[-1])
+    times[at + 1] = np.cumsum(sums, axis=1)[curve, col] / totals[curve]  # added in order
+    times[node_start[1:] - 1] = 1.0
+    _derived(node_start, times)
 
+    weighted = (probs[probs > 0] * totals).tolist()
     z = math.fsum(weighted)
     new_probs = [wg / z for wg in weighted]
     drift = math.fsum(new_probs)
     new_probs = [w / drift for w in new_probs]
-    out = CurvePlan(tuple(_derived(nodes, new_times)), tuple(new_probs))
-
-    t_out = _segment_table(space, out.curves)
+    new_times, bounds = times.tolist(), node_start.tolist()
+    new_curves = [
+        _trusted(c.nodes, tuple(new_times[i:j]))
+        for (_, c), i, j in zip(plan.support(), bounds, bounds[1:])
+    ]
+    out = CurvePlan(tuple(new_curves), tuple(new_probs))
+    dt = times[at + 1] - times[at]
+    t_out = _Segments(start, curve, t.u[rows], t.v[rows], dt, t.length[rows])
     object.__setattr__(out, "_born", (space, t_out, None))
     new_bary = _plan_density(space, t_out, out.probabilities)
     sup_new = float(new_bary.max(initial=0.0))
@@ -475,19 +510,23 @@ def stretch_average(
     c_in = float(_plan_density(space, t, plan.probabilities).max(initial=0.0))
     taus = (np.arange(n_tau) + 0.5) * eps / n_tau
 
-    atoms: dict[ParametricCurve, float] = {}  # keyed by the first equal piece
-    for w, c in plan.support():
-        for piece in _windows(c, taus / (1.0 + eps), (1.0 + taus) / (1.0 + eps)):
-            atoms[piece] = atoms.get(piece, 0.0) + w / n_tau
-    out = CurvePlan(tuple(atoms), tuple(atoms.values()))
+    source, weights = _support(plan)
+    cut = _windows(source, taus / (1.0 + eps), (1.0 + taus) / (1.0 + eps))
+    start, nodes, times = (a.tolist() for a in cut)
+    atoms: dict[tuple, list] = {}  # (nodes, times) of a window -> [first index, probability]
+    for k, (i, j) in enumerate(zip(start, start[1:])):  # equal windows merge into the first
+        atom = atoms.setdefault((tuple(nodes[i:j]), tuple(times[i:j])), [k, 0.0])
+        atom[1] += weights[k // n_tau] / n_tau
+    kept, probs = (list(x) for x in zip(*atoms.values()))
+    out = CurvePlan(tuple(_trusted(*key) for key in atoms), tuple(probs))
+    size = np.diff(cut[0])[kept]
+    start = np.concatenate(([0], np.cumsum(size)))
+    at = np.repeat(cut[0][kept] - start[:-1], size) + np.arange(start[-1])
+    flat = start, cut[1][at], cut[2][at]
 
     # Exact tau-grid marginal through the source curves: breakpoints of
     # t -> gamma((t+tau)/(1+eps)) sit at t = (1+eps) t_k - tau.
-    tk = np.concatenate([c.times for _, c in plan.support()])
-    shifted = np.subtract.outer((1.0 + eps) * tk, taus).ravel()
-    inside = shifted[(0.0 < shifted) & (shifted < 1.0)].tolist()
-    eval_times = np.array(sorted({0.0, 1.0, *inside}))
-    exact_sup, _, _ = _marginal_sup(space, plan.support(), eval_times, taus, 1.0 + eps)
+    exact_sup = _testplan(space, source, weights, (), taus, 1.0 + eps).c_min
 
     # A curve's occupation weight at x jumps by 1 at each non-plateau
     # step touching x, so its total variation in time is that count:
@@ -497,10 +536,12 @@ def stretch_average(
     msk = space.positive_mask
     tv = np.array([math.fsum(col) for col in counts.T[msk].tolist()])
     dtau = eps / n_tau
-    corr = float(np.max(dtau / (2.0 * eps) * tv / space.measure[msk], initial=0.0))
+    with np.errstate(over="ignore"):  # inf is the density on a subnormal mass
+        corr = float(np.max(dtau / (2.0 * eps) * tv / space.measure[msk], initial=0.0))
     bound = c_in * (1.0 + eps) / eps
-    report = _testplan(space, out)
-    object.__setattr__(out, "_born", (space, _segment_table(space, out.curves), report))
+    positive = np.array(probs) > 0  # windows of weight w / n_tau = 0 do not count
+    report = _testplan(space, tuple(a[positive] for a in _padded(*flat)), [w for w in probs if w])
+    object.__setattr__(out, "_born", (space, _table(space, *flat), report))
     return StretchResult(
         plan=out,
         c_in=c_in,

@@ -511,6 +511,34 @@ def test_plan_stretch_of_breakpoints_an_ulp_apart_exits_0(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_subnormal_point_mass_exits_cleanly(tmp_path, capsys):
+    # A positive mass below the float range made the marginal densities
+    # overflow: plan check failed on numpy's warning under
+    # PYTHONWARNINGS=error (exit 5), and plan improve divided 0 by 0
+    # (ZeroDivisionError, exit 5).
+    import warnings
+
+    from modcap.curves import ParametricCurve
+    from modcap.instance import Instance, NamedPlan, save_instance
+    from modcap.plans import CurvePlan
+    from modcap.space import build_grid_space
+
+    c = ParametricCurve((0, 1), (0.0, 1.0))
+    path = tmp_path / "subnormal.json"
+    save_instance(Instance("subnormal", build_grid_space(2, 2, [1, 1e-320, 1, 1]),
+                           curves={"c": c},
+                           plans={"p": NamedPlan(("c",), CurvePlan((c,), (1.0,)))}), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plan", "check", "--instance", str(path)]) == 0
+        assert "marginal constant: inf" in capsys.readouterr().out
+        assert main(["plan", "stretch", "--instance", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["plan", "improve", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "barycenter is infinite at point 1 (mass 9.99989e-321)" in err and "internal error" not in err
+
+
 def grid8_paths():
     """The instance stored in data/grid8_paths.json: left-right paths on an
     8x8 grid with seeded point masses."""

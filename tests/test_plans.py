@@ -8,6 +8,7 @@ import pytest
 
 from modcap.curves import (
     ParametricCurve,
+    _segment_table,
     constant_curve,
     constant_speed_reparam,
     curve_energy,
@@ -762,10 +763,10 @@ def attaining_times(call):
     supremum of ``_marginal_sup(*call)``: each is the first attainment among
     the times after the one before, as a cell's sum does not depend on the
     other times of its call."""
-    space, support, times, *rest = call
+    space, table, weights, times, *rest = call
     sup, found, start = exhaustive(plans._marginal_sup, *call)[0], [], 0
     while start < len(times):
-        d, k, _ = exhaustive(plans._marginal_sup, space, support, times[start:], *rest)
+        d, k, _ = exhaustive(plans._marginal_sup, space, table, weights, times[start:], *rest)
         if d != sup:
             break
         found.append(start + k)
@@ -795,7 +796,7 @@ def test_screened_marginal_sup_equals_exhaustive_kernel():
         except NoBarycenterError:
             continue
         shifted += 1
-        assert len(calls[0][0][3]) == n_tau  # the shifted call comes first
+        assert len(calls[0][0][4]) == n_tau  # the shifted call comes first
     assert shifted >= 10 and infinite >= 6
 
 
@@ -806,11 +807,11 @@ def test_screen_keeps_every_time_of_a_flat_marginal():
     plan = CurvePlan((constant_curve(7), constant_curve(4), constant_curve(2)), (0.5, 0.25, 0.25))
     extra = np.random.default_rng(2300).uniform(0.0, 1.0, 40)
     (call, kept), = assert_screen_is_exact(marginal_check, space, plan, extra)
-    assert np.array_equal(kept, np.arange(len(call[2])))
+    assert np.array_equal(kept, np.arange(len(call[3])))
     rep = marginal_check(space, plan, extra)
     assert (rep.c_min, rep.worst_time, rep.worst_point) == (0.25, 0.0, 2)
     for call, kept in assert_screen_is_exact(stretch_average, space, plan, 0.25, 64):
-        assert np.array_equal(kept, np.arange(len(call[2])))
+        assert np.array_equal(kept, np.arange(len(call[3])))
 
 
 def test_screen_reads_each_points_entries(monkeypatch):
@@ -829,7 +830,7 @@ def test_screen_reads_each_points_entries(monkeypatch):
     extra = rng.uniform(0.0, 1.0, 30)
     (call, kept), = assert_screen_is_exact(marginal_check, space, plan, extra)
     _, k, x = plans._marginal_sup(*call)
-    assert (k, x) == (len(call[2]) - 1, 12) and k in kept
+    assert (k, x) == (len(call[3]) - 1, 12) and k in kept
     for call, kept in assert_screen_is_exact(stretch_average, space, plan, 0.25, 64):
         assert np.array_equal(kept, attaining_times(call))
     # A zero-mass point occupied only inside the grid: point 55 from t = 0.3
@@ -844,13 +845,14 @@ def test_screen_reads_each_points_entries(monkeypatch):
     grid = np.linspace(0.0, 1.0, 81)
     for run, shifts, scale in (
         ((marginal_check, space, plan, extra), np.zeros(1), 1.0),
-        ((lambda *a: plans._marginal_sup(*a), space, plan.support(), grid, taus, 1.0 + eps),
+        ((lambda *a: plans._marginal_sup(*a), space, *plans._support(plan), grid, taus,
+          1.0 + eps),
          taus, 1.0 + eps),
     ):
         (call, kept), = screen_calls(*run)
         exact = exhaustive(plans._marginal_sup, *call)
         assert plans._marginal_sup(*call) == exact and exact[::2] == (math.inf, 55)
-        s = np.add.outer(call[2], shifts) / scale
+        s = np.add.outer(call[3], shifts) / scale
         held = np.flatnonzero(((s >= 0.3) & (s < 0.6)).any(axis=1))
         assert 0 < held[0] and held[-1] < len(s) - 1 and np.isin(held, kept).all()
     # The kernel runs the kept times in blocks of _BLOCK: on a flat marginal
@@ -859,7 +861,7 @@ def test_screen_reads_each_points_entries(monkeypatch):
     space = build_grid_space(3, 3, [1, 2, 1, 2, 1, 2, 1, 2, 1])
     plan = CurvePlan((constant_curve(7), constant_curve(4), constant_curve(2)), (0.5, 0.25, 0.25))
     (call, kept), = assert_screen_is_exact(marginal_check, space, plan, extra)
-    assert np.array_equal(kept, np.arange(len(call[2]))) and len(kept) > 4 * plans._BLOCK
+    assert np.array_equal(kept, np.arange(len(call[3]))) and len(kept) > 4 * plans._BLOCK
 
 
 def test_screen_keeps_just_the_times_that_attain_the_supremum():
@@ -903,7 +905,8 @@ def test_screen_follows_the_kernels_rounding_of_shifted_times():
         space = MetricMeasureSpace(5, edges, [m0, 1.0, 1.0, 0.05, 1.0])
         grid = np.array([0.0, t, 1.0])
         (call, kept[m0]), = screen_calls(
-            lambda *a: plans._marginal_sup(*a), space, plan.support(), grid, taus, 1.0 + eps
+            lambda *a: plans._marginal_sup(*a), space, *plans._support(plan), grid, taus,
+            1.0 + eps,
         )
         exact = exhaustive(plans._marginal_sup, *call)
         assert plans._marginal_sup(*call) == exact
@@ -980,9 +983,11 @@ def test_improve_barycenter_of_colliding_partial_sums_keeps_times_increasing():
 def test_derived_curves_move_colliding_times_apart_by_ulps(times, expected):
     from modcap.curves import _derived
 
-    nodes = tuple(range(len(times)))
-    (fixed,) = _derived([nodes], [times])
-    assert fixed.nodes == nodes and fixed.times == expected
+    # The times of one curve laid out between two that need no repair:
+    # one curve's 1.0 next to the next one's 0.0 is no collision.
+    flat = np.array([0.0, 0.5, 1.0, *times, 0.0, 1.0])
+    _derived(np.array([0, 3, 3 + len(times), len(flat)]), flat)
+    assert tuple(flat.tolist()) == (0.0, 0.5, 1.0, *expected, 0.0, 1.0)
 
 
 def test_stretch_and_improve_build_no_checked_curves(monkeypatch):
@@ -1008,21 +1013,22 @@ def count_tables(monkeypatch):
     return builds
 
 
-def test_a_plan_op_builds_three_segment_tables(monkeypatch):
-    # stretch_average tables its input and output; the w1p check, the
-    # improvement and the bridge read the tables the plans were born with.
+def test_a_plan_op_builds_one_segment_table(monkeypatch):
+    # stretch_average validates and tables its input only: the stretched
+    # and the improved plans are born with tables built from their flat
+    # arrays, which the w1p check, the improvement and the bridge read.
     space = build_grid_space(4, 4)
     rng = np.random.default_rng(2500)
     plan = walk_plan(space, rng, 3)
     f, g = rng.uniform(0.0, 1.0, 16), np.full(16, 10.0)
     builds = count_tables(monkeypatch)
     res = stretch_average(space, plan, 0.25, n_tau=16)
-    assert len(builds) == 2
+    assert len(builds) == 1
     w1p = check_w1p_pair(space, f, g, [res.plan])
     imp = improve_barycenter(space, res.plan, 2.0, 0.1)
-    assert len(builds) == 3
+    assert len(builds) == 1
     bridge = bridge_inequality(space, imp.plan, 2.0)
-    assert len(builds) == 3
+    assert len(builds) == 1
     # The same numbers from caller-built copies, which are tabled every call.
     stretched = CurvePlan(res.plan.curves, res.plan.probabilities)
     improved = CurvePlan(imp.plan.curves, imp.plan.probabilities)
@@ -1031,7 +1037,7 @@ def test_a_plan_op_builds_three_segment_tables(monkeypatch):
     again = improve_barycenter(space, stretched, 2.0, 0.1)
     assert again.plan == imp.plan and again.new_barycenter.tobytes() == imp.new_barycenter.tobytes()
     assert bridge_inequality(space, improved, 2.0) == bridge
-    assert len(builds) == 3 + 1 + 2 + 1
+    assert len(builds) == 1 + 1 + 1 + 1
 
 
 def test_caller_built_plans_are_tabled_on_every_call(monkeypatch):
@@ -1098,3 +1104,91 @@ def test_born_plans_compare_hash_print_and_pickle_as_caller_built_ones():
         assert pickle.dumps(born) == pickle.dumps(plain)
         back = pickle.loads(pickle.dumps(born))
         assert back == born and back._born is None
+
+
+# Plans the library builds come from flat arrays: their carried tables
+# and report must be those a caller-built copy gets.
+
+
+def array_path_plans():
+    """(space, plan, eps, n_tau): seeded walk plans and messy draws (constant
+    curves, plateaus, revisits, curves of probability 0) on 4x4 and 8x8
+    grids, then the ulp-collision repros and a curve of subnormal weight,
+    whose windows get probability 0."""
+    for s in range(16):
+        side = (4, 8)[s % 2]
+        rng = np.random.default_rng([3000, s])
+        space = build_grid_space(side, side, rng.uniform(0.1, 1.0, side * side))
+        draw = (walk_plan, messy_plan, revisiting_plan)[s % 3]
+        yield space, draw(space, rng, 1 + s % 4), 0.25, (64, 128)[s // 2 % 2]
+    space = build_grid_space(4, 1)
+    plan = CurvePlan((ulp_apart_curve("0x1.a4b11fbee8d2ep-1"),), (1.0,))
+    yield space, plan, 0.40160970597833545, 3
+    c = ParametricCurve((0, 1, 2, 3), (0.0, 0.1, float.fromhex("0x1.d9e2c4907970ap-1"), 1.0))
+    yield space, CurvePlan((c,), (1.0,)), float.fromhex("0x1.b234a6727ef13p-2"), 2
+    plan = CurvePlan((ulp_apart_curve("0x1.63d844b93b950p-4"),), (1.0,))
+    yield space, plan, 0.25, 8
+    plan = CurvePlan((c, ParametricCurve((3, 2), (0.0, 1.0))), (5e-324, 1.0))
+    yield space, plan, 0.25, 8
+
+
+def assert_same_table(table, expected):
+    assert len(table) == len(expected) == 6
+    for a, b in zip(table, expected):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert not a.flags.writeable
+
+
+def test_library_built_plans_carry_the_tables_of_caller_built_copies():
+    zero_windows = 0
+    for space, plan, eps, n_tau in array_path_plans():
+        res = stretch_average(space, plan, eps, n_tau)
+        zero_windows += 0.0 in res.plan.probabilities
+        improved = (improve_barycenter(space, p, 2.0, 0.1).plan for p in (res.plan, plan))
+        for built in (res.plan, *improved):
+            assert_valid_curves(built.curves)
+            assert_same_table(built._born[1], _segment_table(space, built.curves))
+        copy = CurvePlan(res.plan.curves, res.plan.probabilities)
+        rep, born = marginal_check(space, copy), res.plan._born[2]
+        assert (born.c_min, born.worst_time, born.worst_point) == (
+            rep.c_min, rep.worst_time, rep.worst_point
+        )
+        assert res.output_c_min == born.c_min
+    assert zero_windows == 1
+
+
+def test_stretch_windows_at_the_ends_and_on_breakpoints_match_the_scalar_cut():
+    import itertools
+
+    rng = np.random.default_rng(3100)
+    for side in (4, 8):
+        space = build_grid_space(side, side)
+        for _ in range(8):
+            for c in messy_plan(space, rng, 3).curves:
+                cuts = sorted({0.0, 1.0, *c.times, *rng.uniform(0.0, 1.0, 3).tolist()})
+                for a, b in itertools.combinations(cuts, 2):
+                    piece = stretch(space, c, a, b)
+                    assert piece == scalar_stretch(space, c, a, b)
+                    assert all(type(x) is int for x in piece.nodes)
+                    assert all(type(t) is float for t in piece.times)
+
+
+def test_subnormal_point_mass_gives_infinite_densities_without_warnings():
+    import warnings
+
+    # Point 1 has a subnormal mass: a density there overflows to inf.
+    space = build_grid_space(2, 2, [1, 1e-320, 1, 1])
+    plan = CurvePlan((ParametricCurve((0, 1), (0.0, 1.0)),), (1.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings included
+        g = parametric_barycenter(space, plan)
+        assert g[1] == math.inf and g[0] == 0.5
+        rep = marginal_check(space, plan)
+        assert (rep.is_test_plan, rep.c_min, rep.worst_point) == (False, math.inf, 1)
+        res = stretch_average(space, plan, 0.25, 8)
+        assert res.exact_sup == res.correction == res.output_c_min == math.inf
+        assert bridge_inequality(space, plan, 2.0).c_q == math.inf
+        # The improvement would stop the curve at point 1 for good (h = 0
+        # there) and divide 0 by 0: it reports the missing barycenter.
+        with pytest.raises(NoBarycenterError, match="infinite at point 1 "):
+            improve_barycenter(space, plan, 2.0, 0.1)
