@@ -10,6 +10,10 @@ attained by minimizing the convex map lam -> ||bar(lam)||_q over the
 simplex.  Strong duality gives C = Mod_p ^ (1/p) with q = p/(p-1); at
 optimality the plan charges only saturated measures and its barycenter
 equals f^(p-1) / ||f||_p^p.
+
+One helper, ``_barycenter``, reduces the point masses of every plan
+barycenter: the items of a measure plan here, and the half masses of the
+segments of a curve plan in ``plans``.
 """
 
 from __future__ import annotations
@@ -80,29 +84,44 @@ def plan_barycenter(
 
     Raises NoBarycenterError when the averaged measure puts mass on a
     point with m = 0 (no density exists there).  Each point's mass sums
-    its terms w * mu(x) from 0.0 in support order (``np.bincount``).
+    its terms w * mu(x) from 0.0 in support order (``_barycenter``).
     """
     _check_probabilities(support, probabilities, "measure")
-    points = [x for mu in support for x, _ in mu.items]
-    if points and max(points) >= space.n_points:  # ids are never negative
-        raise InvalidInstanceError(f"plan charges point {max(points)} outside the space")
-    terms = [w * val for w, mu in zip(probabilities, support) for _, val in mu.items]
-    mass = np.bincount(np.array(points, dtype=np.int64), terms, minlength=space.n_points)
-    return _density(space, mass)
+    points = np.fromiter((x for mu in support for x, _ in mu.items), np.int64)
+    if points.size and points.max() >= space.n_points:  # ids are never negative
+        raise InvalidInstanceError(f"plan charges point {points.max()} outside the space")
+    member = np.repeat(np.arange(len(support)), [len(mu.items) for mu in support])
+    mass = np.fromiter((val for mu in support for _, val in mu.items), float)
+    return _barycenter(space, member, points, mass, probabilities)
 
 
-def _density(space: MetricMeasureSpace, mass: np.ndarray) -> np.ndarray:
-    """mass / m, 0 where m = 0; NoBarycenterError for mass on a zero-mass point."""
-    m = space.measure
-    bad = np.nonzero((mass > 0) & (m == 0))[0]
+def _barycenter(
+    space: MetricMeasureSpace, member: np.ndarray, point: np.ndarray, mass: np.ndarray,
+    probabilities: Sequence[float],
+) -> np.ndarray:
+    """Barycenter density of members given by entries: entry j puts mass[j]
+    on point[j] in member member[j].  Each (member, point) cell sums its
+    entries in entry order, and each point adds probabilities[member] x its
+    cells' sums in member order, both from 0.0 (``np.bincount``), so the bits
+    are those of a loop over the members; work and memory go with the
+    entries.  0 where m = 0; NoBarycenterError for mass on a zero-mass point.
+    """
+    n, m = space.n_points, space.measure
+    key = member * n + point
+    order = np.argsort(key, kind="stable")  # a cell's entries stay in entry order
+    head = np.diff(key[order], prepend=-1) != 0  # the first entry of each cell
+    cells = key[order][head]
+    sums = np.bincount(np.cumsum(head) - 1, mass[order])
+    total = np.bincount(cells % n, np.asarray(probabilities)[cells // n] * sums, minlength=n)
+    bad = np.nonzero((total > 0) & (m == 0))[0]
     if bad.size:
         raise NoBarycenterError(
-            f"plan puts mass {mass[bad[0]]:g} on zero-mass point {int(bad[0])}"
+            f"plan puts mass {total[bad[0]]:g} on zero-mass point {int(bad[0])}"
         )
-    g = np.zeros(space.n_points)
+    g = np.zeros(n)
     msk = space.positive_mask
     with np.errstate(over="ignore"):  # inf is the density on a subnormal mass
-        g[msk] = mass[msk] / m[msk]
+        g[msk] = total[msk] / m[msk]
     return g
 
 

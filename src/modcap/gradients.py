@@ -19,7 +19,7 @@ import numpy as np
 from .curves import ParametricCurve, j_map, _line_integrals, _segment_table
 from .errors import InvalidInstanceError
 from .modulus import _check_limits, solve_modulus_explicit
-from .plans import CurvePlan, _plan_table, _support, _testplan
+from .plans import CurvePlan, _plan_table, _report
 from .space import MetricMeasureSpace
 
 __all__ = [
@@ -145,8 +145,7 @@ def check_w1p_pair(
         warnings.append("no plans supplied; vacuous pass")
     for idx, plan in enumerate(plans):
         rep = _check_gradient(fv, gv, tol, _plan_table(space, plan))  # at most one table
-        born = plan._born or (None,) * 3  # a stretched plan carries its report
-        tp = born[2] if born[0] is space and born[2] else _testplan(space, *_support(plan))
+        tp = _report(space, plan)
         prob = math.fsum(plan.probabilities[i] for i in rep.violating)
         entries.append(PlanViolation(tp.is_test_plan, tp.c_min, prob))
         if not tp.is_test_plan:

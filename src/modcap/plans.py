@@ -15,7 +15,8 @@ construction, and the constant-speed pushforward.
 A call walks each plan it reads once, as one segment table of all its
 curves (``curves._segment_table``), validated in one pass, and reads
 barycenters, the line-measure c_q, energies and speeds off that table
-for all curves at once.  A point's barycenter sums its halves in
+for all curves at once.  Barycenters go through ``duality._barycenter``,
+the helper of measure plans: a point's barycenter sums its halves in
 segment order within a curve and adds the curves in plan order, the
 order of a loop over the curves.  A plan that ``stretch_average`` or
 ``improve_barycenter`` builds is born validated and carries its table for its
@@ -50,7 +51,7 @@ from .curves import (
     _trusted,
     _windows,
 )
-from .duality import _check_probabilities, _density, _lq_norm
+from .duality import _barycenter, _check_probabilities, _lq_norm
 from .errors import InvalidInstanceError, NoBarycenterError
 from .modulus import _check_count, _check_p
 from .space import MetricMeasureSpace
@@ -96,31 +97,14 @@ def _plan_table(space: MetricMeasureSpace, plan: CurvePlan) -> _Segments:
     return born[1] if born and born[0] is space else _segment_table(space, plan.curves)
 
 
-_ROW_CELLS = 1 << 12  # curve x point cells per chunk of _plan_density: 32 KB arrays
-
-
 def _plan_density(
     space: MetricMeasureSpace, t: _Segments, probs: Sequence[float], line: bool = False
 ) -> np.ndarray:
-    """Barycenter density of a plan's occupation (or ``line``) measures.
-
-    The density of sum_c probs[c] x (``_half_rows`` row of curve c): one
-    ``np.bincount`` per chunk of about ``_ROW_CELLS`` cells adds each
-    point's terms in curve order after the running total, so the sums
-    are those of a loop over the curves, whatever the chunking.
-    """
+    """``duality._barycenter`` of a plan's occupation (or ``line``) measures:
+    each segment (or ``_edges`` entry) gives half its mass to u, then to v."""
     curve, u, v, mass = _edges(t)[:4] if line else (t.curve, t.u, t.v, t.dt)
-    n, probs = space.n_points, np.asarray(probs)
-    step = max(1, _ROW_CELLS // n)
-    firsts = range(0, len(probs), step)
-    cuts = np.searchsorted(curve, [*firsts, len(probs)]).tolist()
-    total = np.zeros(n)
-    for a, lo, hi in zip(firsts, cuts, cuts[1:]):
-        w = probs[a:a + step, None]
-        rows = _half_rows(curve[lo:hi] - a, u[lo:hi], v[lo:hi], mass[lo:hi], len(w), n)
-        terms = np.concatenate((total, (w * rows).ravel()))
-        total = np.bincount(np.tile(np.arange(n), len(w) + 1), terms)
-    return _density(space, total)
+    point = np.stack((u, v), axis=1).ravel()
+    return _barycenter(space, np.repeat(curve, 2), point, np.repeat(0.5 * mass, 2), probs)
 
 
 def _energy(t: _Segments, probs: Sequence[float], q: float) -> float:
@@ -130,7 +114,8 @@ def _energy(t: _Segments, probs: Sequence[float], q: float) -> float:
 
 def _lipschitz(t: _Segments, probs: Sequence[float]) -> float:
     """``plan_lipschitz`` of a plan from its segment table."""
-    return float((t.length / t.dt)[np.asarray(probs)[t.curve] > 0].max())
+    with np.errstate(over="ignore"):  # inf is the speed on a subnormal dt
+        return float((t.length / t.dt)[np.asarray(probs)[t.curve] > 0].max())
 
 
 def plan_lipschitz(space: MetricMeasureSpace, plan: CurvePlan) -> float:
@@ -178,9 +163,21 @@ def testplan_check(
     supremum; its recheck of those returns what it returns on the whole
     grid.  Mass on a zero-mass point at any time gives C_min = inf.  A
     curve of the plan, of probability 0 or not, that leaves the space or
-    steps between non-adjacent points raises InvalidInstanceError.
+    steps between non-adjacent points raises InvalidInstanceError.  A plan
+    that ``stretch_average`` built on the space returns the report it carries.
     """
     _plan_table(space, plan)  # InvalidInstanceError off the space
+    return _report(space, plan, extra_times)
+
+
+def _report(
+    space: MetricMeasureSpace, plan: CurvePlan, extra_times: Sequence[float] = ()
+) -> TestPlanReport:
+    """The test-plan report the plan was born with on the space, when no extra
+    times are asked for, or one computed now."""
+    born = plan._born
+    if born and born[0] is space and born[2] and len(extra_times) == 0:
+        return born[2]
     return _testplan(space, *_support(plan), extra_times)
 
 
@@ -309,7 +306,9 @@ def _screen(
     their grid times, and a time is kept when its own hi reaches lo or it
     occupies such a point: every time left out lies below the kernel's
     supremum, and every time that attains it is kept.  Work and memory go
-    with N, not with times x points.
+    with N, not with times x points.  A slope past the float range (a
+    subnormal segment duration) leaves A, B or R inf or nan: then every
+    grid time is kept, and the exact kernel decides.
     """
     (t_row, x_row), n_t, m, u = table, len(times), space.measure, 2.0**-53
     # Per (shift, row, column) the first grid index whose s, rounded as the
@@ -324,20 +323,24 @@ def _screen(
         first += step
     sh, r, i = np.nonzero(first[..., :-1] < first[..., 1:])  # pieces held at some grid time
     t0, w, x0, x1 = t_row[r, i], weights[r], x_row[r, i], x_row[r, i + 1]
-    moves = x0 != x1
-    b = np.divide(w, scale * (t_row[r, i + 1] - t0), out=np.zeros(len(r)), where=moves)
-    a_v = -b * (scale * t0 - taus[sh])
-    mu = w + 2.0 * (1.0 + scale + np.abs(taus).max()) * b
+    moves, dt = x0 != x1, t_row[r, i + 1] - t0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan on a subnormal dt
+        b = np.divide(w, scale * dt, out=np.zeros(len(r)), where=moves)
+        a_v = -b * (scale * t0 - taus[sh])
+        mu = w + 2.0 * (1.0 + scale + np.abs(taus).max()) * b
     both = lambda x, y: np.concatenate((x, y[moves]))  # v only off plateaus
     col, a, b, mu = both(x0, x1), both(w - a_v, a_v), both(-b, b), both(mu, mu)
     f, e = first[sh, r, i], first[sh, r, i + 1]
     at = np.concatenate((both(f, f), both(e, e)))  # the starts, then the ends
-    del sh, r, i, t0, w, x0, x1, a_v, f, e, first  # only the entries are needed from here
+    del sh, r, i, t0, dt, w, x0, x1, a_v, f, e, first  # only the entries are needed from here
     order = np.argsort(np.tile(col, 2) * (n_t + 1) + at)  # by (point, grid index)
     at, x, neg = at[order], col[order % len(col)], order >= len(col)
-    A, B, R = (np.cumsum(np.concatenate((v, s * v))[order])
-               for v, s in ((a, -1), (b, -1), (mu, 1)))
+    with np.errstate(invalid="ignore"):
+        A, B, R = (np.cumsum(np.concatenate((v, s * v))[order])
+                   for v, s in ((a, -1), (b, -1), (mu, 1)))
     del col, a, b, mu, order
+    if not np.isfinite([A[-1:], B[-1:], R[-1:]]).all():  # a running sum stays inf or nan
+        return np.arange(n_t)
     gam = (2 * len(at) + 4 * len(taus) * len(weights) + 64) * u
     eps = gam / (1.0 - gam) + 8.0 * u * (1.0 + (times[-1] + taus.max()) / scale)
     E = np.multiply(R, eps, out=R)  # in R's place

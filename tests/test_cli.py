@@ -539,6 +539,21 @@ def test_subnormal_point_mass_exits_cleanly(tmp_path, capsys):
         assert "barycenter is infinite at point 1 (mass 9.99989e-321)" in err and "internal error" not in err
 
 
+def test_subnormal_segment_duration_exits_cleanly(capsys):
+    # The curve of chain_tiny_step.json steps in 1e-310: plan check read a
+    # marginal constant of 0.0, and under PYTHONWARNINGS=error plan check
+    # and plan improve failed on numpy's overflow warning (exit 5).
+    import warnings
+
+    tiny = str(DATA / "chain_tiny_step.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plan", "check", "--instance", tiny]) == 0
+        assert "marginal constant: 3.0\n" in capsys.readouterr().out
+        assert main(["plan", "improve", "--instance", tiny]) == 0
+        capsys.readouterr()
+
+
 def grid8_paths():
     """The instance stored in data/grid8_paths.json: left-right paths on an
     8x8 grid with seeded point masses."""

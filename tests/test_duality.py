@@ -79,6 +79,9 @@ def test_plan_barycenter_by_hand():
     assert plan.c_q == pytest.approx(expected, rel=1e-12)
     g = plan_barycenter(space, [mu0, mu1], [0.5, 0.5])
     assert np.array_equal(g, plan.barycenter_density)
+    # Zero measures only: no entry to reduce, the zero density.
+    zero = DiscreteMeasure.zero()
+    assert plan_barycenter(space, [zero, zero], [0.5, 0.5]).tobytes() == np.zeros(3).tobytes()
     with pytest.raises(ValueError, match="one probability per"):
         plan_barycenter(space, [mu0, mu1], [1.0])
     with pytest.raises(ValueError, match="plan charges point 7 outside the space"):

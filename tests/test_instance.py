@@ -171,7 +171,7 @@ def test_curve_times_default_to_uniform():
 
 
 def test_shipped_instances_are_byte_stable(tmp_path):
-    for name in ("two_point.json", "chain_demo.json"):
+    for name in ("two_point.json", "chain_demo.json", "chain_tiny_step.json"):
         src = DATA / name
         inst = load_instance(src)
         out = tmp_path / name

@@ -36,7 +36,7 @@ from modcap.plans import (
     stretch_average,
 )
 from modcap import plans
-from modcap.plans import _BLOCK, _CELLS, _ROW_CELLS
+from modcap.plans import _BLOCK, _CELLS
 from modcap.plans import testplan_check as marginal_check
 from modcap.space import MetricMeasureSpace, build_grid_space
 
@@ -696,13 +696,13 @@ def test_plan_tables_match_per_curve_references():
     assert outcome(bridge_inequality, space, plan, q) == ref
 
 
-def test_barycenters_match_per_curve_references_across_chunks():
-    # Enough curves for several chunks of rows: each chunk's sums must
-    # continue the running total, not start their own.
+def test_barycenters_match_per_curve_references_on_a_large_plan():
+    # One reduction over the segments of thousands of curves: each point
+    # must still add the curves in plan order, as the per-curve loop does.
     rng = np.random.default_rng(1850)
     space = build_grid_space(8, 8, rng.uniform(0.1, 1.0, 64))
-    plan = revisiting_plan(space, rng, 250)
-    assert len(plan.curves) > 3 * (_ROW_CELLS // space.n_points)
+    plan = revisiting_plan(space, rng, 2000)
+    assert len(plan.curves) > 2000
     assert _same(parametric_barycenter(space, plan), per_curve_barycenter(space, plan))
     assert bridge_inequality(space, plan, 3.0).c_q == per_curve_c_q(space, plan, 3.0)
 
@@ -1060,6 +1060,8 @@ def test_carried_table_is_read_only_and_bound_to_its_space():
     res = stretch_average(space, walk_plan(space, rng, 3), 0.25, n_tau=8)
     born_space, table, report = res.plan._born
     assert born_space is space and report.c_min == res.output_c_min
+    assert marginal_check(space, res.plan) is report  # read, not computed
+    assert marginal_check(space, res.plan, [0.5]) == report
     assert not any(a.flags.writeable for a in table)
     assert plans._plan_table(space, res.plan) is table
     # An equal space is another object: the plan is tabled again.
@@ -1192,3 +1194,20 @@ def test_subnormal_point_mass_gives_infinite_densities_without_warnings():
         # there) and divide 0 by 0: it reports the missing barycenter.
         with pytest.raises(NoBarycenterError, match="infinite at point 1 "):
             improve_barycenter(space, plan, 2.0, 0.1)
+
+
+def test_subnormal_segment_duration_keeps_the_marginal_constant():
+    import warnings
+
+    # A step this short has a slope past the float range: the screen's
+    # running sums turned nan and kept no time, so C_min read 0.0.
+    space = build_grid_space(3, 1)
+    for dt, speed in ((1e-308, 5e307), (1e-310, math.inf), (5e-324, math.inf)):
+        plan = CurvePlan((ParametricCurve((0, 1, 2), (0.0, dt, 1.0)),), (1.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings included
+            rep = marginal_check(space, plan)
+            assert (rep.c_min, rep.worst_time, rep.worst_point) == (3.0, 0.0, 0)
+            assert scalar_testplan(space, plan) == (3.0, 0.0, 0)
+            assert plan_lipschitz(space, plan) == speed
+            assert improve_barycenter(space, plan, 2.0, 0.1).lipschitz == speed
