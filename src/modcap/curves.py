@@ -10,18 +10,19 @@ length) to each endpoint.
 
 One reader, ``_steps``, cuts the node sequences of curves and of paths
 into steps: it checks every node against the space before any edge, and
-names the first bad node or step, in order, as "node x is not a point
-of the space" or "points u and v are not adjacent".  A curve may stay
-at a point (a plateau, a step of length 0); a path may not.  Curves are
-read through a segment table (``_segment_table``): one flat row per
-segment of any number of curves, holding its curve, ends, duration and
-edge length; time lookups read padded rows (``_curve_table``).  Both
-validate with ``_steps``, then lay the curves end to end as flat arrays
-(``_flat``) for the builders ``_table`` and ``_padded``; stretch windows,
-cut as flat arrays by ``_windows``, go to the same builders unvalidated.
-The per-curve functions read a one-curve table; ``plans`` reads one table
-per plan.  ``_half_rows`` codes the half rule on a table, adding halves in
-segment order, u before v; ``families`` applies it to the steps of paths.
+names the first bad node or step, in order, as "node x is not a point of
+the space" or "points u and v are not adjacent".  A curve may stay at a
+point (a plateau, a step of length 0); a path may not.  Curves are read
+through a segment table (``_segment_table``): one flat row per segment
+of any number of curves, holding its curve, ends, start time, duration
+and edge length.  It validates with ``_steps``, then lays the curves end
+to end as flat arrays (``_flat``) for the builder ``_table``; stretch
+windows, cut as flat arrays by ``_windows``, go to ``_table``
+unvalidated.  Time lookups read padded rows cut from a table
+(``_padded``).  The per-curve functions read a one-curve table; ``plans``
+reads one table per plan.  ``_half_rows`` codes the half rule on a table,
+adding halves in segment order, u before v; ``families`` applies it to
+the steps of paths.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def constant_curve(point: int) -> ParametricCurve:
 
 
 # Flat segment table of curves, curve after curve: segment s of curve
-# curve[s] runs from u[s] to v[s] in time dt[s] along an edge of length
-# length[s] (0 on a plateau); curve c owns segments start[c]:start[c + 1].
-class _Segments(namedtuple("_Segments", "start curve u v dt length")):
+# curve[s] runs from u[s] at time t0[s] to v[s] in time dt[s] along an edge
+# of length length[s] (0 on a plateau); curve c owns start[c]:start[c + 1].
+class _Segments(namedtuple("_Segments", "start curve u v dt length t0")):
     def __new__(cls, *arrays):  # read-only, so that a plan can carry its table
         for a in arrays:
             a.setflags(write=False)
@@ -163,9 +164,9 @@ def _table(
     unchecked: edge lengths are looked up, 0 on a plateau."""
     curve = np.repeat(np.arange(len(start) - 1), np.diff(start) - 1)
     at = np.arange(len(curve)) + curve
-    u, v, dt = nodes[at], nodes[at + 1], times[at + 1] - times[at]
+    u, v, t0 = nodes[at], nodes[at + 1], times[at]
     length = np.where(u == v, 0.0, space._edge_lengths(u, v))
-    return _Segments(start - np.arange(len(start)), curve, u, v, dt, length)
+    return _Segments(start - np.arange(len(start)), curve, u, v, times[at + 1] - t0, length, t0)
 
 
 def _segment_table(space: MetricMeasureSpace, curves: Sequence[ParametricCurve]) -> _Segments:
@@ -325,29 +326,22 @@ def curve_integral(
     return float(_line_integrals(_segment_table(space, [curve]), vals)[0])
 
 
-def _padded(
-    start: np.ndarray, nodes: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One padded row of times and of nodes per curve of curves laid end to
-    end (``_flat``).  A row of times ends in a sentinel 2.0 and then +inf; a
-    row of nodes repeats the last node from there on, so t = 1 falls on a
-    plateau."""
-    size = np.diff(start)
-    rows, width = np.arange(len(size)), size.max() + 1
-    at = np.arange(len(nodes)) + np.repeat(rows * width - start[:-1], size)  # flat cells
+def _padded(t: _Segments, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One padded row of times and of nodes per curve of segment table t (or
+    per curve that ``keep`` marks).  A row of times holds its segments' start
+    times, then 1.0, a sentinel 2.0 and +inf; a row of nodes its segments'
+    first nodes, then its last node from there on, so t = 1 falls on a plateau."""
+    seg, size = np.arange(len(t.curve)), np.diff(t.start)
+    if keep is not None:
+        seg, size = seg[keep[t.curve]], size[keep]
+    width, end = size.max() + 2, np.cumsum(size)
+    one = np.arange(len(size)) * width + size  # the flat cell of each row's 1.0
+    at = np.arange(len(seg)) + np.repeat(one - end, size)  # flat cells of the segments
     padded_times = np.full(len(size) * width, math.inf)
-    padded_times[at], padded_times[rows * width + size] = times, 2.0
-    padded_nodes = np.repeat(nodes[start[1:] - 1], width)
-    padded_nodes[at] = nodes
+    padded_times[at], padded_times[one], padded_times[one + 1] = t.t0[seg], 1.0, 2.0
+    padded_nodes = np.repeat(t.v[seg[end - 1]], width)
+    padded_nodes[at] = t.u[seg]
     return padded_times.reshape(-1, width), padded_nodes.reshape(-1, width)
-
-
-def _curve_table(
-    space: MetricMeasureSpace, curves: Sequence[ParametricCurve]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The padded rows (``_padded``) of the curves, read and validated by ``_steps``."""
-    _steps(space, [c.nodes for c in curves])
-    return _padded(*_flat(curves))
 
 
 def _table_occupation(
@@ -381,7 +375,7 @@ def occupation_at(
     """
     if not (0.0 <= t <= 1.0):
         raise InvalidInstanceError(f"time {t} outside [0, 1]")
-    table = _curve_table(space, [curve])  # InvalidInstanceError off the space
+    table = _padded(_segment_table(space, [curve]))  # InvalidInstanceError off the space
     u, v, theta = (x.item() for x in _table_occupation(*table, np.array([[t]])))
     if theta == 0.0:
         return [(u, 1.0)]
@@ -398,7 +392,7 @@ def stretch(
     a segment is snapped to the nearest node of that segment, which is
     the finest position the node representation can express.
     """
-    table = _curve_table(space, [curve])  # InvalidInstanceError off the space
+    table = _padded(_segment_table(space, [curve]))  # InvalidInstanceError off the space
     if not (0.0 <= a < b <= 1.0):
         raise InvalidInstanceError(f"invalid window [{a}, {b}]")
     _, nodes, times = _windows(table, np.array([a], dtype=float), np.array([b], dtype=float))

@@ -87,9 +87,13 @@ def plan_barycenter(
     its terms w * mu(x) from 0.0 in support order (``_barycenter``).
     """
     _check_probabilities(support, probabilities, "measure")
-    points = np.fromiter((x for mu in support for x, _ in mu.items), np.int64)
-    if points.size and points.max() >= space.n_points:  # ids are never negative
-        raise InvalidInstanceError(f"plan charges point {points.max()} outside the space")
+    try:
+        points = np.fromiter((x for mu in support for x, _ in mu.items), np.int64)
+        top = points.max(initial=-1)
+    except OverflowError:  # a point beyond int64 is outside too
+        top = max(x for mu in support for x, _ in mu.items)
+    if top >= space.n_points:  # ids are never negative
+        raise InvalidInstanceError(f"plan charges point {top} outside the space")
     member = np.repeat(np.arange(len(support)), [len(mu.items) for mu in support])
     mass = np.fromiter((val for mu in support for _, val in mu.items), float)
     return _barycenter(space, member, points, mass, probabilities)

@@ -144,8 +144,8 @@ def check_w1p_pair(
     if not plans:
         warnings.append("no plans supplied; vacuous pass")
     for idx, plan in enumerate(plans):
-        rep = _check_gradient(fv, gv, tol, _plan_table(space, plan))  # at most one table
-        tp = _report(space, plan)
+        t = _plan_table(space, plan)  # at most one table
+        rep, tp = _check_gradient(fv, gv, tol, t), _report(space, plan, t)
         prob = math.fsum(plan.probabilities[i] for i in rep.violating)
         entries.append(PlanViolation(tp.is_test_plan, tp.c_min, prob))
         if not tp.is_test_plan:

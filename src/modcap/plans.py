@@ -21,8 +21,9 @@ segment order within a curve and adds the curves in plan order, the
 order of a loop over the curves.  A plan that ``stretch_average`` or
 ``improve_barycenter`` builds is born validated and carries its table for its
 space (``_plan_table``): its windows or retimed curves are cut as flat arrays,
-and its table and test-plan grid come from those or from the input's table.
-A plan the caller builds is validated on every call.
+and its table comes from those or from the input's.  The padded rows of the
+marginal kernel and of the stretch windows are cut from a plan's one table
+(``curves._padded``).  A plan the caller builds is tabled once per call.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .curves import (
     _derived,
     _edges,
     _energies,
-    _flat,
-    _half_rows,
     _padded,
     _same_rep,
     _segment_table,
@@ -166,25 +165,19 @@ def testplan_check(
     steps between non-adjacent points raises InvalidInstanceError.  A plan
     that ``stretch_average`` built on the space returns the report it carries.
     """
-    _plan_table(space, plan)  # InvalidInstanceError off the space
-    return _report(space, plan, extra_times)
+    return _report(space, plan, _plan_table(space, plan), extra_times)
 
 
 def _report(
-    space: MetricMeasureSpace, plan: CurvePlan, extra_times: Sequence[float] = ()
+    space: MetricMeasureSpace, plan: CurvePlan, t: _Segments, extra_times: Sequence[float] = ()
 ) -> TestPlanReport:
     """The test-plan report the plan was born with on the space, when no extra
-    times are asked for, or one computed now."""
+    times are asked for, or one computed now from its segment table t."""
     born = plan._born
     if born and born[0] is space and born[2] and len(extra_times) == 0:
         return born[2]
-    return _testplan(space, *_support(plan), extra_times)
-
-
-def _support(plan: CurvePlan) -> tuple[tuple[np.ndarray, np.ndarray], list[float]]:
-    """The padded table (``curves._padded``) and the weights of the plan's support."""
-    support = plan.support()
-    return _padded(*_flat([c for _, c in support])), [w for w, _ in support]
+    rows = _padded(t, np.asarray(plan.probabilities) > 0)
+    return _testplan(space, rows, [w for w in plan.probabilities if w > 0], extra_times)
 
 
 def _testplan(
@@ -443,7 +436,7 @@ def improve_barycenter(
     ]
     out = CurvePlan(tuple(new_curves), tuple(new_probs))
     dt = times[at + 1] - times[at]
-    t_out = _Segments(start, curve, t.u[rows], t.v[rows], dt, t.length[rows])
+    t_out = _Segments(start, curve, t.u[rows], t.v[rows], dt, t.length[rows], times[at])
     object.__setattr__(out, "_born", (space, t_out, None))
     new_bary = _plan_density(space, t_out, out.probabilities)
     sup_new = float(new_bary.max(initial=0.0))
@@ -509,11 +502,11 @@ def stretch_average(
     if not (0.0 < eps < 0.5):
         raise InvalidInstanceError(f"stretch parameter must lie in (0, 1/2), got {eps}")
     _check_count(n_tau, "n_tau")
-    t = _plan_table(space, plan)
+    t, rho = _plan_table(space, plan), np.asarray(plan.probabilities)
     c_in = float(_plan_density(space, t, plan.probabilities).max(initial=0.0))
     taus = (np.arange(n_tau) + 0.5) * eps / n_tau
 
-    source, weights = _support(plan)
+    source, weights = _padded(t, rho > 0), [w for w in plan.probabilities if w > 0]
     cut = _windows(source, taus / (1.0 + eps), (1.0 + taus) / (1.0 + eps))
     start, nodes, times = (a.tolist() for a in cut)
     atoms: dict[tuple, list] = {}  # (nodes, times) of a window -> [first index, probability]
@@ -525,26 +518,30 @@ def stretch_average(
     size = np.diff(cut[0])[kept]
     start = np.concatenate(([0], np.cumsum(size)))
     at = np.repeat(cut[0][kept] - start[:-1], size) + np.arange(start[-1])
-    flat = start, cut[1][at], cut[2][at]
+    t_out = _table(space, start, cut[1][at], cut[2][at])
 
     # Exact tau-grid marginal through the source curves: breakpoints of
     # t -> gamma((t+tau)/(1+eps)) sit at t = (1+eps) t_k - tau.
     exact_sup = _testplan(space, source, weights, (), taus, 1.0 + eps).c_min
 
     # A curve's occupation weight at x jumps by 1 at each non-plateau
-    # step touching x, so its total variation in time is that count:
-    # the half rows of mass 2 per move.
-    moves = _half_rows(t.curve, t.u, t.v, 2.0 * (t.u != t.v), len(t.start) - 1, space.n_points)
-    counts = np.array(plan.probabilities)[:, None] * moves
-    msk = space.positive_mask
-    tv = np.array([math.fsum(col) for col in counts.T[msk].tolist()])
-    dtau = eps / n_tau
+    # step touching x, so its total variation in time is that count: each
+    # (point, curve) cell that moves touch holds rho x its count, and the
+    # cells of a point are summed with one fsum.
+    s, n_c = t.u != t.v, len(t.start) - 1
+    key = np.sort(np.concatenate((t.u[s], t.v[s])) * n_c + np.tile(t.curve[s], 2))
+    head = np.flatnonzero(np.diff(key, prepend=-1))  # the first entry of each cell
+    x, c = np.divmod(key[head], n_c)
+    terms = (rho[c] * np.diff(head, append=len(key))).tolist()
+    first = np.flatnonzero(np.diff(x, prepend=-1)).tolist()  # the first cell of each point
+    tv = np.array([math.fsum(terms[i:j]) for i, j in zip(first, [*first[1:], len(terms)])])
+    m = space.measure[x[first]]
     with np.errstate(over="ignore"):  # inf is the density on a subnormal mass
-        corr = float(np.max(dtau / (2.0 * eps) * tv / space.measure[msk], initial=0.0))
+        corr = float(np.max(eps / n_tau / (2.0 * eps) * tv[m > 0] / m[m > 0], initial=0.0))
     bound = c_in * (1.0 + eps) / eps
     positive = np.array(probs) > 0  # windows of weight w / n_tau = 0 do not count
-    report = _testplan(space, tuple(a[positive] for a in _padded(*flat)), [w for w in probs if w])
-    object.__setattr__(out, "_born", (space, _table(space, *flat), report))
+    report = _testplan(space, _padded(t_out, positive), [w for w in probs if w])
+    object.__setattr__(out, "_born", (space, t_out, report))
     return StretchResult(
         plan=out,
         c_in=c_in,

@@ -18,10 +18,10 @@ from modcap.duality import (
     plan_barycenter,
     solve_content,
 )
-from modcap.errors import NoBarycenterError, SolverError
+from modcap.errors import InvalidInstanceError, NoBarycenterError, SolverError
 from modcap.instance import generate_random_instance
 from modcap.modulus import solve_modulus_explicit
-from modcap.space import DiscreteMeasure, MetricMeasureSpace
+from modcap.space import DiscreteMeasure, MetricMeasureSpace, build_grid_space
 
 
 def interval_space(n=10):
@@ -86,6 +86,10 @@ def test_plan_barycenter_by_hand():
         plan_barycenter(space, [mu0, mu1], [1.0])
     with pytest.raises(ValueError, match="plan charges point 7 outside the space"):
         plan_barycenter(space, [mu0, DiscreteMeasure(((7, 1.0),))], [0.5, 0.5])
+    # A point beyond int64 is outside the space too, not an OverflowError.
+    huge, msg = DiscreteMeasure(((2**70, 1.0),)), "plan charges point 1180591620717411303424 outside"
+    with pytest.raises(InvalidInstanceError, match=msg):
+        plan_barycenter(build_grid_space(2, 2), [huge], [1.0])
 
 
 def test_plan_barycenter_matches_a_loop_over_the_support():

@@ -8,6 +8,7 @@ import pytest
 
 from modcap.curves import (
     ParametricCurve,
+    _padded,
     _segment_table,
     constant_curve,
     constant_speed_reparam,
@@ -814,6 +815,12 @@ def test_screen_keeps_every_time_of_a_flat_marginal():
         assert np.array_equal(kept, np.arange(len(call[3])))
 
 
+def support_rows(space, plan):
+    """The padded rows and the weights of the plan's support curves."""
+    rows = _padded(_segment_table(space, plan.curves), np.array(plan.probabilities) > 0)
+    return rows, [w for w, _ in plan.support()]
+
+
 def test_screen_reads_each_points_entries(monkeypatch):
     # The screen sorts the pieces' entries by (point, grid index) and reads
     # each point's mass between two of its entries.  Here: 100 points; point
@@ -845,7 +852,7 @@ def test_screen_reads_each_points_entries(monkeypatch):
     grid = np.linspace(0.0, 1.0, 81)
     for run, shifts, scale in (
         ((marginal_check, space, plan, extra), np.zeros(1), 1.0),
-        ((lambda *a: plans._marginal_sup(*a), space, *plans._support(plan), grid, taus,
+        ((lambda *a: plans._marginal_sup(*a), space, *support_rows(space, plan), grid, taus,
           1.0 + eps),
          taus, 1.0 + eps),
     ):
@@ -905,7 +912,7 @@ def test_screen_follows_the_kernels_rounding_of_shifted_times():
         space = MetricMeasureSpace(5, edges, [m0, 1.0, 1.0, 0.05, 1.0])
         grid = np.array([0.0, t, 1.0])
         (call, kept[m0]), = screen_calls(
-            lambda *a: plans._marginal_sup(*a), space, *plans._support(plan), grid, taus,
+            lambda *a: plans._marginal_sup(*a), space, *support_rows(space, plan), grid, taus,
             1.0 + eps,
         )
         exact = exhaustive(plans._marginal_sup, *call)
@@ -1041,17 +1048,26 @@ def test_a_plan_op_builds_one_segment_table(monkeypatch):
 
 
 def test_caller_built_plans_are_tabled_on_every_call(monkeypatch):
+    import modcap
+
     space = build_grid_space(4, 4)
     rng = np.random.default_rng(2600)
     plan = walk_plan(space, rng, 3)
     f, g = rng.uniform(0.0, 1.0, 16), np.full(16, 10.0)
-    builds = count_tables(monkeypatch)
+    builds, flats = count_tables(monkeypatch), []
+    real = modcap.curves._flat  # each call lays the plan's curves out flat once
+    for module in (modcap.curves, modcap.gradients, plans):
+        monkeypatch.setattr(module, "_flat", lambda *a: flats.append(1) or real(*a), raising=False)
     for k in range(1, 3):
         check_w1p_pair(space, f, g, [plan])
+        assert len(flats) == 3 * k - 2
         marginal_check(space, plan)
+        assert len(flats) == 3 * k - 1
         bridge_inequality(space, plan, 2.0)
-        assert len(builds) == 3 * k
-    assert plan._born is None
+        assert len(flats) == len(builds) == 3 * k
+    res = stretch_average(space, plan, 0.25, n_tau=8)
+    assert len(flats) == 7 and len(builds) == 7
+    assert plan._born is None and res.plan._born is not None
 
 
 def test_carried_table_is_read_only_and_bound_to_its_space():
@@ -1135,10 +1151,38 @@ def array_path_plans():
 
 
 def assert_same_table(table, expected):
-    assert len(table) == len(expected) == 6
+    assert len(table) == len(expected) == 7
     for a, b in zip(table, expected):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert not a.flags.writeable
+
+
+def naive_rows(curves, width):
+    """Padded rows built from the curves' own tuples: times then 2.0 and +inf,
+    nodes then the last node repeated."""
+    pad = lambda c: width - len(c.nodes)
+    times = [[*c.times, 2.0, *[math.inf] * (pad(c) - 1)] for c in curves]
+    nodes = [[*c.nodes, *[c.nodes[-1]] * pad(c)] for c in curves]
+    return np.array(times, dtype=float), np.array(nodes, dtype=np.int64)
+
+
+def test_padded_rows_are_cut_from_the_segment_table():
+    # The cases of array_path_plans, their stretched plans, and steps of
+    # subnormal duration.
+    cases = []
+    for space, plan, eps, n_tau in array_path_plans():
+        cases += [(space, plan), (space, stretch_average(space, plan, eps, n_tau).plan)]
+    for dt in (1e-310, 5e-324):
+        tiny = ParametricCurve((0, 1, 2), (0.0, dt, 1.0))
+        cases.append((build_grid_space(3, 1), CurvePlan((tiny, constant_curve(2)), (0.5, 0.5))))
+    for space, p in cases:
+        probs = np.array(p.probabilities)
+        for keep in (None, probs > 0, probs == probs.max()):
+            kept = [c for i, c in enumerate(p.curves) if keep is None or keep[i]]
+            width = max(len(c.nodes) for c in kept) + 1
+            for t in (_segment_table(space, p.curves), *(p._born or ())[1:2]):  # and the carried one
+                for a, b in zip(_padded(t, keep), naive_rows(kept, width)):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_library_built_plans_carry_the_tables_of_caller_built_copies():
