@@ -46,14 +46,10 @@ __all__ = [
     "curve_energy",
     "constant_speed_reparam",
     "j_map",
-    "j_edge_measure",
     "edge_multiplicity",
     "m_map",
-    "time_average",
-    "curve_integral",
     "occupation_at",
     "stretch",
-    "curves_equivalent",
 ]
 
 
@@ -87,10 +83,6 @@ class ParametricCurve:
                 raise InvalidInstanceError("curve times must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "times", times)
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.nodes) - 1
 
     def is_constant(self) -> bool:
         first = self.nodes[0]
@@ -268,19 +260,6 @@ def edge_multiplicity(
     return dict(zip(zip(lo.tolist(), hi.tolist()), count.tolist()))
 
 
-def j_edge_measure(
-    space: MetricMeasureSpace, curve: ParametricCurve
-) -> dict[tuple[int, int], float]:
-    """Line measure of the curve, indexed by edge.
-
-    Each traversal of an edge contributes the edge length, so the mass
-    of edge e is multiplicity(e) * length(e) and the total mass is the
-    curve length.  Invariant under reparameterization by construction.
-    """
-    _, lo, hi, mass, _ = _edges(_segment_table(space, [curve]))
-    return dict(zip(zip(lo.tolist(), hi.tolist()), mass.tolist()))
-
-
 def j_map(space: MetricMeasureSpace, curve: ParametricCurve) -> DiscreteMeasure:
     """Line measure projected to nodes (half of each edge's mass per endpoint)."""
     line = _edges(_segment_table(space, [curve]))[:4]
@@ -299,31 +278,11 @@ def m_map(space: MetricMeasureSpace, curve: ParametricCurve) -> DiscreteMeasure:
     return DiscreteMeasure.from_array(row)
 
 
-def time_average(
-    space: MetricMeasureSpace, curve: ParametricCurve, values: Sequence[float]
-) -> float:
-    """Time integral of a per-point function along the curve.
-
-    This is the integral against the occupation measure ``m_map``: each
-    segment contributes the trapezoid value (f(u) + f(v)) / 2 per unit
-    of time.
-    """
-    return m_map(space, curve).integrate(values)
-
-
 def _line_integrals(t: _Segments, values: np.ndarray) -> np.ndarray:
     """Per curve, length (f(u) + f(v)) / 2 summed over its moving segments in order."""
     s = t.length > 0
     terms = t.length[s] * 0.5 * (values[t.u[s]] + values[t.v[s]])
     return np.bincount(t.curve[s], terms, minlength=len(t.start) - 1)
-
-
-def curve_integral(
-    space: MetricMeasureSpace, curve: ParametricCurve, values: Sequence[float]
-) -> float:
-    """Curvilinear integral of a per-point function (against the line measure)."""
-    vals = np.asarray(values, dtype=float)
-    return float(_line_integrals(_segment_table(space, [curve]), vals)[0])
 
 
 def _padded(t: _Segments, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -446,25 +405,3 @@ def _trusted(nodes: tuple[int, ...], times: tuple[float, ...]) -> ParametricCurv
     fields["nodes"], fields["times"] = nodes, times
     return curve
 
-
-def curves_equivalent(
-    space: MetricMeasureSpace,
-    c1: ParametricCurve,
-    c2: ParametricCurve,
-    tol: float = 1e-9,
-) -> bool:
-    """Whether two nonconstant curves agree up to increasing reparameterization.
-
-    Compares constant-speed representatives: node sequences must match
-    exactly and breakpoint times within tol.  A curve and its reversal
-    are not equivalent.
-    """
-    r1, r2 = (constant_speed_reparam(space, c) for c in (c1, c2))
-    return _same_rep(r1, r2, tol)
-
-
-def _same_rep(r1: ParametricCurve, r2: ParametricCurve, tol: float) -> bool:
-    """Whether two constant-speed representatives name the same curve."""
-    return r1.nodes == r2.nodes and all(
-        abs(s - t) <= tol for s, t in zip(r1.times, r2.times)
-    )

@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import ParametricCurve, j_map
 from .errors import InvalidInstanceError, NoBarycenterError
 from .modulus import ModulusSolution, _check_limits, _check_p, solve_modulus_explicit
 from .space import DiscreteMeasure, MetricMeasureSpace
@@ -37,7 +36,6 @@ __all__ = [
     "solve_content",
     "check_duality",
     "check_optimality_conditions",
-    "content_of_curve_family",
 ]
 
 
@@ -331,23 +329,3 @@ def check_optimality_conditions(
         violated.append("barycenter")
     return OptimalityReport(sat_dev, bary_dev, tuple(violated), not violated)
 
-
-def content_of_curve_family(
-    space: MetricMeasureSpace,
-    curves: Sequence[ParametricCurve],
-    p: float,
-) -> tuple[ContentSolution, tuple[DiscreteMeasure, ...]]:
-    """Best plan supported on the given curves, through their line measures.
-
-    Maps each curve to its node-projected line measure, solves the
-    content over those measures, and returns the solution (the plan's
-    probabilities index the curves) together with the measures used.
-    """
-    p = _check_p(p)
-    if not curves:
-        raise InvalidInstanceError("content of an empty curve family is undefined")
-    for i, c in enumerate(curves):
-        if c.is_constant():
-            raise InvalidInstanceError(f"curve {i} is constant and has no line measure")
-    measures = tuple(j_map(space, c) for c in curves)
-    return solve_content(space, measures, p / (p - 1.0)), measures

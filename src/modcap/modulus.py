@@ -38,7 +38,6 @@ __all__ = [
     "brute_force_lattice",
     "solve_modulus_paths",
     "shortest_weighted_path",
-    "mod_properties_check",
     "saturated_subfamily",
 ]
 
@@ -976,71 +975,6 @@ def _block_null_points(space: MetricMeasureSpace, f: np.ndarray) -> np.ndarray:
         if lengths:
             f[x] = 2.0 / min(lengths)
     return f
-
-
-_NULL_TOL = 1e-10  # a modulus at most this counts as null
-
-
-@dataclass(frozen=True)
-class ModPropertiesReport:
-    mod_a: float
-    mod_b: float
-    mod_union: float
-    chain_values: tuple[float, ...]
-    monotone_ok: bool
-    subadditive_ok: bool
-    chain_ok: bool
-    scaling_null_ok: bool | None
-    scaling_values: tuple[float, ...] = ()
-
-    @property
-    def all_ok(self) -> bool:
-        checks = [self.monotone_ok, self.subadditive_ok, self.chain_ok]
-        if self.scaling_null_ok is not None:
-            checks.append(self.scaling_null_ok)
-        return all(checks)
-
-
-def mod_properties_check(
-    space: MetricMeasureSpace,
-    family_a: Sequence[DiscreteMeasure],
-    family_b: Sequence[DiscreteMeasure],
-    p: float,
-) -> ModPropertiesReport:
-    """Numeric check of the outer-measure behavior of the modulus.
-
-    Verifies monotonicity (A and B against A union B), countable
-    subadditivity (finite form), monotone approximation along the
-    nested chain A, A + half of B, A + B, each to 1e-7 relative, and
-    scaling-invariance of null families (only evaluated when
-    Mod(A) <= 1e-10).
-    """
-
-    def solve(ms: Sequence[DiscreteMeasure]) -> float:
-        return solve_modulus_explicit(space, ms, p).value
-
-    union = list(family_a) + [
-        mu for mu in family_b if mu not in family_a
-    ]
-    mod_a = solve(family_a)
-    mod_b = solve(family_b)
-    mod_u = solve(union)
-    half = list(family_a) + [
-        mu for mu in family_b[: (len(family_b) + 1) // 2] if mu not in family_a
-    ]
-    chain = (mod_a, solve(half), mod_u)
-    slack = 1e-7 * max(1.0, *(v for v in (mod_a, mod_b, mod_u) if math.isfinite(v)))
-    monotone = mod_a <= mod_u + slack and mod_b <= mod_u + slack
-    subadd = mod_u <= mod_a + mod_b + slack
-    chain_ok = chain[0] <= chain[1] + slack and chain[1] <= chain[2] + slack
-    scaling_ok = None
-    scaling_vals: tuple[float, ...] = ()
-    if mod_a <= _NULL_TOL:
-        scaling_vals = tuple(solve([mu.scaled(c) for mu in family_a]) for c in (0.5, 2))
-        scaling_ok = all(v <= _NULL_TOL for v in scaling_vals)
-    return ModPropertiesReport(
-        mod_a, mod_b, mod_u, chain, monotone, subadd, chain_ok, scaling_ok, scaling_vals
-    )
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ barycenter is the occupation density h with
 an exact identity because both sides use the same segment-endpoint
 quadrature.  The module provides q-energy, the test-plan constant
 (supremum over time of the instantaneous marginal density), the
-barycenter-improving time reparameterization, the stretch-average
-construction, and the constant-speed pushforward.
+barycenter-improving time reparameterization, and the stretch-average
+construction.
 
 A call walks each plan it reads once, as one segment table of all its
 curves (``curves._segment_table``), validated in one pass, and reads
@@ -36,14 +36,12 @@ import numpy as np
 
 from .curves import (
     ParametricCurve,
-    constant_speed_reparam,
     _Segments,
     _check_energy_exponent,
     _derived,
     _edges,
     _energies,
     _padded,
-    _same_rep,
     _segment_table,
     _table,
     _table_occupation,
@@ -63,7 +61,6 @@ __all__ = [
     "testplan_check",
     "improve_barycenter",
     "stretch_average",
-    "constant_speed_pushforward",
     "bridge_inequality",
 ]
 
@@ -550,31 +547,6 @@ def stretch_average(
         correction=corr,
         output_c_min=report.c_min,
         marginal_ok=exact_sup <= bound + corr + 1e-12,
-    )
-
-
-def constant_speed_pushforward(
-    space: MetricMeasureSpace, plan: CurvePlan
-) -> CurvePlan:
-    """Push the plan through constant-speed reparameterization.
-
-    Equivalent curves collapse to a single atom with summed
-    probability (same node sequence, breakpoint times within 1e-9).
-    Constant curves are rejected: they have no canonical
-    representative.  Atoms come out sorted by node sequence.
-    """
-    groups: list[tuple[ParametricCurve, float]] = []
-    for w, c in plan.support():
-        rep = constant_speed_reparam(space, c)
-        for i, (other, acc) in enumerate(groups):
-            if _same_rep(other, rep, 1e-9):
-                groups[i] = (other, acc + w)
-                break
-        else:
-            groups.append((rep, w))
-    groups.sort(key=lambda pair: pair[0].nodes)
-    return CurvePlan(
-        tuple(c for c, _ in groups), tuple(w for _, w in groups)
     )
 
 

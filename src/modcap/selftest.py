@@ -7,7 +7,6 @@ returns a pass/fail record with a one-line detail string.  The CLI
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 

@@ -118,10 +118,6 @@ class MetricMeasureSpace:
         return self._coords
 
     @property
-    def total_mass(self) -> float:
-        return float(math.fsum(self._measure.tolist()))
-
-    @property
     def positive_mask(self) -> np.ndarray:
         return self._measure > 0
 

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modcap.curves import ParametricCurve
 from modcap.duality import (
     ContentSolution,
     MeasurePlan,
@@ -14,7 +13,6 @@ from modcap.duality import (
     check_duality,
     check_optimality_conditions,
     content_from_multipliers,
-    content_of_curve_family,
     plan_barycenter,
     solve_content,
 )
@@ -301,27 +299,6 @@ def test_weak_duality_for_arbitrary_plans():
         norm_p = float(np.dot(m[msk], f[msk] ** p)) ** (1.0 / p)
         assert lhs >= 1.0 - 1e-9
         assert lhs <= plan.c_q * norm_p + 1e-9
-
-
-def test_content_of_curve_family_rejects_bad_curves():
-    space = interval_space(4)
-    with pytest.raises(ValueError, match="empty"):
-        content_of_curve_family(space, [], 2.0)
-    still = ParametricCurve((1, 1), (0.0, 1.0))
-    with pytest.raises(ValueError, match="constant"):
-        content_of_curve_family(space, [still], 2.0)
-
-
-def test_content_of_curve_family_matches_measure_content():
-    space = interval_space(5)
-    curves = [
-        ParametricCurve((0, 1, 2), (0.0, 0.5, 1.0)),
-        ParametricCurve((2, 3, 4), (0.0, 0.5, 1.0)),
-    ]
-    sol, measures = content_of_curve_family(space, curves, 2.0)
-    direct = solve_content(space, list(measures), 2.0)
-    assert sol.value == pytest.approx(direct.value, rel=1e-10)
-    assert len(measures) == 2
 
 
 def test_content_read_off_certifies_former_dual_ascent_stall():

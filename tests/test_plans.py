@@ -8,19 +8,17 @@ import pytest
 
 from modcap.curves import (
     ParametricCurve,
+    _edges,
     _padded,
     _segment_table,
     constant_curve,
-    constant_speed_reparam,
     curve_energy,
     edge_multiplicity,
-    j_edge_measure,
     j_map,
     m_map,
     metric_speed,
     occupation_at,
     stretch,
-    time_average,
 )
 from modcap.duality import build_measure_plan, plan_barycenter
 from modcap.errors import InvalidInstanceError, NoBarycenterError
@@ -29,7 +27,6 @@ from modcap.instance import random_walk_curve
 from modcap.plans import (
     CurvePlan,
     bridge_inequality,
-    constant_speed_pushforward,
     improve_barycenter,
     parametric_barycenter,
     plan_lipschitz,
@@ -153,6 +150,18 @@ def test_testplan_infinite_on_zero_mass_point():
 
 def _ones(space):
     return np.ones(space.n_points)
+
+
+def time_average(space, curve, values):
+    """Time integral of a per-point function along the curve: its integral
+    against the occupation measure."""
+    return m_map(space, curve).integrate(values)
+
+
+def j_edge_measure(space, curve):
+    """Line measure of the curve per edge (lo, hi), in order of first traversal."""
+    _, lo, hi, mass, _ = _edges(_segment_table(space, [curve]))
+    return dict(zip(zip(lo.tolist(), hi.tolist()), mass.tolist()))
 
 
 _ON_PLAN = {
@@ -287,24 +296,6 @@ def test_stretch_correction_halves_when_grid_doubles():
     fine = stretch_average(space, plan, 0.25, n_tau=32)
     assert fine.correction == pytest.approx(coarse.correction / 2.0, rel=1e-12)
     assert fine.c_in == coarse.c_in
-
-
-def test_constant_speed_pushforward_merges_equivalent_atoms():
-    # Same node path with different breakpoint times collapses to one
-    # constant-speed atom carrying the summed probability.
-    space = chain_space(4)
-    a = ParametricCurve((0, 1, 2), (0.0, 0.3, 1.0))
-    b = ParametricCurve((0, 1, 2), (0.0, 0.8, 1.0))
-    other = ParametricCurve((3, 2), (0.0, 1.0))
-    plan = CurvePlan((a, b, other), (0.25, 0.35, 0.4))
-    out = constant_speed_pushforward(space, plan)
-    assert len(out.curves) == 2
-    merged = dict(zip((c.nodes for c in out.curves), out.probabilities))
-    assert merged[(0, 1, 2)] == pytest.approx(0.6)
-    assert merged[(3, 2)] == pytest.approx(0.4)
-    for c in out.curves:
-        rep = constant_speed_reparam(space, c)
-        assert max(abs(s - t) for s, t in zip(rep.times, c.times)) < 1e-12
 
 
 def test_bridge_inequality_on_random_plans():
@@ -525,7 +516,7 @@ def test_improve_barycenter_times_are_sequential_partial_sums():
             x, t = c.nodes, c.times
             spans = [
                 (t[i + 1] - t[i]) * min(res.h[x[i]], res.h[x[i + 1]])
-                for i in range(c.n_segments)
+                for i in range(len(c.nodes) - 1)
             ]
             total, acc, times = math.fsum(spans), 0.0, [0.0]
             for s in spans[:-1]:
@@ -542,7 +533,7 @@ def test_m_map_and_j_map_match_per_segment_loops():
         # not the sum of the lengths in floating point.
         for c in revisiting_plan(space, rng, 3).curves:
             occ, line, counts = {}, {}, {}
-            for i in range(c.n_segments):
+            for i in range(len(c.nodes) - 1):
                 u, v = c.nodes[i], c.nodes[i + 1]
                 half = 0.5 * (c.times[i + 1] - c.times[i])
                 occ[u] = occ.get(u, 0.0) + half
@@ -603,7 +594,7 @@ def per_curve_c_q(space, plan, q):
 
 def loop_energy(space, curve, q):
     total = 0.0
-    for i in range(curve.n_segments):
+    for i in range(len(curve.nodes) - 1):
         u, v = curve.nodes[i], curve.nodes[i + 1]
         dt = curve.times[i + 1] - curve.times[i]
         if u != v:

@@ -21,7 +21,7 @@ def test_space_accepts_simple_triangle():
     assert space.edge_length(2, 1) == 2.0
     assert space.has_edge(0, 2) and not space.has_edge(1, 1)
     assert space.neighbors(1) == ((0, 1.0), (2, 2.0))
-    assert space.total_mass == 6.0
+    assert math.fsum(space.measure) == 6.0
 
 
 def test_space_rejects_negative_mass_naming_point():
