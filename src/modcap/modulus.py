@@ -13,9 +13,9 @@ minimize the L^q(m) norm of a plan's barycenter g over the probability
 simplex, then rescale f = g^(q-1) to be admissible.  The plan and the
 density bracket the modulus between content^p and ||f||_p^p, and a
 solve either closes that bracket to its tolerance or raises
-SolverError.  A primal projected descent on f (``_solve_modulus_primal``,
-not public) and an exhaustive lattice search stay as independent oracles
-for cross-checks on small instances.
+SolverError.  A log-barrier Newton path on f (``_solve_modulus_primal``,
+not public) and an exhaustive lattice search on at most 4 points stay as
+independent oracles for cross-checks.
 """
 
 from __future__ import annotations
@@ -510,57 +510,24 @@ def solve_modulus_explicit(
     return prob.solution(w, it, kept, len(measures), dropped)
 
 
-def _dykstra_project(y: np.ndarray, U: np.ndarray, row_sq: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {f >= 0} intersect {U f >= 1} (Dykstra)."""
-    k = U.shape[0]
-    x = y.copy()
-    incs = [np.zeros_like(y) for _ in range(k + 1)]
-    for _ in range(400):
-        moved = 0.0
-        for i in range(k):
-            if not incs[i].any():
-                # identity projection is free when already inside
-                if float(U[i] @ x) >= 1.0:
-                    continue
-            z = x + incs[i]
-            viol = 1.0 - float(U[i] @ z)
-            xi = z + (viol / row_sq[i]) * U[i] if viol > 0 else z
-            incs[i] = z - xi
-            moved = max(moved, float(np.max(np.abs(xi - x))))
-            x = xi
-        z = x + incs[k]
-        xi = np.maximum(z, 0.0)
-        incs[k] = z - xi
-        moved = max(moved, float(np.max(np.abs(xi - x))))
-        x = xi
-        if moved <= 1e-14 * max(1.0, float(np.max(np.abs(x)))):
-            if float((U @ x).min()) >= 1.0 - 1e-12:
-                break
-    return x
-
-
 def _primal_face_polish(
     U: np.ndarray, mpos: np.ndarray, p: float, f: np.ndarray
 ) -> np.ndarray | None:
     """Solve the energy minimization restricted to the face suggested by f.
 
-    Near a plateau the projected-descent iterate identifies which
-    constraints are tight and which coordinates vanish.  On that face
-    the problem is an equality-constrained smooth minimization, so a
-    few damped Newton steps reach machine precision.  Returns the
-    polished density or None when the face guess is unusable.
+    The end point of the oracle's barrier path picks the face: the
+    constraints within 1e-7 of tight and the coordinates above 1e-10 of
+    the largest (or of 1).  The barrier keeps every f_x > 0, also where
+    the optimal f is 0, so the face finishes the job: on it the problem
+    is an equality-constrained smooth minimization, and a few damped
+    Newton steps reach machine precision.  Returns the polished density
+    or None when the face guess is unusable.
     """
-    vals = U @ f
-    active = np.where(vals <= 1.0 + 1e-7)[0]
-    if active.size == 0:
-        active = np.array([int(np.argmin(vals))])
-    fmax = float(f.max()) if f.size else 0.0
-    free = f > 1e-10 * max(fmax, 1.0)
-    A = U[np.ix_(active, np.where(free)[0])]
+    free = f > 1e-10 * max(float(f.max()), 1.0)
+    A = U[np.ix_(U @ f <= 1.0 + 1e-7, free)]
     if A.shape[1] == 0 or not np.all(A.any(axis=1)):
         return None
-    x = np.maximum(f[free], 1e-12)
-    mf = mpos[free]
+    x, mf = f[free], mpos[free]
     b = np.ones(A.shape[0])
     nu = np.zeros(A.shape[0])
     nfree = A.shape[1]
@@ -568,20 +535,14 @@ def _primal_face_polish(
         grad = p * mf * x ** (p - 1.0)
         h = p * (p - 1.0) * mf * np.maximum(x, 1e-12) ** (p - 2.0)
         h = h + 1e-14 * max(float(h.max()), 1.0)
-        kkt = np.zeros((nfree + A.shape[0],) * 2)
-        kkt[:nfree, :nfree] = np.diag(h)
-        kkt[:nfree, nfree:] = A.T
-        kkt[nfree:, :nfree] = A
+        kkt = np.block([[np.diag(h), A.T], [A, np.zeros((len(b), len(b)))]])
         rhs = np.concatenate([-(grad + A.T @ nu), b - A @ x])
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             return None
         dx, dnu = sol[:nfree], sol[nfree:]
-        t = 1.0
-        neg = dx < 0
-        if neg.any():
-            t = min(1.0, 0.9995 * float((-x[neg] / dx[neg]).min()))
+        t = min(1.0, 0.9995 * float((-x[dx < 0] / dx[dx < 0]).min(initial=np.inf)))
         x = x + t * dx
         nu = nu + dnu
         feas = float(np.abs(A @ x - b).max())
@@ -602,18 +563,22 @@ def _solve_modulus_primal(
     measures: Sequence[DiscreteMeasure],
     p: float,
 ) -> tuple[float, np.ndarray | None]:
-    """Primal test oracle: (value, f) by projected descent on the density f.
+    """Primal test oracle: (value, f) by a log-barrier Newton path on f.
 
-    Independent of the plan solve: works on the admissible polyhedron
-    {f >= 0, <mu_i, f> >= 1} directly, stepping along the energy
-    gradient and projecting back with Dykstra's algorithm.  Meant for
-    cross-validation on small instances at moderate p (the selftest
-    uses 1.5 to 3).  It is not sound at the ends of p: it gives no
-    bracket, and on small random families it has overshot the
-    certified modulus by 4-13% at p = 1.05 and by a factor of 4.8 at
-    p = 12, and raised on an infeasible density at p = 12.  So it is no
-    public solver and returns no ``ModulusSolution``: a zero measure gives
-    (inf, None), a family with nothing left to constrain (0, zeros).
+    Independent of the plan solve: on the points that some measure
+    charges it minimizes t sum m_x f_x^p - sum_i log(<mu_i, f> - 1)
+    - sum_x log f_x (Boyd & Vandenberghe, Convex Optimization, 11.3)
+    from the strictly feasible f = 2 / (least row total).  Each
+    centering takes damped Newton steps, the first at 0.99 of the
+    distance to the boundary, until the Newton decrement is below 1e-9
+    or the backtracking step below 1e-12; t then grows 100x, until the
+    suboptimality bound n / t (n the number of log terms) is below
+    1e-10 of the energy.  ``_primal_face_polish`` then solves on the
+    face that end point picks, and the better of the two densities,
+    rescaled by its least constraint value, is returned.  It gives no
+    bracket, so it is no public solver and returns no
+    ``ModulusSolution``: a zero measure gives (inf, None), a family with
+    nothing left to constrain (0, zeros).
     """
     p = _check_p(p)
     U, kept, _, has_zero = _constraint_matrix(space, (mu.items for mu in measures))
@@ -622,58 +587,51 @@ def _solve_modulus_primal(
 
     msk = space.positive_mask
     mpos = space.measure[msk]
-    row_sq = np.einsum("ij,ij->i", U, U)
-
-    totals = U.sum(axis=1)
-    f = np.full(U.shape[1], 1.0 / totals.min())
-    obj = float(np.dot(mpos, f**p))
-    step = 1.0
-    for it in range(1, 20001):
-        grad = p * mpos * f ** (p - 1.0)
-        trial = step
-        accepted = False
-        for _ in range(60):
-            f_new = _dykstra_project(f - trial * grad, U, row_sq)
-            obj_new = float(np.dot(mpos, f_new**p))
-            if obj_new <= obj - 1e-4 * float(np.dot(grad, f - f_new)) or obj_new < obj:
-                accepted = True
+    on = U.any(axis=0)
+    A, m = U[:, on], mpos[on]
+    x = np.full(A.shape[1], 2.0 / A.sum(axis=1).min())
+    s = A @ x - 1.0  # constraint slacks, kept positive by every step
+    n_log = sum(A.shape)
+    t = n_log / float(m @ x**p)
+    while True:
+        for _ in range(100):  # centering
+            grad = t * p * m * x ** (p - 1.0) - A.T @ (1.0 / s) - 1.0 / x
+            hess = (A.T / s**2) @ A
+            hess[np.diag_indices_from(hess)] += (
+                t * p * (p - 1.0) * m * x ** (p - 2.0) + x**-2.0
+            )
+            dx = np.linalg.solve(hess, -grad)
+            decrement = -float(grad @ dx)
+            if decrement <= 1e-9:
                 break
-            trial *= 0.5
-        if not accepted:
+            Adx = A @ dx
+            rx, rs = dx / x, Adx / s
+            a = 0.99 / max(float(-rx.min()), float(-rs.min()), 0.99)
+            px = m * x**p
+            while a >= 1e-12:  # the merit change, summed from relative steps
+                change = (
+                    t * float(px @ np.expm1(p * np.log1p(a * rx)))
+                    - float(np.log1p(a * rs).sum() + np.log1p(a * rx).sum())
+                )
+                if change <= -a * decrement / 4:
+                    break
+                a *= 0.5
+            else:
+                break
+            x, s = x + a * dx, s + a * Adx
+        if n_log <= 1e-10 * t * float(m @ x**p):
             break
-        d_f = f_new - f
-        g_new = p * mpos * f_new ** (p - 1.0)
-        d_g = g_new - grad
-        denom = float(np.dot(d_g, d_g))
-        step = (
-            min(max(abs(float(np.dot(d_f, d_g))) / denom, 1e-12), 1e10)
-            if denom > 0
-            else trial * 2.0
-        )
-        rel = (obj - obj_new) / max(1.0, obj)
-        f, obj = f_new, obj_new
-        if 0 <= rel <= 1e-12 and it > 10:
-            break
+        t *= 100.0
 
-    def rescaled(cand: np.ndarray) -> tuple[float, np.ndarray] | None:
-        s_c = float((U @ cand).min())
-        if s_c <= 0:
-            return None
-        scaled = cand / s_c
-        return float(np.dot(mpos, scaled**p)), scaled
-
-    best = rescaled(f)
-    if best is None:
-        raise SolverError("primal solver produced an infeasible density", gap=None)
+    f = np.zeros(len(mpos))
+    f[on] = x
+    f /= float((U @ f).min())
     polished = _primal_face_polish(U, mpos, p, f)
-    if polished is not None:
-        alt = rescaled(polished)
-        if alt is not None and alt[0] <= best[0]:
-            best = alt
-    value, f = best
+    if polished is not None and (low := float((U @ polished).min())) > 0:
+        f = min(polished / low, f, key=lambda c: float(mpos @ c**p))
     f_out = np.zeros(space.n_points)
     f_out[msk] = f
-    return value, f_out
+    return float(mpos @ f**p), f_out
 
 
 def brute_force_lattice(
@@ -686,8 +644,10 @@ def brute_force_lattice(
     Enumerates f over a uniform lattice per positive-mass point.  The
     best feasible lattice point gives an upper bound; rounding the true
     optimum up to the lattice inflates the p-norm by at most one step,
-    which turns the upper bound into a matching lower bound.  Only
-    sensible for a handful of points.
+    which turns the upper bound into a matching lower bound.  The
+    lattice has 21^n points for n positive-mass points, so n is capped
+    at 4; a larger space raises InvalidInstanceError before the lattice
+    is allocated.
     """
     p = _check_p(p)
     U, kept, _, has_zero = _constraint_matrix(space, (mu.items for mu in measures))
@@ -698,9 +658,9 @@ def brute_force_lattice(
     msk = space.positive_mask
     mpos = space.measure[msk]
     n = int(msk.sum())
-    if n > 6:
+    if n > 4:
         raise InvalidInstanceError(
-            "lattice oracle limited to at most 6 positive-mass points"
+            f"lattice oracle limited to at most 4 positive-mass points, got {n}"
         )
     totals = U.sum(axis=1)
     feas_value = (1.0 / totals.min()) ** p * mpos.sum()

@@ -1,5 +1,6 @@
 """End-to-end command-line checks through main(argv)."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -321,11 +322,66 @@ def test_internal_errors_exit_5(gen_instance, monkeypatch, capsys, error):
     assert "internal error" in err and "invalid input" not in err
 
 
-def write_instance(tmp_path, space, families):
+@pytest.mark.parametrize(
+    "argv, result, failed, message",
+    [
+        (["plan", "improve", "--instance", DEMO, "--eps", "0.1"],
+         "improve_barycenter", "barycenter_ok", "barycenter certificate FAILED"),
+        (["plan", "stretch", "--instance", DEMO, "--eps", "0.25", "--n-tau", "8"],
+         "stretch_average", "marginal_ok", "marginal certificate FAILED"),
+    ],
+    ids=["improve", "stretch"],
+)
+def test_failed_plan_certificate_exits_4(monkeypatch, capsys, argv, result, failed, message):
+    import modcap.cli as cli
+
+    command = getattr(cli, result)
+    monkeypatch.setattr(
+        cli, result,
+        lambda *args: dataclasses.replace(command(*args), **{failed: False}),
+    )
+    assert main(argv) == 4
+    assert message in capsys.readouterr().out
+
+
+def test_failed_selftest_criterion_exits_4(monkeypatch, capsys):
+    import modcap.cli as cli
+
+    run_selftest = cli.run_selftest
+    monkeypatch.setattr(
+        cli, "run_selftest",
+        lambda numbers: [dataclasses.replace(r, passed=False) for r in run_selftest(numbers)],
+    )
+    assert main(["selftest", "--criteria", "1"]) == 4
+    text = capsys.readouterr().out
+    assert "FAILED criteria: [1]" in text
+    assert "criteria passed" not in text
+
+
+def test_unwritable_output_exits_2(gen_instance, tmp_path, capsys):
+    missing = tmp_path / "missing" / "res.csv"
+    assert main(["solve", "--instance", gen_instance, "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "io error" in err and "internal error" not in err
+    assert not missing.parent.exists()
+
+
+def write_instance(tmp_path, space, families, **sections):
     path = tmp_path / "null.json"
-    doc = {"name": "null", "space": space, "families": families}
+    doc = {"name": "null", "space": space, "families": families, **sections}
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_grad_check_refuses_explicit_family(tmp_path, capsys):
+    space = {"n_points": 2, "edges": [[0, 1, 1.0]], "measure": [1.0, 1.0]}
+    family = {"kind": "explicit", "measures": [[[0, 1.0]]]}
+    inst = write_instance(
+        tmp_path, space, {"fam": family}, columns={"f": [0.0, 1.0], "g": [1.0, 1.0]}
+    )
+    assert main(["grad", "check", "--instance", inst, "--f", "f", "--g", "g"]) == 2
+    err = capsys.readouterr().err
+    assert "needs a family of curves or paths, not explicit measures" in err
 
 
 @pytest.mark.parametrize(

@@ -484,7 +484,7 @@ def test_uniform_grid_certifies_in_two_rounds(k, p):
     # ties decide the second round: fewest hops gives every row's straight
     # path at once, and those k disjoint rows are optimal.  Breaking the
     # ties by id alone added one row per round, k rounds in all.
-    solve, [(exact, _)] = degenerate_case(f"paths{k}", p)
+    solve, [(exact, _)], _ = degenerate_case(f"paths{k}", p)
     sol = solve()
     assert sol.outer_iterations == 2
     assert sol.gap <= 1e-9
@@ -887,7 +887,8 @@ def average(a, b):
 
 
 def degenerate_case(name, p):
-    """The solve of a degenerate family, and oracle brackets of its modulus."""
+    """The solve of a degenerate family, oracle brackets of its modulus,
+    and the primal oracle's value (None for a path family)."""
     from modcap.space import build_grid_space, grid_node
 
     if name in ("duplicates", "average"):
@@ -898,12 +899,11 @@ def degenerate_case(name, p):
         # The base family implies every added constraint: same modulus.
         ref = solve_modulus_explicit(space, base, p)
         oracles = [brute_force_lattice(space, family, p), (ref.dual_value, ref.value)]
-        return lambda: solve_modulus_explicit(space, family, p), oracles
+        return explicit_case(space, family, p, oracles)
     if name == "more_measures_than_points":
         inst = generate_random_instance(5, n_points=3, n_measures=60)
         space, family = inst.space, inst.families["random"].measures
-        oracles = [brute_force_lattice(space, family, p)]
-        return lambda: solve_modulus_explicit(space, family, p), oracles
+        return explicit_case(space, family, p, [brute_force_lattice(space, family, p)])
     if name == "grid_rows_and_columns":
         # The rows sum to the columns.  Permuting rows, permuting columns
         # and transposing leave the family unchanged and move any point to
@@ -912,7 +912,7 @@ def degenerate_case(name, p):
         lines = [[grid_node(5, x, y) for x in range(5)] for y in range(5)]
         columns = [list(pts) for pts in zip(*lines)]
         family = [restriction(space, pts) for pts in lines + columns]
-        return lambda: solve_modulus_explicit(space, family, p), [(5.0**p, 5.0**p)]
+        return explicit_case(space, family, p, [(5.0**p, 5.0**p)])
     # Left-right paths on a uniform k x k grid.  The k rows tie, and the
     # optimal f for the rows alone depends on the column only, so every
     # path, which crosses each column gap, integrates it to at least 1:
@@ -925,7 +925,15 @@ def degenerate_case(name, p):
     density = np.full(k, k**2 / (k - 1))
     density[[0, -1]] /= 2
     exact = k * float(np.sum(density ** (p / (p - 1)) / k**2)) ** (1 - p)
-    return lambda: solve_modulus_paths(space, left, right, p), [(exact, exact)]
+    return lambda: solve_modulus_paths(space, left, right, p), [(exact, exact)], None
+
+
+def explicit_case(space, family, p, oracles):
+    return (
+        lambda: solve_modulus_explicit(space, family, p),
+        oracles,
+        lambda: _solve_modulus_primal(space, family, p)[0],
+    )
 
 
 @pytest.mark.parametrize("p", [1.1, 2.0, 3.0, 12.0])
@@ -942,8 +950,9 @@ def degenerate_case(name, p):
 )
 def test_degenerate_family_is_certified_or_refused(name, p):
     # Rank-deficient constraint sets and many tied paths: the solve either
-    # certifies a bracket that meets every oracle's, or raises SolverError.
-    solve, oracles = degenerate_case(name, p)
+    # certifies a bracket that meets every oracle's, and on an explicit
+    # family the primal oracle's value, or raises SolverError.
+    solve, oracles, primal = degenerate_case(name, p)
     try:
         sol = solve()
     except SolverError:
@@ -952,6 +961,8 @@ def test_degenerate_family_is_certified_or_refused(name, p):
     for lower, upper in oracles:
         assert lower <= sol.value * (1 + 1e-12)
         assert sol.dual_value <= upper * (1 + 1e-12)
+    if primal is not None:
+        assert primal() == pytest.approx(sol.value, rel=1e-6)
 
 
 @pytest.mark.parametrize("p", [1.1, 2.0, 12.0])
@@ -959,7 +970,8 @@ def test_degenerate_family_is_certified_or_refused(name, p):
 def test_seeded_family_is_certified_or_refused(seed, p):
     # Random families on at most 4 positive-mass points, some with
     # zero-mass points, at both ends of p: the solve either certifies a
-    # bracket that meets the lattice bracket, or raises SolverError.
+    # bracket that meets the lattice bracket and the primal oracle's
+    # value, or raises SolverError.
     n_points = 3 + seed % 4
     inst = generate_random_instance(
         seed,
@@ -976,3 +988,54 @@ def test_seeded_family_is_certified_or_refused(seed, p):
     assert sol.gap <= 1e-9
     assert lower <= sol.value * (1 + 1e-12)
     assert sol.dual_value <= upper * (1 + 1e-12)
+    assert _solve_modulus_primal(inst.space, measures, p)[0] == pytest.approx(
+        sol.value, rel=1e-6
+    )
+
+
+def oracle_families():
+    """Random families of 4-20 points, half of them with a zero-mass
+    point, then a family with duplicated measures and the average of two,
+    and a 12-point family: at the ends of p each has defeated an oracle
+    that stepped along the energy gradient."""
+    for s in range(24):
+        inst = generate_random_instance(
+            500 + s,
+            n_points=4 + s % 17,
+            n_measures=3 + (5 * s) % 23,
+            n_null_points=s % 2,
+        )
+        yield inst.space, inst.families["random"].measures
+    inst = generate_random_instance(7, n_points=5, n_measures=4)
+    base = list(inst.families["random"].measures)
+    yield inst.space, base + [base[0], base[2], average(*base[:2])]
+    inst = generate_random_instance(3, n_points=12, n_measures=6)
+    yield inst.space, inst.families["random"].measures
+
+
+@pytest.mark.parametrize("p", [1.05, 1.1, 5.0, 8.0, 12.0])
+def test_primal_oracle_meets_the_certified_bracket(p):
+    # At the ends of p the plan solve's weights and the density span many
+    # orders of magnitude; the primal oracle's value must still reach the
+    # certified lower end, to rounding, and lie within 1e-6 of the upper.
+    for space, family in oracle_families():
+        sol = solve_modulus_explicit(space, family, p)
+        value = _solve_modulus_primal(space, family, p)[0]
+        assert value >= sol.dual_value * (1 - 1e-12)
+        assert value == pytest.approx(sol.value, rel=1e-6)
+
+
+def test_lattice_refuses_five_points_before_allocating():
+    import tracemalloc
+
+    inst = generate_random_instance(1, n_points=6, n_measures=2, n_null_points=1)
+    measures = inst.families["random"].measures
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInstanceError, match="at most 4 positive-mass points, got 5"):
+            brute_force_lattice(inst.space, measures, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Its 21^5-point lattice would take about 500 MB.
+    assert peak < 1e6
