@@ -167,6 +167,7 @@ def _constraint_matrix(
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""
+    v = v - v.max()  # the same projection; u[0] = 0 keeps rho defined at any scale
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
@@ -203,16 +204,30 @@ class _PlanProblem:
 
     At q = 2 (p = 2) phi = sum (wU)^2 / m is quadratic: its Hessian
     2 U diag(1/m) U^T is fixed, and ``hessian`` keeps the Gram entries it
-    has computed.  ``gram``, from ``kept_gram``, seeds them.
+    has computed; ``renew``, which changes the rows, keeps those that stay.
     """
 
-    def __init__(self, space: MetricMeasureSpace, U: np.ndarray, p: float, gram=None):
+    def __init__(self, space: MetricMeasureSpace, U: np.ndarray, p: float):
         self.space, self.U, self.p = space, U, p
         self.q = p / (p - 1.0)
         self.mpos = space.measure[space.positive_mask]
         # Rows with known Gram entries in the order they came, and each row's place.
-        self._known, self._gram = gram or (np.zeros(0, np.intp), np.zeros((0, 0)))
+        self._known, self._gram = np.zeros(0, np.intp), np.zeros((0, 0))
         self._pos = np.full(len(U), -1)
+
+    def renew(self, keep: np.ndarray, rows: np.ndarray) -> None:
+        """Keep the rows of U that the mask ``keep`` marks, then append ``rows``.
+
+        ``rows`` has a column per point, as ``_path_rows`` writes them.  U
+        is copied once, and the kept rows keep their known Gram entries.
+        """
+        at = self._pos[keep]
+        self._known = np.flatnonzero(at >= 0)
+        self._gram = self._gram[np.ix_(at[at >= 0], at[at >= 0])]  # before U grows
+        U = np.empty((len(at) + len(rows), self.U.shape[1]))
+        np.compress(keep, self.U, axis=0, out=U[: len(at)])
+        np.compress(self.space.positive_mask, rows, axis=1, out=U[len(at) :])
+        self.U, self._pos = U, np.full(len(U), -1)
         self._pos[self._known] = np.arange(len(self._known))
 
     def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -261,11 +276,6 @@ class _PlanProblem:
         Ur = self.U[rows]  # a copy, scaled in place: one temporary of this size
         Ur *= np.sqrt(coef)
         return Ur @ Ur.T
-
-    def kept_gram(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``gram`` for a problem whose U starts with the rows of the mask ``keep``."""
-        at = self._pos[keep]
-        return np.flatnonzero(at >= 0), self._gram[np.ix_(at[at >= 0], at[at >= 0])]
 
     def solve(
         self, w: np.ndarray, gap_tol: float, max_iter: int
@@ -346,9 +356,9 @@ class _PlanProblem:
         arc t -> [w + t dw]^+ / sum, halving t from 1 (and trying the
         arc's first kink) until phi decreases to rounding, so every weight
         the step zeroes leaves and every blocked row enters at once.
-        Returns weights that meet the simplex KKT conditions (gphi + nu
-        zero on the support, nonnegative off it) to rounding, or None when
-        no step lowers phi or a step returns to a support it left (at
+        Returns weights that meet the simplex KKT conditions (gphi + nu zero
+        on the support, nonnegative off it) to rounding, or None when no step
+        lowers phi or a step returns to a support it left at no higher phi (at
         large p, optimal weights can lie below what Newton resolves).
         """
         w = w / w.sum()
@@ -356,7 +366,7 @@ class _PlanProblem:
         gphi = self.q * G
         nu = -self.q * phi  # = -w . gphi, the multiplier were w stationary
         stat = float(np.abs(gphi[w > 0] + nu).max())
-        face, left = np.packbits(w > 0).tobytes(), set()
+        face, left = np.packbits(w > 0).tobytes(), {}  # face -> phi it was left at
         for _ in range(3 * len(w) + 8):
             scale = float(np.abs(gphi).max())  # no floor: phi can be 1e-20 at p=1.1
             free = (w > 0) | (gphi + nu < -max(stat, 1e-12 * scale))
@@ -380,10 +390,9 @@ class _PlanProblem:
                 return None
             G_v = self.bracket(phi_v, f_v)[0]
             key = np.packbits(v > 0).tobytes()
-            if key != face and key in left:
+            if key != face and phi_v >= left.get(key, math.inf):
                 return None
-            left.add(face)
-            face = key
+            left[face], face = phi, key
             w, phi, gphi = v, phi_v, self.q * G_v
             red = gphi + nu
             stat = float(np.abs(red[w > 0]).max())
@@ -824,43 +833,41 @@ def solve_modulus_paths(
     max_hops: int | None = None,
     *,
     gap_tol: float = 1e-9,
-    feas_tol: float = 1e-9,
     max_outer: int = 1000,
 ) -> ModulusSolution:
     """Modulus of the family of simple source-target paths.
 
-    Constraint generation (Albin, Brunner, Perez, Poggi-Corradini &
-    Wiens 2015): solve on a working set of paths, then run one Dijkstra
-    pass (edge weight f * length) that finds the cheapest path to every
-    target, ties broken by fewest hops (see ``shortest_weighted_path``):
-    f is 0 where no weighted working path passes, and there the
-    fewest-hop paths are disjoint, so one round adds many that the next
-    plan keeps; stop when every path integrates f to at least 1 - feas_tol,
-    then divide f by the least integral that pass found, so that ``value``,
-    ``dual_value`` and ``gap`` bracket the modulus of the whole family.
-    Otherwise the round drops the working paths at plan weight exactly 0
-    and adds every violated path not yet present: U keeps its surviving
-    rows in one copy, one ``_path_rows`` scatter writes the new paths'
-    line measures below them, and at p = 2 the surviving rows' block of
-    the fixed Hessian is carried over (see ``_PlanProblem``).  Dropping inactive
-    constraints leaves the working problem's unique optimal f unchanged,
-    and each added path is violated by that f, so the working modulus
-    rises strictly every round and no working set repeats.  Each round
-    runs the plan solve of ``solve_modulus_explicit``, warm-started from
-    the previous plan with the new paths at weight 0; after the first
-    round that plan is polished by projected Newton before any gradient
-    step, which often certifies the round at once.  ``iterations`` counts
-    the projected-gradient and barrier steps over all rounds (Newton steps
-    are not counted, so it can be 0), ``outer_iterations`` the rounds, and
-    ``paths`` is the final working set, aligned with ``multipliers``: the
-    paths of the last plan solve, some perhaps at weight 0, each ending at
-    a target.  Disconnected endpoints give value 0 with the
-    ``empty_family`` flag set.  Zero-mass points block paths for free (see
-    ``_block_null_points``), so a family whose every path crosses one has
-    modulus 0 and no working paths.
+    Constraint generation (Albin, Brunner, Perez, Poggi-Corradini & Wiens
+    2015): solve on a working set of paths, then run one Dijkstra pass (edge
+    weight f * length) that finds the cheapest path to every target, ties
+    broken by fewest hops (see ``shortest_weighted_path``): f is 0 where no
+    weighted working path passes, and there the fewest-hop paths are disjoint,
+    so one round adds many that the next plan keeps.  Each round solves its
+    plan to gap_tol / 2, and a path integrating f to less than
+    1 - gap_tol / (2p) is violated.  With none violated, f is divided by the
+    least integral that pass found, so that ``value``, ``dual_value`` and
+    ``gap`` bracket the modulus of the whole family, and as
+    (1 - gap_tol / 2)^2 >= 1 - gap_tol the relative width
+    (value - dual_value) / value is at most gap_tol, or SolverError is raised.
+    Otherwise the plan problem's ``renew`` drops the working paths at weight
+    exactly 0 and adds every violated path not yet present.  Dropping inactive
+    constraints leaves the working problem's unique optimal f unchanged, and
+    each added path is violated by that f, so the working modulus rises
+    strictly every round and no working set repeats.  Each round runs the plan
+    solve of ``solve_modulus_explicit``, warm-started from the previous plan
+    with the new paths at weight 0; after the first round that plan is
+    polished by projected Newton before any gradient step, which often
+    certifies the round at once.  ``iterations`` counts the projected-gradient
+    and barrier steps over all rounds (Newton steps are not counted, so it can
+    be 0), ``outer_iterations`` the rounds, and ``paths`` is the final working
+    set, aligned with ``multipliers``: the paths of the last plan solve, some
+    perhaps at weight 0, each ending at a target.  Disconnected endpoints give
+    value 0 with the ``empty_family`` flag set.  Zero-mass points block paths
+    for free (see ``_block_null_points``), so a family whose every path
+    crosses one has modulus 0 and no working paths.
     """
     p = _check_p(p)
-    _check_limits(gap_tol, feas_tol, cap=max_outer)
+    _check_limits(gap_tol, cap=max_outer)
     # Zero-mass points are impassable for the oracle: a path through one
     # is satisfied for free, so only paths avoiding them constrain f.
     null = space.measure == 0
@@ -877,15 +884,13 @@ def solve_modulus_paths(
         return replace(_trivial_solution(space, 1, (), True), paths=probe[:1])
 
     # Oracle paths have an edge and avoid zero-mass points: no row is dropped.
-    working, msk = [probe[0]], space.positive_mask
-    U = _path_rows(space, working)[:, msk]
-    w, gram = np.ones(1), None
-    total_it = 0
+    working = [probe[0]]
+    prob = _PlanProblem(space, _path_rows(space, working)[:, space.positive_mask], p)
+    w, total_it, cut = np.ones(1), 0, 1.0 - gap_tol / (2 * p)  # cut: violated below
     for outer in range(1, max_outer + 1):
-        prob, gram = _PlanProblem(space, U, p, gram), None  # the block has one holder
         if outer > 1:  # polish the previous optimum, new paths at weight 0
             w = prob.polish(w, *prob.evaluate(w))[0]
-        w, it = prob.solve(w, gap_tol, max_iter=100000)
+        w, it = prob.solve(w, gap_tol / 2, max_iter=100000)
         total_it += it
         rows = range(len(working))
         sol = prob.solution(w, total_it, rows, len(rows))
@@ -893,27 +898,22 @@ def solve_modulus_paths(
             space, np.where(null, np.inf, sol.f), source, target, max_hops, bound=1.0
         )
         present = set(working)
-        new = [pth for c, pth in found if c < 1.0 - feas_tol and pth not in present]
+        new = [pth for c, pth in found if c < cut and pth not in present]
         if not new:
             low = found[0][0] if found else 1.0  # the family minimum, if below 1
-            if low >= 1.0 - 10 * feas_tol:  # f / low is admissible for the family
-                sol = prob.solution(w, total_it, rows, len(rows), low=low)
+            sol = prob.solution(w, total_it, rows, len(rows), low=low)
+            width = (sol.value - sol.dual_value) / sol.value
+            if width <= gap_tol:
                 return replace(
                     sol, f=_block_null_points(space, sol.f), paths=tuple(working),
                     outer_iterations=outer,
                 )
             raise SolverError(
-                f"constraint generation stalled on a repeated path "
-                f"(integral {low:.12f})",
-                gap=1.0 - low,
+                f"path bracket width {width:.3e} above {gap_tol:.1e} (least path "
+                f"integral {low:.12f})", gap=width,
             )
         keep = w > 0
-        n_keep = int(keep.sum())
-        gram, prob = prob.kept_gram(keep), None  # the old Gram goes before U grows
-        U_next = np.empty((n_keep + len(new), U.shape[1]))  # one copy of U per round
-        np.compress(keep, U, axis=0, out=U_next[:n_keep])
-        np.compress(msk, _path_rows(space, new), axis=1, out=U_next[n_keep:])
-        U = U_next
+        prob.renew(keep, _path_rows(space, new))
         working = [path for path, k in zip(working, keep) if k] + new
         w = np.concatenate([w[keep], np.zeros(len(new))])
     raise SolverError(
