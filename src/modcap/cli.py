@@ -129,9 +129,9 @@ def _solve(
             max_outer=args.max_iter,
         )
         print(f"generated paths: {len(sol.paths)}")
-        # The oracle has shown that f integrates to at least 1 - tol on
-        # every path, so the certificate on the final working paths
-        # brackets the modulus of the whole family, without enumerating it.
+        # f is divided by the least path integral when that is below 1, so it
+        # integrates to at least 1 on every path: the certificate on the final
+        # working paths brackets the modulus of the whole family, unenumerated.
         return sol, [path_line_measure(inst.space, path) for path in sol.paths]
     measures = enumerate_family(inst.space, fam, curves_by_name=inst.curves).measures
     sol = solve_modulus_explicit(

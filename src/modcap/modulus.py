@@ -176,13 +176,13 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _kkt_solve(
-    H: np.ndarray, rhs: np.ndarray, resid: float
+    kkt: np.ndarray, rhs: np.ndarray, resid: float
 ) -> tuple[np.ndarray, float] | None:
-    """Solve [[H, 1], [1^T, 0]] [dw; nu] = [rhs; resid], or None if singular."""
-    n = H.shape[0]
-    kkt = np.ones((n + 1, n + 1))
-    kkt[:n, :n] = H
-    kkt[n, n] = 0.0
+    """Solve [[H, 1], [1^T, 0]] [dw; nu] = [rhs; resid], or None if singular.
+
+    ``kkt`` is that bordered matrix, as ``_PlanProblem.hessian`` builds it.
+    """
+    n = len(rhs)
     try:
         sol = np.linalg.solve(kkt, np.append(rhs, resid))
     except np.linalg.LinAlgError:
@@ -219,31 +219,33 @@ class _PlanProblem:
         """Keep the rows of U that the mask ``keep`` marks, then append ``rows``.
 
         ``rows`` has a column per point, as ``_path_rows`` writes them.  U
-        is copied once, and the kept rows keep their known Gram entries.
+        is copied once, and the kept rows keep their known Gram entries,
+        both gathered by 1-D takes (the same values as ``np.ix_`` and
+        ``np.compress`` give, at a fraction of their cost).
         """
-        at = self._pos[keep]
+        idx, at = np.flatnonzero(keep), self._pos[keep]
         self._known = np.flatnonzero(at >= 0)
-        self._gram = self._gram[np.ix_(at[at >= 0], at[at >= 0])]  # before U grows
-        U = np.empty((len(at) + len(rows), self.U.shape[1]))
-        np.compress(keep, self.U, axis=0, out=U[: len(at)])
-        np.compress(self.space.positive_mask, rows, axis=1, out=U[len(at) :])
+        self._gram = self._gram[at[self._known]][:, at[self._known]]  # before U grows
+        U = np.empty((len(idx) + len(rows), self.U.shape[1]))
+        np.take(self.U, idx, axis=0, out=U[: len(idx)], mode="clip")
+        np.compress(self.space.positive_mask, rows, axis=1, out=U[len(idx) :])
         self.U, self._pos = U, np.full(len(U), -1)
         self._pos[self._known] = np.arange(len(self._known))
 
     def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray, float]:
         """phi, the constraint values G and the bracket gap at w."""
-        phi, f = self.potential(w)
+        phi, f, _ = self.potential(w)
         return (phi, *self.bracket(phi, f))
 
-    def potential(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """phi and the density f at w, from one product with U.
+    def potential(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """phi, the density f and the barycenter h at w, from one product with U.
 
         Line searches call this at each trial point and ``bracket`` only
-        at the point they accept.
+        at the point they accept, whose h the next ``hessian`` reads.
         """
         h = (w @ self.U) / self.mpos
         f = h ** (self.q - 1.0)
-        return float(np.dot(self.mpos, h * f)), f
+        return float(np.dot(self.mpos, h * f)), f, h
 
     def bracket(self, phi: float, f: np.ndarray) -> tuple[np.ndarray, float]:
         """Constraint values G = U @ f and the bracket gap, given phi and f."""
@@ -251,34 +253,41 @@ class _PlanProblem:
         s = float(G.min())
         return G, max(1.0 - (s / phi) ** self.p, 0.0) if s > 0 else 1.0
 
-    def hessian(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Hessian of phi at w, restricted to the rows of the mask ``rows``.
+    def hessian(self, rows: np.ndarray, h: np.ndarray | None) -> np.ndarray:
+        """The bordered system [[H, 1], [1^T, 0]] of ``_kkt_solve``, fresh.
 
-        At q = 2 each row's entries are computed once, when first asked for,
-        against the rows known by then; a call returns a fresh slice of them.
+        H is the Hessian of phi restricted to the rows of the mask ``rows``,
+        at the plan whose barycenter h ``potential`` returned.  At q = 2 H
+        does not depend on the plan, and h is not read: each row's Gram
+        entries are computed once, when first asked for, against the rows
+        known by then, and H is gathered from them by two 1-D takes.
         """
-        if self.q == 2.0:
-            new, n = np.flatnonzero(rows & (self._pos < 0)), len(self._known)
+        q, n = self.q, int(np.count_nonzero(rows))
+        kkt = np.empty((n + 1, n + 1))
+        kkt[n], kkt[:n, n], kkt[n, n] = 1.0, 1.0, 0.0
+        if q == 2.0:
+            new, k = np.flatnonzero(rows & (self._pos < 0)), len(self._known)
             if new.size:
                 scale, Vn = np.sqrt(2.0 / self.mpos), self.U[new]
                 Vn *= scale  # scaled in place: one temporary of the new rows' size
-                gram = np.empty((n + new.size,) * 2)
-                gram[:n, :n], gram[n:, n:] = self._gram, Vn @ Vn.T
+                gram = np.empty((k + new.size,) * 2)
+                gram[:k, :k], gram[k:, k:] = self._gram, Vn @ Vn.T
                 Vn *= scale  # now U[new] * 2 / m, against the unscaled known rows
-                gram[n:, :n] = Vn @ self.U[self._known].T
-                gram[:n, n:] = gram[n:, :n].T
-                self._pos[new] = np.arange(n, n + new.size)
+                gram[k:, :k] = Vn @ self.U[self._known].T
+                gram[:k, k:] = gram[k:, :k].T
+                self._pos[new] = np.arange(k, k + new.size)
                 self._known, self._gram = np.concatenate([self._known, new]), gram
             at = self._pos[rows]
-            return self._gram[np.ix_(at, at)]
-        q, h = self.q, (w @ self.U) / self.mpos
-        coef = q * (q - 1.0) * np.maximum(h, 1e-12 * h.max()) ** (q - 2.0) / self.mpos
-        Ur = self.U[rows]  # a copy, scaled in place: one temporary of this size
-        Ur *= np.sqrt(coef)
-        return Ur @ Ur.T
+            kkt[:n, :n] = self._gram[at][:, at]
+        else:
+            coef = q * (q - 1.0) * np.maximum(h, 1e-12 * h.max()) ** (q - 2.0) / self.mpos
+            Ur = self.U[rows]  # a copy, scaled in place: one temporary of this size
+            Ur *= np.sqrt(coef)
+            np.matmul(Ur, Ur.T, out=kkt[:n, :n])
+        return kkt
 
     def solve(
-        self, w: np.ndarray, gap_tol: float, max_iter: int
+        self, w: np.ndarray, gap_tol: float, max_iter: int, at: Sequence | None = None
     ) -> tuple[np.ndarray, int]:
         """Plan weights with bracket gap <= gap_tol, from the plan w.
 
@@ -287,11 +296,12 @@ class _PlanProblem:
         Newton polish (``face_newton``), kept when it narrows the gap or
         keeps phi.  If the gap is still open, a log-barrier Newton path
         finds the support and the polish finishes on it.  ``max_iter``
-        bounds the gradient and barrier steps together.  Returns the
+        bounds the gradient and barrier steps together.  ``at`` is the
+        (phi, G, gap) of w, when the caller has evaluated it.  Returns the
         weights and the step count, or raises SolverError when the gap
         stays above gap_tol.
         """
-        phi, G, gap = self.evaluate(w)
+        phi, G, gap = at or self.evaluate(w)
         step, it, stalled = 1.0, 0, False
         while gap > gap_tol and it < min(max_iter, _FIRST_POLISH):
             it += 1
@@ -299,7 +309,7 @@ class _PlanProblem:
             trial = step
             for _ in range(60):
                 w_new = _project_simplex(w - trial * grad)
-                phi_new, f_new = self.potential(w_new)
+                phi_new, f_new, _ = self.potential(w_new)
                 if phi_new <= phi + 1e-4 * float(grad @ (w_new - w)) or phi_new < phi:
                     break
                 trial *= 0.5
@@ -337,14 +347,14 @@ class _PlanProblem:
 
         The polish is kept when it narrows the gap or keeps phi.
         """
-        refined = self.face_newton(w)
-        if refined is not None:
-            cand = self.evaluate(refined)
-            if cand[2] < gap or cand[0] <= phi * (1.0 + 1e-14):
-                return (refined, *cand)
+        cand = self.face_newton(w)
+        if cand is not None and (cand[3] < gap or cand[1] <= phi * (1.0 + 1e-14)):
+            return cand
         return w, phi, G, gap
 
-    def face_newton(self, w: np.ndarray) -> np.ndarray | None:
+    def face_newton(
+        self, w: np.ndarray
+    ) -> tuple[np.ndarray, float, np.ndarray, float] | None:
         """Projected Newton refinement of the plan w (Bertsekas 1982).
 
         phi is q-homogeneous, so its minimum over the simplex is that of
@@ -357,23 +367,24 @@ class _PlanProblem:
         arc's first kink) until phi decreases to rounding, so every weight
         the step zeroes leaves and every blocked row enters at once.
         Returns weights that meet the simplex KKT conditions (gphi + nu zero
-        on the support, nonnegative off it) to rounding, or None when no step
-        lowers phi or a step returns to a support it left at no higher phi (at
-        large p, optimal weights can lie below what Newton resolves).
+        on the support, nonnegative off it) to rounding, with their phi, G
+        and gap as ``evaluate`` gives them, or None when no step lowers phi
+        or a step returns to a support it left at no higher phi (at large p,
+        optimal weights can lie below what Newton resolves).
         """
         w = w / w.sum()
-        phi, G, _ = self.evaluate(w)
-        gphi = self.q * G
+        phi, f, h = self.potential(w)
+        gphi = self.q * self.bracket(phi, f)[0]
         nu = -self.q * phi  # = -w . gphi, the multiplier were w stationary
         stat = float(np.abs(gphi[w > 0] + nu).max())
         face, left = np.packbits(w > 0).tobytes(), {}  # face -> phi it was left at
         for _ in range(3 * len(w) + 8):
             scale = float(np.abs(gphi).max())  # no floor: phi can be 1e-20 at p=1.1
             free = (w > 0) | (gphi + nu < -max(stat, 1e-12 * scale))
-            Hf = self.hessian(w, free)
-            nf = Hf.shape[0]
-            Hf[np.diag_indices(nf)] += 1e-14 * float(np.trace(Hf)) / nf
-            step = _kkt_solve(Hf, -gphi[free], 1.0 - float(w.sum()))
+            kkt = self.hessian(free, h)
+            diag = kkt.reshape(-1)[:: len(kkt) + 1][:-1]  # H's diagonal, a view
+            diag += 1e-14 * float(diag.sum()) / len(diag)
+            step = _kkt_solve(kkt, -gphi[free], 1.0 - float(w.sum()))
             if step is None:
                 return None
             dw, nu = step
@@ -382,24 +393,24 @@ class _PlanProblem:
             for _ in range(60):
                 v[free] = np.maximum(wf + t * dw, 0.0)
                 v /= v.sum()
-                phi_v, f_v = self.potential(v)
+                phi_v, f_v, h_v = self.potential(v)
                 if phi_v <= phi * (1.0 + _ROUNDING * self.q):
                     break
                 t = kink if t / 2 < kink < t else t / 2
             else:
                 return None
-            G_v = self.bracket(phi_v, f_v)[0]
+            G_v, gap_v = self.bracket(phi_v, f_v)
             key = np.packbits(v > 0).tobytes()
             if key != face and phi_v >= left.get(key, math.inf):
                 return None
             left[face], face = phi, key
-            w, phi, gphi = v, phi_v, self.q * G_v
+            w, phi, h, gphi = v, phi_v, h_v, self.q * G_v
             red = gphi + nu
             stat = float(np.abs(red[w > 0]).max())
             if float(red.min()) >= -1e-12 * scale and (
                 stat <= 1e-13 * scale or t * float(np.abs(dw).max()) <= 1e-16
             ):
-                return w
+                return w, phi, G_v, gap_v
         return None
 
     def barrier(
@@ -415,7 +426,8 @@ class _PlanProblem:
         """
         k = len(w)
         w = 0.5 * w + 0.5 / k
-        phi, G, _ = self.evaluate(w)
+        phi, f, h = self.potential(w)
+        G = self.bracket(phi, f)[0]
         # Frank-Wolfe bound on phi(w) - min phi sets the first barrier weight.
         t = k / max(self.q * (phi - float(G.min())), 1e-300)
         steps = 0
@@ -423,8 +435,10 @@ class _PlanProblem:
             for _ in range(min(50, budget - steps)):  # centering
                 steps += 1
                 grad = t * self.q * G - 1.0 / w
-                hess = t * self.hessian(w, np.ones(k, bool)) + np.diag(w**-2.0)
-                step = _kkt_solve(hess, -grad, 0.0)
+                kkt = self.hessian(np.ones(k, bool), h)
+                kkt[:k, :k] *= t
+                kkt.reshape(-1)[:: k + 2][:-1] += w**-2.0  # on H's diagonal
+                step = _kkt_solve(kkt, -grad, 0.0)
                 if step is None:
                     return w, steps
                 dw = step[0]
@@ -436,13 +450,13 @@ class _PlanProblem:
                 merit = t * phi - float(np.log(w).sum())
                 for _ in range(60):
                     w_new = w + a * dw
-                    phi_new, f_new = self.potential(w_new)
+                    phi_new, f_new, h_new = self.potential(w_new)
                     if t * phi_new - np.log(w_new).sum() <= merit - a * decrement / 4:
                         break
                     a *= 0.5
                 else:
                     break
-                w, phi, G = w_new, phi_new, self.bracket(phi_new, f_new)[0]
+                w, phi, h, G = w_new, phi_new, h_new, self.bracket(phi_new, f_new)[0]
             if k / t <= 1e-12 * phi or self.evaluate(w)[2] <= gap_tol:
                 break
             t *= 20.0
@@ -734,8 +748,10 @@ def _cheapest_paths(
     under ``max_hops``), with the costs and tie rule documented in
     ``shortest_weighted_path``, which returns the first entry: targets
     come by cost, then hops, then id.  The Dijkstra heap key is (cost,
-    hops, point), and a point takes a new predecessor only if that
-    strictly lowers its (cost, hops) pair.  The path to one target may
+    hops, point).  Each point's best cost and hops sit in two lists, from
+    (inf, inf), so a point at infinite cost is reached too; it takes a new
+    predecessor only if that strictly lowers the pair, cost first.  Edges
+    come from the space's adjacency tuples.  The path to one target may
     cross another; its constraint is then weaker than that of its prefix.
     ``bound`` keeps the targets cheaper than it, and ends the pass once
     the settled distance reaches it.
@@ -753,6 +769,7 @@ def _cheapest_paths(
     half = (0.5 * vals).tolist()
     targets = set(target)
     sources = sorted(set(source))
+    adj = space._adj  # per point, its (neighbor, length) pairs
 
     if max_hops is not None:
         best = {s: (0.0, (s,)) for s in sources}
@@ -761,7 +778,7 @@ def _cheapest_paths(
             nxt: dict[int, tuple[float, tuple[int, ...]]] = {}
             for u in frontier:
                 du, pu = best[u]
-                for v, ell in space.neighbors(u):
+                for v, ell in adj[u]:
                     cost = du + ell * (half[u] + half[v])
                     cur = nxt.get(v, best.get(v))
                     if cur is None or cost < cur[0]:
@@ -774,17 +791,17 @@ def _cheapest_paths(
         )
         return [(cost, path) for cost, _, _, path in found]
 
-    n = space.n_points
-    dist: list[tuple[float, int] | None] = [None] * n  # (cost, hops)
+    n, push, pop = space.n_points, heapq.heappush, heapq.heappop
+    dist, hops = [math.inf] * n, [math.inf] * n  # inf, inf: no route yet
     pred = [-1] * n
     done = bytearray(n)
     for s in sources:
-        dist[s] = (0.0, 0)
+        dist[s], hops[s] = 0.0, 0
     heap = [(0.0, 0, s) for s in sources]
     out: list[tuple[float, tuple[int, ...]]] = []
     left = len(targets)
     while heap:
-        d, k, u = heapq.heappop(heap)
+        d, k, u = pop(heap)
         if done[u]:
             continue
         if bound is not None and d >= bound:
@@ -799,13 +816,12 @@ def _cheapest_paths(
             if not left:
                 break
         hu, k = half[u], k + 1
-        for v, ell in space.neighbors(u):
+        for v, ell in adj[u]:
             if not done[v]:
                 cost = d + ell * (hu + half[v])
-                old = dist[v]
-                if old is None or (cost, k) < old:
-                    dist[v], pred[v] = (cost, k), u
-                    heapq.heappush(heap, (cost, k, v))
+                if cost < dist[v] or (cost == dist[v] and k < hops[v]):
+                    dist[v], hops[v], pred[v] = cost, k, u
+                    push(heap, (cost, k, v))
     return out
 
 
@@ -888,9 +904,10 @@ def solve_modulus_paths(
     prob = _PlanProblem(space, _path_rows(space, working)[:, space.positive_mask], p)
     w, total_it, cut = np.ones(1), 0, 1.0 - gap_tol / (2 * p)  # cut: violated below
     for outer in range(1, max_outer + 1):
+        at = prob.evaluate(w)
         if outer > 1:  # polish the previous optimum, new paths at weight 0
-            w = prob.polish(w, *prob.evaluate(w))[0]
-        w, it = prob.solve(w, gap_tol / 2, max_iter=100000)
+            w, *at = prob.polish(w, *at)
+        w, it = prob.solve(w, gap_tol / 2, 100000, at)
         total_it += it
         rows = range(len(working))
         sol = prob.solution(w, total_it, rows, len(rows))

@@ -71,7 +71,7 @@ class CurvePlan:
 
     curves: tuple[ParametricCurve, ...]
     probabilities: tuple[float, ...]
-    # (space, table, test-plan report or None) of a plan built on that space
+    # (space, table, report or None, (q, energy, barycenter) or None) of a plan built on space
     _born: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -434,11 +434,11 @@ def improve_barycenter(
     out = CurvePlan(tuple(new_curves), tuple(new_probs))
     dt = times[at + 1] - times[at]
     t_out = _Segments(start, curve, t.u[rows], t.v[rows], dt, t.length[rows], times[at])
-    object.__setattr__(out, "_born", (space, t_out, None))
     new_bary = _plan_density(space, t_out, out.probabilities)
     sup_new = float(new_bary.max(initial=0.0))
     lip = _lipschitz(t, plan.probabilities)
     energy_new = _energy(t_out, out.probabilities, q)
+    object.__setattr__(out, "_born", (space, t_out, None, (q, energy_new, new_bary.copy())))
     msk = space.positive_mask
     with np.errstate(over="ignore"):  # an inf mass gives an inf bound below
         mass = float(np.dot(space.measure[msk], g[msk] * np.maximum(eps, g[msk]) ** (q - 1.0)))
@@ -538,7 +538,7 @@ def stretch_average(
     bound = c_in * (1.0 + eps) / eps
     positive = np.array(probs) > 0  # windows of weight w / n_tau = 0 do not count
     report = _testplan(space, _padded(t_out, positive), [w for w in probs if w])
-    object.__setattr__(out, "_born", (space, t_out, report))
+    object.__setattr__(out, "_born", (space, t_out, report, None))
     return StretchResult(
         plan=out,
         c_in=c_in,
@@ -566,13 +566,17 @@ def bridge_inequality(
 
     The plan's curves map to their line measures; the resulting measure
     plan has c_q at most (q-energy of the plan)^(1/q) * (sup h)^(1/p),
-    h the parametric barycenter and p the conjugate exponent.
+    h the parametric barycenter and p the conjugate exponent.  A plan that
+    ``improve_barycenter`` built on the space at this q carries its energy and h.
     """
-    t = _plan_table(space, plan)
+    t, born = _plan_table(space, plan), plan._born
     q = _check_p(q, "q")
     c_q = _lq_norm(space, _plan_density(space, t, plan.probabilities, line=True), q)
-    energy = _energy(t, plan.probabilities, q)
-    h_sup = float(_plan_density(space, t, plan.probabilities).max(initial=0.0))
+    if born and born[0] is space and born[3] and born[3][0] == q:
+        energy, h = born[3][1:]
+    else:
+        energy, h = _energy(t, plan.probabilities, q), _plan_density(space, t, plan.probabilities)
+    h_sup = float(h.max(initial=0.0))
     p = q / (q - 1.0)
     rhs = energy ** (1.0 / q) * h_sup ** (1.0 / p)
     return BridgeReport(c_q, energy, h_sup, rhs, c_q <= rhs + 1e-6)

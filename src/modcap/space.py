@@ -93,6 +93,8 @@ class MetricMeasureSpace:
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._measure = m
         self._measure.setflags(write=False)
+        self._positive = m > 0
+        self._positive.setflags(write=False)
         self._coords = None
         if coords is not None:
             c = np.asarray(coords, dtype=float)
@@ -119,7 +121,8 @@ class MetricMeasureSpace:
 
     @property
     def positive_mask(self) -> np.ndarray:
-        return self._measure > 0
+        """The points of positive mass, as a read-only mask."""
+        return self._positive
 
     def neighbors(self, u: int) -> tuple[tuple[int, float], ...]:
         return self._adj[u]

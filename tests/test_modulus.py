@@ -411,6 +411,95 @@ def test_oracle_is_exact_against_enumeration(max_hops):
         assert per_target[0][0] == cost
 
 
+def reference_cheapest_paths(space, f, source, target, max_hops=None, bound=None):
+    """``_cheapest_paths`` as it was with a tuple-keyed Dijkstra: each point's
+    (cost, hops) pair in one list of tuples, None before it is reached."""
+    import heapq
+
+    half = (0.5 * np.asarray(f, dtype=float)).tolist()
+    targets, sources = set(target), sorted(set(source))
+    if max_hops is not None:
+        best = {s: (0.0, (s,)) for s in sources}
+        frontier = sources
+        for _ in range(max_hops):
+            nxt = {}
+            for u in frontier:
+                du, pu = best[u]
+                for v, ell in space.neighbors(u):
+                    cost = du + ell * (half[u] + half[v])
+                    cur = nxt.get(v, best.get(v))
+                    if cur is None or cost < cur[0]:
+                        nxt[v] = (cost, pu + (v,))
+            best.update(nxt)
+            frontier = sorted(nxt)
+        found = sorted(
+            (cost, len(path), t, path) for t, (cost, path) in best.items()
+            if t in targets and (bound is None or cost < bound)
+        )
+        return [(cost, path) for cost, _, _, path in found]
+    n = space.n_points
+    dist, pred, done = [None] * n, [-1] * n, bytearray(n)
+    for s in sources:
+        dist[s] = (0.0, 0)
+    heap = [(0.0, 0, s) for s in sources]
+    out, left = [], len(targets)
+    while heap:
+        d, k, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        if bound is not None and d >= bound:
+            break
+        done[u] = 1
+        if u in targets:
+            path = [u]
+            while pred[path[-1]] >= 0:
+                path.append(pred[path[-1]])
+            out.append((d, tuple(reversed(path))))
+            left -= 1
+            if not left:
+                break
+        hu, k = half[u], k + 1
+        for v, ell in space.neighbors(u):
+            if not done[v]:
+                cost = d + ell * (hu + half[v])
+                old = dist[v]
+                if old is None or (cost, k) < old:
+                    dist[v], pred[v] = (cost, k), u
+                    heapq.heappush(heap, (cost, k, v))
+    return out
+
+
+@pytest.mark.parametrize("max_hops", [None, 3, 8])
+def test_oracle_matches_the_tuple_keyed_dijkstra(max_hops):
+    # The oracle keeps each point's cost and hops in two lists; on random
+    # graphs with many exact ties (few lengths, f with zeros and repeats),
+    # blocked points (inf) and several endpoints, it returns the list of the
+    # tuple-keyed pass, with and without a bound: targets at infinite cost
+    # included when there is none.
+    from modcap.modulus import _cheapest_paths
+
+    rng = np.random.default_rng([13, max_hops or 0])
+    inf_targets = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        edges = {(int(rng.integers(0, i)), i) for i in range(1, n) if rng.random() < 0.9}
+        edges |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False))))
+                  for _ in range(int(rng.integers(0, 2 * n)))}
+        lengths = rng.choice([0.25, 0.5, 1.0], size=len(edges))
+        space = MetricMeasureSpace(
+            n, [(u, v, float(ell)) for (u, v), ell in zip(sorted(edges), lengths)], np.ones(n)
+        )
+        f = rng.choice([0.0, 0.25, 0.5, 1.0, math.inf], size=n, p=[0.3, 0.2, 0.2, 0.2, 0.1])
+        points = rng.permutation(n)
+        source = [int(x) for x in points[: int(rng.integers(1, 4))]]
+        target = [int(x) for x in points[-int(rng.integers(1, min(n, 6) + 1)) :]]
+        for bound in (None, 1.0):
+            got = _cheapest_paths(space, f, source, target, max_hops, bound=bound)
+            assert got == reference_cheapest_paths(space, f, source, target, max_hops, bound)
+            inf_targets += any(math.isinf(c) for c, _ in got)
+    assert inf_targets > 0
+
+
 def test_path_line_measure_is_the_j_map_of_the_path():
     from modcap.curves import ParametricCurve, j_map
 
@@ -559,9 +648,10 @@ def test_non_adjacent_path_names_the_pair():
 
 def test_fixed_hessian_at_p2_is_a_cached_gram(monkeypatch):
     # At p = 2 the Hessian of phi is 2 U diag(1/m) U^T for every w.  Each
-    # call returns a fresh, exactly symmetric slice of a Gram matrix that
-    # grows with the rows asked for; a path round's ``renew`` keeps the
-    # block of the rows that stay.
+    # call returns a fresh bordered system [[H, 1], [1^T, 0]] whose H is an
+    # exactly symmetric slice of a Gram matrix that grows with the rows
+    # asked for; a path round's ``renew`` keeps the block of the rows that
+    # stay.
     from modcap.modulus import _constraint_matrix, _PlanProblem
 
     inst = generate_random_instance(2, n_points=60, n_measures=90, n_null_points=2)
@@ -579,13 +669,16 @@ def test_fixed_hessian_at_p2_is_a_cached_gram(monkeypatch):
     for rows in masks:
         V = U[rows] * scale
         ref = V @ V.T
-        H = [prob.hessian(rng.dirichlet(np.ones(k)), rows) for _ in range(2)]
-        for Hw in H:
+        n = len(ref)
+        kkt = [prob.hessian(rows, prob.potential(rng.dirichlet(np.ones(k)))[2]) for _ in range(2)]
+        for K in kkt:
+            Hw = K[:n, :n]
             assert np.abs(Hw - ref).max() <= 1e-13 * np.abs(ref).max()
             assert np.array_equal(Hw, Hw.T)
-        assert np.array_equal(H[0], H[1])
-        H[0][np.diag_indices(len(ref))] += 1.0  # as face_newton shifts it
-        assert np.array_equal(prob.hessian(None, rows), H[1])
+            assert np.all(K[n, :n] == 1.0) and np.all(K[:n, n] == 1.0) and K[n, n] == 0.0
+        assert np.array_equal(kkt[0], kkt[1])
+        kkt[0][np.diag_indices(n)] += 1.0  # as face_newton shifts it
+        assert np.array_equal(prob.hessian(rows, None), kkt[1])
 
     # One problem serves a whole path solve: each round's ``renew`` keeps
     # the Gram block of the rows that stay, which is the Gram of those
@@ -617,6 +710,70 @@ def test_fixed_hessian_at_p2_is_a_cached_gram(monkeypatch):
         ref = V @ V.T
         assert np.abs(block - ref).max(initial=0.0) <= 1e-13 * np.abs(ref).max(initial=0.0)
         assert np.array_equal(block, block.T)
+
+
+def test_renew_and_hessians_match_their_plain_numpy_builds(monkeypatch):
+    # ``renew`` gathers U's kept rows and the kept Gram block by 1-D takes,
+    # and a p != 2 Hessian is built from the barycenter h that ``potential``
+    # returned at the plan: each is array_equal to its plain numpy build
+    # (np.compress and np.ix_; h and the Hessian recomputed from the plan w).
+    from modcap.modulus import _constraint_matrix, _PlanProblem
+    from modcap.space import grid_node
+
+    rng = np.random.default_rng(8)
+    space = build_grid_space(12, 12, rng.uniform(0.1, 1.0, 144))
+    left = [grid_node(12, 0, y) for y in range(12)]
+    right = [grid_node(12, 11, y) for y in range(12)]
+    renew, potential = _PlanProblem.renew, _PlanProblem.potential
+    bracket, hessian = _PlanProblem.bracket, _PlanProblem.hessian
+    renewed, plan_of, accepted, checked = [], {}, [], []
+
+    def renew_recorded(self, keep, rows):
+        U, pos, gram = self.U, self._pos.copy(), self._gram
+        renew(self, keep, rows)
+        at = pos[keep]
+        assert np.array_equal(self._gram, gram[np.ix_(at[at >= 0], at[at >= 0])])
+        plain = np.compress(space.positive_mask, rows, axis=1)
+        assert np.array_equal(self.U, np.concatenate([np.compress(keep, U, axis=0), plain]))
+        renewed.append((keep.all(), (at >= 0).sum()))
+
+    def potential_recorded(self, w):
+        out = potential(self, w)
+        for a in out[1:]:  # f and h, kept alive so that their ids stay their own
+            plan_of[id(a)] = (w.copy(), a)
+        return out
+
+    def bracket_recorded(self, phi, f):  # called at the points a search accepts
+        accepted.append(plan_of[id(f)][0])
+        return bracket(self, phi, f)
+
+    def hessian_checked(self, rows, h):
+        kkt = hessian(self, rows, h)
+        w, carried = plan_of[id(h)]
+        assert carried is h and np.array_equal(w, accepted[-1])  # the current plan
+        if self.q != 2.0:
+            q, hw = self.q, (w @ self.U) / self.mpos
+            coef = q * (q - 1.0) * np.maximum(hw, 1e-12 * hw.max()) ** (q - 2.0) / self.mpos
+            Ur = self.U[rows] * np.sqrt(coef)
+            n = len(Ur)
+            assert np.array_equal(kkt[:n, :n], Ur @ Ur.T)
+            checked.append(n)
+        return kkt
+
+    monkeypatch.setattr(_PlanProblem, "renew", renew_recorded)
+    monkeypatch.setattr(_PlanProblem, "potential", potential_recorded)
+    monkeypatch.setattr(_PlanProblem, "bracket", bracket_recorded)
+    monkeypatch.setattr(_PlanProblem, "hessian", hessian_checked)
+    solve_modulus_paths(space, left, right, 2.0)
+    assert len(renewed) > 3
+    assert not all(kept for kept, _ in renewed) and any(known for _, known in renewed)
+    solve_modulus_paths(space, left, right, 3.0)
+    inst = generate_random_instance(3, n_points=40, n_measures=60)
+    measures = inst.families["random"].measures
+    solve_modulus_explicit(inst.space, measures, 3.0)
+    U = _constraint_matrix(inst.space, [mu.items for mu in measures])[0]
+    _PlanProblem(inst.space, U, 3.0).barrier(np.full(len(U), 1.0 / len(U)), 0.0, 30)
+    assert len(checked) > 30 and max(checked) == len(U)
 
 
 def test_constraint_matrix_rows_match_dense_measures():
@@ -862,8 +1019,8 @@ def test_face_polish_returns_kkt_points(monkeypatch, seed, p):
     def recorded(self, w):
         out = polish(self, w)
         if out is not None:
-            phi, G, _ = self.evaluate(out)
-            returned.append((out > 0, G / phi - 1.0))
+            phi, G, _ = self.evaluate(out[0])
+            returned.append((out[0] > 0, G / phi - 1.0))
         return out
 
     monkeypatch.setattr(_PlanProblem, "face_newton", recorded)

@@ -1065,7 +1065,7 @@ def test_carried_table_is_read_only_and_bound_to_its_space():
     space = build_grid_space(4, 4)
     rng = np.random.default_rng(2700)
     res = stretch_average(space, walk_plan(space, rng, 3), 0.25, n_tau=8)
-    born_space, table, report = res.plan._born
+    born_space, table, report, _ = res.plan._born
     assert born_space is space and report.c_min == res.output_c_min
     assert marginal_check(space, res.plan) is report  # read, not computed
     assert marginal_check(space, res.plan, [0.5]) == report
@@ -1192,6 +1192,36 @@ def test_library_built_plans_carry_the_tables_of_caller_built_copies():
         )
         assert res.output_c_min == born.c_min
     assert zero_windows == 1
+
+
+def test_improved_plans_carry_their_energy_and_barycenter_to_the_bridge(monkeypatch):
+    # The plan improve_barycenter builds carries its q-energy and occupation
+    # barycenter: the bridge at that q reads them, so a stretch -> improve ->
+    # bridge pipeline runs _energies once, and its report is, bit for bit,
+    # the report of an unborn copy.  At another q the bridge computes them.
+    energies, runs = plans._energies, []
+
+    def counted(t, q):
+        runs.append(q)
+        return energies(t, q)
+
+    def bits(rep):
+        return np.array([rep.c_q, rep.energy, rep.h_sup, rep.rhs]).tobytes(), rep.ok
+
+    monkeypatch.setattr(plans, "_energies", counted)
+    for space, plan, eps, n_tau in array_path_plans():
+        runs.clear()
+        imp = improve_barycenter(space, stretch_average(space, plan, eps, n_tau).plan, 2.0, 0.1)
+        rep = bridge_inequality(space, imp.plan, 2.0)
+        assert runs == [2.0]
+        assert (rep.energy, rep.h_sup) == (imp.energy_new, imp.new_barycenter_sup)
+        copy = CurvePlan(imp.plan.curves, imp.plan.probabilities)
+        assert bits(rep) == bits(bridge_inequality(space, copy, 2.0))
+        imp.new_barycenter[:] = 0.0  # the returned array is the caller's
+        assert bits(bridge_inequality(space, imp.plan, 2.0)) == bits(rep)
+        runs.clear()
+        other = bridge_inequality(space, imp.plan, 3.0)
+        assert runs == [3.0] and bits(other) == bits(bridge_inequality(space, copy, 3.0))
 
 
 def test_stretch_windows_at_the_ends_and_on_breakpoints_match_the_scalar_cut():
