@@ -348,13 +348,11 @@ class _PlanProblem:
         The polish is kept when it narrows the gap or keeps phi.
         """
         cand = self.face_newton(w)
-        if cand is not None and (cand[3] < gap or cand[1] <= phi * (1.0 + 1e-14)):
+        if cand[3] < gap or cand[1] <= phi * (1.0 + 1e-14):
             return cand
         return w, phi, G, gap
 
-    def face_newton(
-        self, w: np.ndarray
-    ) -> tuple[np.ndarray, float, np.ndarray, float] | None:
+    def face_newton(self, w: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, float]:
         """Projected Newton refinement of the plan w (Bertsekas 1982).
 
         phi is q-homogeneous, so its minimum over the simplex is that of
@@ -368,13 +366,15 @@ class _PlanProblem:
         the step zeroes leaves and every blocked row enters at once.
         Returns weights that meet the simplex KKT conditions (gphi + nu zero
         on the support, nonnegative off it) to rounding, with their phi, G
-        and gap as ``evaluate`` gives them, or None when no step lowers phi
-        or a step returns to a support it left at no higher phi (at large p,
-        optimal weights can lie below what Newton resolves).
+        and gap as ``evaluate`` gives them, or else its iterate of least gap
+        when no step lowers phi, the KKT system is singular, a step returns to
+        a support it left at no higher phi (at large p, optimal weights can
+        lie below what Newton resolves) or the step cap is reached.
         """
         w = w / w.sum()
         phi, f, h = self.potential(w)
-        gphi = self.q * self.bracket(phi, f)[0]
+        G, gap = self.bracket(phi, f)
+        best, gphi = (w, phi, G, gap), self.q * G
         nu = -self.q * phi  # = -w . gphi, the multiplier were w stationary
         stat = float(np.abs(gphi[w > 0] + nu).max())
         face, left = np.packbits(w > 0).tobytes(), {}  # face -> phi it was left at
@@ -386,7 +386,7 @@ class _PlanProblem:
             diag += 1e-14 * float(diag.sum()) / len(diag)
             step = _kkt_solve(kkt, -gphi[free], 1.0 - float(w.sum()))
             if step is None:
-                return None
+                return best
             dw, nu = step
             wf, v, t = w[free], np.zeros_like(w), 1.0
             kink = float((-wf[dw < 0] / dw[dw < 0]).min(initial=np.inf))
@@ -398,11 +398,13 @@ class _PlanProblem:
                     break
                 t = kink if t / 2 < kink < t else t / 2
             else:
-                return None
+                return best
             G_v, gap_v = self.bracket(phi_v, f_v)
+            if gap_v < best[3]:
+                best = (v, phi_v, G_v, gap_v)
             key = np.packbits(v > 0).tobytes()
             if key != face and phi_v >= left.get(key, math.inf):
-                return None
+                return best
             left[face], face = phi, key
             w, phi, h, gphi = v, phi_v, h_v, self.q * G_v
             red = gphi + nu
@@ -411,7 +413,7 @@ class _PlanProblem:
                 stat <= 1e-13 * scale or t * float(np.abs(dw).max()) <= 1e-16
             ):
                 return w, phi, G_v, gap_v
-        return None
+        return best
 
     def barrier(
         self, w: np.ndarray, gap_tol: float, budget: int
@@ -958,7 +960,6 @@ def _block_null_points(space: MetricMeasureSpace, f: np.ndarray) -> np.ndarray:
 class SaturatedSubfamily:
     indices: tuple[int, ...]
     measures: tuple[DiscreteMeasure, ...]
-    includes_all_active: bool
 
 
 def saturated_subfamily(
@@ -968,22 +969,10 @@ def saturated_subfamily(
     """Measures whose constraint is tight (to 1e-6) at the solved density.
 
     The saturated subfamily carries the same modulus as the original
-    family; every measure with a positive multiplier must appear in it
-    (complementary slackness).
+    family.  That the optimal plan charges only saturated measures is
+    audited by ``duality.check_optimality_conditions``.
     """
     if solution.f is None:
         raise InvalidInstanceError("saturated subfamily undefined for an infinite modulus")
-    idx = []
-    for i, mu in enumerate(measures):
-        if abs(mu.integrate(solution.f) - 1.0) <= 1e-6:
-            idx.append(i)
-    chosen = set(idx)
-    includes = True
-    if solution.multipliers is not None:
-        scale = max(1.0, float(np.max(solution.multipliers, initial=0.0)))
-        for i, lam in enumerate(solution.multipliers):
-            if lam > 1e-8 * scale and i not in chosen:
-                includes = False
-    return SaturatedSubfamily(
-        tuple(idx), tuple(measures[i] for i in idx), includes
-    )
+    idx = tuple(i for i, mu in enumerate(measures) if abs(mu.integrate(solution.f) - 1.0) <= 1e-6)
+    return SaturatedSubfamily(idx, tuple(measures[i] for i in idx))

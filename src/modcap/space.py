@@ -184,14 +184,6 @@ class DiscreteMeasure:
         arr = np.asarray(values, dtype=float)
         return cls(tuple((int(i), float(arr[i])) for i in np.nonzero(arr)[0]))
 
-    @classmethod
-    def zero(cls) -> "DiscreteMeasure":
-        return cls(())
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.items)
-
     def to_array(self, n_points: int) -> np.ndarray:
         out = np.zeros(n_points)
         for i, w in self.items:
@@ -199,11 +191,6 @@ class DiscreteMeasure:
                 raise InvalidInstanceError(f"measure charges unknown point {i}")
             out[i] = w
         return out
-
-    def scaled(self, c: float) -> "DiscreteMeasure":
-        if c < 0:
-            raise InvalidInstanceError("scale factor must be nonnegative")
-        return DiscreteMeasure(tuple((i, c * w) for i, w in self.items))
 
     def integrate(self, values: Sequence[float]) -> float:
         """Integral of a per-point function against this measure."""

@@ -126,6 +126,33 @@ def test_unreachable_certificate_exits_4(gen_instance, capsys):
     assert "duality certificate FAILED" in capsys.readouterr().out
 
 
+def test_large_p_reproducer_certifies(tmp_path, capsys):
+    # At p = 8 this family's plan once left weight 1.07e-6 on a measure with
+    # slack 2.35e-6 at a closed bracket; a fixed charge threshold of 1e-6 then
+    # failed the certificate (exit 4).
+    path = str(tmp_path / "repro.json")
+    argv = ["gen", "--seed", "2016", "--n-points", "20", "--n-measures", "16", "--out", path]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["duality", "--instance", path, "--p", "8"]) == 0
+    assert "duality certificate ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("s, p", [(283, "5"), (27, "8"), (173, "8"), (59, "12"), (111, "12")])
+def test_sweep_families_certify_at_large_p(tmp_path, capsys, s, p):
+    # Families of the sweep generate_random_instance(2000 + s, ...) whose
+    # plans leave weight above 1e-6 on measures that miss saturation by more
+    # than 1e-6: the slackness sum still lies within the bracket width.
+    from modcap.instance import generate_random_instance, save_instance
+
+    inst = generate_random_instance(
+        2000 + s, n_points=4 + s % 61, n_measures=1 + (7 * s) % 97, n_null_points=s % 4
+    )
+    save_instance(inst, tmp_path / "sweep.json")
+    assert main(["duality", "--instance", str(tmp_path / "sweep.json"), "--p", p]) == 0
+    assert "duality certificate ok" in capsys.readouterr().out
+
+
 def test_curve_actions(tmp_path, capsys):
     assert main(["curve", "mult", "--instance", DEMO, "--curve", "c0"]) == 0
     doc = json.loads(capsys.readouterr().out.split("seed: 0\n", 1)[1])

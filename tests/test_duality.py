@@ -78,7 +78,7 @@ def test_plan_barycenter_by_hand():
     g = plan_barycenter(space, [mu0, mu1], [0.5, 0.5])
     assert np.array_equal(g, plan.barycenter_density)
     # Zero measures only: no entry to reduce, the zero density.
-    zero = DiscreteMeasure.zero()
+    zero = DiscreteMeasure(())
     assert plan_barycenter(space, [zero, zero], [0.5, 0.5]).tobytes() == np.zeros(3).tobytes()
     with pytest.raises(ValueError, match="one probability per"):
         plan_barycenter(space, [mu0, mu1], [1.0])
@@ -130,7 +130,7 @@ def test_content_of_singleton_family():
 
 def test_content_with_zero_measure_is_infinite():
     space = interval_space(4)
-    sol = solve_content(space, [restriction(space, range(2)), DiscreteMeasure.zero()], 2.0)
+    sol = solve_content(space, [restriction(space, range(2)), DiscreteMeasure(())], 2.0)
     assert math.isinf(sol.value)
     assert sol.plan.probabilities == (0.0, 1.0)
 
@@ -179,7 +179,7 @@ def test_duality_identity_on_random_instances():
 
 def test_duality_certificate_for_infinite_pair():
     space = interval_space(4)
-    fam = [restriction(space, range(2)), DiscreteMeasure.zero()]
+    fam = [restriction(space, range(2)), DiscreteMeasure(())]
     primal = solve_modulus_explicit(space, fam, 2.0)
     dual = solve_content(space, fam, 2.0)
     cert = check_duality(space, primal, dual, 2.0)
@@ -211,7 +211,7 @@ def test_content_from_multipliers_matches_content_solve():
     assert zero.value == 0.0 and zero.plan is None and zero.no_admissible_plan
     assert zero.excluded == (0,)
 
-    fam = [DiscreteMeasure(((0, 1.0),)), DiscreteMeasure.zero()]
+    fam = [DiscreteMeasure(((0, 1.0),)), DiscreteMeasure(())]
     inf = content_from_multipliers(space, fam, solve_modulus_explicit(space, fam, 2.0), 2.0)
     assert math.isinf(inf.value)
     assert inf.plan.probabilities == (0.0, 1.0)
@@ -240,13 +240,52 @@ def test_audit_flags_a_non_optimal_plan():
     assert cert.weak_ok  # weak duality holds for every plan
     opt = check_optimality_conditions(inst.space, primal, dual, 2.0)
     assert opt.violated == ("saturation", "barycenter") and not opt.ok
-    assert opt.saturation_max_dev > 0.05 and opt.barycenter_max_dev > 0.5
+    # saturation_max_dev is the largest w_i slack_i: a member at weight 0.25
+    # misses saturation by more than 0.05.
+    assert opt.saturation_max_dev > 0.25 * 0.05 and opt.barycenter_max_dev > 0.5
 
 
-def test_charged_threshold_at_large_p():
+def test_audit_flags_weight_moved_onto_an_unsaturated_measure():
+    # Moving 1e-7 of plan weight onto the least saturated measure keeps the
+    # value identity and the barycenter within tol 1e-6, but the slackness
+    # sum exceeds the bracket width, so the saturation test fails.
+    inst = generate_random_instance(1, n_points=12, n_measures=8)
+    measures = inst.families["random"].measures
+    primal = solve_modulus_explicit(inst.space, measures, 2.0)
+    dual = content_from_multipliers(inst.space, measures, primal, 2.0)
+    assert check_optimality_conditions(inst.space, primal, dual, 2.0).ok
+    w = np.array(dual.plan.probabilities)
+    slack = np.array([mu.integrate(primal.f) - 1.0 for mu in measures])
+    i, j = int(np.argmax(w)), int(np.argmax(slack))
+    assert w[j] == 0.0 and slack[j] > 0.1
+    w[i] -= 1e-7
+    w[j] += 1e-7
+    plan = build_measure_plan(inst.space, measures, w, 2.0)
+    moved = ContentSolution(1.0 / plan.c_q, plan, 0)
+    assert check_duality(inst.space, primal, moved, 2.0).ok
+    opt = check_optimality_conditions(inst.space, primal, moved, 2.0)
+    assert opt.violated == ("saturation",)
+    assert opt.saturation_max_dev == pytest.approx(1e-7 * slack[j], rel=1e-6)
+
+
+def test_audit_exempts_measures_met_for_free():
+    # A measure that charges a zero-mass point is met for free: f can be
+    # raised there at no cost, so neither audit asks f to integrate to 1
+    # against it.
+    space = MetricMeasureSpace(3, [(0, 1, 1.0), (1, 2, 1.0)], [1.0, 0.0, 1.0])
+    fam = [DiscreteMeasure(((0, 1.0),)), DiscreteMeasure(((1, 0.5), (2, 0.1)))]
+    primal = solve_modulus_explicit(space, fam, 2.0)
+    dual = content_from_multipliers(space, fam, primal, 2.0)
+    assert primal.dropped == (1,) and fam[1].integrate(primal.f) < 1.0
+    assert check_duality(space, primal, dual, 2.0).ok
+    assert check_optimality_conditions(space, primal, dual, 2.0).ok
+
+
+def test_faint_weights_pass_the_bracket_bound_at_large_p():
     # At p = 8 the certified plan leaves weights between 1e-8 and 1e-6 on
-    # measures that miss saturation by more than tol, so the audit counts
-    # only weights above 1e-6 as charged.
+    # measures that miss saturation by more than 1e-6.  Each of their
+    # w_i slack_i lies below the solve's bracket width, so the audit passes
+    # with no threshold on the weights.
     inst = generate_random_instance(4, n_points=78, n_measures=151, n_null_points=1)
     measures = inst.families["random"].measures
     p = 8.0
@@ -254,11 +293,13 @@ def test_charged_threshold_at_large_p():
     dual = content_from_multipliers(inst.space, measures, primal, p / (p - 1.0))
     assert check_duality(inst.space, primal, dual, p).ok
     opt = check_optimality_conditions(inst.space, primal, dual, p)
-    assert opt.ok and opt.saturation_max_dev < 1e-7
-    faint = [
-        mu for w, mu in zip(dual.plan.probabilities, measures) if 1e-8 < w <= 1e-6
-    ]
-    assert max(abs(mu.integrate(primal.f) - 1.0) for mu in faint) > 1e-6
+    assert opt.ok
+    width = (primal.value / primal.dual_value) ** (1.0 / p) - 1.0
+    w = np.array(dual.plan.probabilities)
+    slack = np.array([mu.integrate(primal.f) - 1.0 for mu in measures])
+    faint = (1e-8 < w) & (w <= 1e-6)
+    assert slack[faint].max() > 1e-6
+    assert (w * slack)[faint].max() <= opt.saturation_max_dev <= width
 
 
 def test_content_scaling_of_measures():
@@ -267,7 +308,7 @@ def test_content_scaling_of_measures():
     space = interval_space(8)
     fam = [restriction(space, range(4)), restriction(space, range(4, 8))]
     for c in (0.5, 3.0):
-        scaled = [mu.scaled(c) for mu in fam]
+        scaled = [DiscreteMeasure(tuple((i, c * w) for i, w in mu.items)) for mu in fam]
         base = solve_content(space, fam, 2.0)
         after = solve_content(space, scaled, 2.0)
         assert after.value == pytest.approx(base.value / c, rel=1e-9)

@@ -64,10 +64,9 @@ def test_malformed_spaces_and_measures_are_rejected(make, message):
 def test_measure_drops_zero_weights_and_sorts():
     mu = DiscreteMeasure(((4, 0.5), (1, 0.0), (2, 0.25)))
     assert mu.items == ((2, 0.25), (4, 0.5))
-    assert mu.support == (2, 4)
     assert mu.total == 0.75
-    assert DiscreteMeasure.zero().items == ()
-    assert DiscreteMeasure.zero().total == 0.0
+    assert DiscreteMeasure(((0, 0.0),)).items == ()
+    assert DiscreteMeasure(((0, 0.0),)).total == 0.0
 
 
 def test_measure_rejects_negative_and_duplicate_points():
@@ -86,14 +85,6 @@ def test_measure_array_round_trip_and_integration():
         assert np.array_equal(mu.to_array(8), vals)
         probe = rng.uniform(-1.0, 1.0, size=8)
         assert mu.integrate(probe) == pytest.approx(float(vals @ probe), abs=1e-14)
-
-
-def test_measure_scaling():
-    mu = DiscreteMeasure(((0, 1.0), (3, 2.0)))
-    assert mu.scaled(0.5).items == ((0, 0.5), (3, 1.0))
-    assert mu.scaled(0.0).items == ()
-    with pytest.raises(ValueError):
-        mu.scaled(-1.0)
 
 
 def test_grid_space_shape():
