@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInstanceError, NoBarycenterError
 from .modulus import ModulusSolution, _check_limits, _check_p, solve_modulus_explicit
-from .space import DiscreteMeasure, MetricMeasureSpace
+from .space import DiscreteMeasure, MetricMeasureSpace, _entries
 
 __all__ = [
     "MeasurePlan",
@@ -81,26 +81,12 @@ def plan_barycenter(
     """Barycenter density g = (sum_i prob_i mu_i) / m, 0 where m = 0.
 
     Raises NoBarycenterError when the averaged measure puts mass on a
-    point with m = 0 (no density exists there).  Each point's mass sums
-    its terms w * mu(x) from 0.0 in support order (``_barycenter``).
+    point with m = 0 (no density exists there), InvalidInstanceError for a
+    point outside the space.  Each point's mass sums its terms w * mu(x)
+    from 0.0 in support order (``_barycenter``).
     """
     _check_probabilities(support, probabilities, "measure")
-    try:
-        member, points, mass = _entries(support)
-        top = points.max(initial=-1)
-    except OverflowError:  # a point beyond int64 is outside too
-        top = max(x for mu in support for x, _ in mu.items)
-    if top >= space.n_points:  # ids are never negative
-        raise InvalidInstanceError(f"plan charges point {top} outside the space")
-    return _barycenter(space, member, points, mass, probabilities)
-
-
-def _entries(support: Sequence[DiscreteMeasure]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (member, point, mass) entries of a family's items, in item order."""
-    member = np.repeat(np.arange(len(support)), [len(mu.items) for mu in support])
-    points = np.fromiter((x for mu in support for x, _ in mu.items), np.int64, len(member))
-    mass = np.fromiter((val for mu in support for _, val in mu.items), float, len(member))
-    return member, points, mass
+    return _barycenter(space, *_entries(space, support), probabilities)
 
 
 def _barycenter(
@@ -241,7 +227,7 @@ def _slacks(
     and the plan normalized from the multipliers err by gamma_(n+2k+8) in
     all.  r = gamma_(2n+4k+16) covers the terms that meet in each test.
     """
-    member, points, mass = _entries(plan.support)
+    member, points, mass = _entries(space, plan.support)
     k = len(plan.support)
     integrals = np.bincount(member, mass * f[points], minlength=k)
     free = np.bincount(member, ~space.positive_mask[points], minlength=k) > 0
@@ -272,7 +258,8 @@ def check_duality(
 ) -> DualityCertificate:
     """Certificate that Mod^(1/p) and the content agree.
 
-    Checks the value identity at relative tolerance tol and the weak-duality
+    Checks the value identity |content - Mod^(1/p)| <= tol Mod^(1/p), free
+    of the family's mass scale (absolute at Mod = 0), and the weak-duality
     chain 1 <= <f, bar(plan)> m <= c_q ||f||_p within the rounding bound r
     of ``_slacks``.  The chain holds for every plan and admissible f: the
     left end because <f, bar> m = sum_i w_i <mu_i, f> and each <mu_i, f> >=
@@ -288,7 +275,7 @@ def check_duality(
             mod, content, math.inf, 0.0 if ok else math.inf, 1.0, 1.0, ok, ok
         )
     root = mod ** (1.0 / p)
-    rel = abs(content - root) / max(1.0, root)
+    rel = abs(content - root) / (root if root > 0 else 1.0)
     if mod == 0.0 or dual.plan is None:
         ok = rel <= tol
         return DualityCertificate(mod, content, root, rel, 0.0, 0.0, ok, ok)
@@ -325,7 +312,8 @@ def check_optimality_conditions(
         plus r.  Given admissibility this bounds every w_i slack_i, with no
         threshold on the weights; ``saturation_max_dev`` is the largest.
     (2) barycenter: the plan's ``barycenter_density`` matches
-        f^(p-1) / ||f||_p^p within tol max-norm on {m > 0}.
+        f^(p-1) / ||f||_p^p within tol relative in L^q(m), q = p / (p-1),
+        free of the mass scale; ``barycenter_max_dev`` is that deviation.
 
     r is the rounding bound of ``_slacks``.
     """
@@ -341,9 +329,11 @@ def check_optimality_conditions(
     w, slack, r = _slacks(space, plan, f)
     width = (mod / primal.dual_value) ** (1.0 / p) - 1.0 if mod > 0 else 0.0
     saturated = float(slack.min()) >= -r and float(w @ slack) <= width + r
-    msk = space.positive_mask
-    target = f[msk] ** (p - 1.0) / mod if mod > 0 else 0.0
-    bary_dev = float(np.max(np.abs(plan.barycenter_density[msk] - target), initial=0.0))
+    msk, q = space.positive_mask, p / (p - 1.0)
+    target = np.where(msk, f, 0.0) ** (p - 1.0) / mod if mod > 0 else np.zeros(len(f))
+    norm = _lq_norm(space, target, q)
+    dev = _lq_norm(space, np.abs(plan.barycenter_density - target), q)
+    bary_dev = dev / (norm if norm > 0 else 1.0)
     violated = ("saturation",) * (not saturated) + ("barycenter",) * (bary_dev > tol)
     sat_dev = float(np.max(w * slack, initial=0.0))
     return OptimalityReport(sat_dev, bary_dev, violated, not violated)

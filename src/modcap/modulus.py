@@ -24,13 +24,13 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInstanceError, SolverError
 from .families import _path_rows
-from .space import DiscreteMeasure, MetricMeasureSpace
+from .space import DiscreteMeasure, MetricMeasureSpace, _entries
 
 __all__ = [
     "ModulusSolution",
@@ -131,36 +131,26 @@ def _trivial_solution(
 
 
 def _constraint_matrix(
-    space: MetricMeasureSpace, measures: Iterable[Iterable[tuple[int, float]]]
+    space: MetricMeasureSpace, measures: Sequence[DiscreteMeasure]
 ) -> tuple[np.ndarray, list[int], tuple[int, ...], bool]:
     """Constraint matrix U of a family, and which measures it keeps.
 
-    Each measure is given by its (point, weight) pairs, each point once,
-    as in ``mu.items`` of a ``DiscreteMeasure``.  Row r of U is the r-th
-    kept measure on the positive-mass columns, written with all other
+    Row r of U is the r-th kept measure on the positive-mass columns,
+    written from the family's entries (``space._entries``) with all other
     rows in one scatter.  Returns U, the kept indices, the dropped ones
     (measures that charge a zero-mass point, met for free) and whether a
-    zero measure (no pairs) is present.  Raises InvalidInstanceError
-    naming the first measure that charges a point outside the space.
+    zero measure is present.  Raises InvalidInstanceError naming the first
+    measure that charges a point outside the space.
     """
-    rows = [tuple(row) for row in measures]
-    pairs = [pair for row in rows for pair in row]
-    row_of = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    pts = [i for i, _ in pairs]
-    if pts and not 0 <= min(pts) <= max(pts) < space.n_points:
-        at = next(k for k, i in enumerate(pts) if not 0 <= i < space.n_points)
-        raise InvalidInstanceError(
-            f"measure {row_of[at]} charges point {pts[at]} outside the space"
-        )
-    msk, pts = space.positive_mask, np.array(pts, dtype=np.intp)
-    zero = np.array([not row for row in rows], dtype=bool)
-    null = np.bincount(row_of[~msk[pts]], minlength=len(rows)) > 0
+    member, pts, vals = _entries(space, measures)
+    msk = space.positive_mask
+    zero = np.bincount(member, minlength=len(measures)) == 0
+    null = np.bincount(member[~msk[pts]], minlength=len(measures)) > 0
     keep = ~(zero | null)
-    sel = keep[row_of]
-    vals = np.array([w for _, w in pairs], dtype=float)
+    sel = keep[member]
     row, col = np.cumsum(keep) - 1, np.cumsum(msk) - 1
     U = np.zeros((int(keep.sum()), int(msk.sum())))
-    U[row[row_of[sel]], col[pts[sel]]] = vals[sel]
+    U[row[member[sel]], col[pts[sel]]] = vals[sel]
     dropped = tuple(np.flatnonzero(null).tolist())
     return U, np.flatnonzero(keep).tolist(), dropped, bool(zero.any())
 
@@ -232,10 +222,10 @@ class _PlanProblem:
         self.U, self._pos = U, np.full(len(U), -1)
         self._pos[self._known] = np.arange(len(self._known))
 
-    def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """phi, the constraint values G and the bracket gap at w."""
-        phi, f, _ = self.potential(w)
-        return (phi, *self.bracket(phi, f))
+    def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
+        """phi, the constraint values G, the bracket gap and the barycenter h at w."""
+        phi, f, h = self.potential(w)
+        return (phi, *self.bracket(phi, f), h)
 
     def potential(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """phi, the density f and the barycenter h at w, from one product with U.
@@ -293,15 +283,15 @@ class _PlanProblem:
 
         Projected gradient (Barzilai-Borwein steps, Armijo backtracking)
         until the line search fails or 16 steps have run, then one projected
-        Newton polish (``face_newton``), kept when it narrows the gap or
-        keeps phi.  If the gap is still open, a log-barrier Newton path
+        Newton polish (``face_newton``) from the last iterate and its
+        evaluation.  If the gap is still open, a log-barrier Newton path
         finds the support and the polish finishes on it.  ``max_iter``
-        bounds the gradient and barrier steps together.  ``at`` is the
-        (phi, G, gap) of w, when the caller has evaluated it.  Returns the
-        weights and the step count, or raises SolverError when the gap
-        stays above gap_tol.
+        bounds the gradient and barrier steps together.  ``at`` is
+        ``evaluate(w)``, when the caller holds it.  Returns the weights and
+        the step count, or raises SolverError when the gap stays above
+        gap_tol.
         """
-        phi, G, gap = at or self.evaluate(w)
+        phi, G, gap, h = at or self.evaluate(w)
         step, it, stalled = 1.0, 0, False
         while gap > gap_tol and it < min(max_iter, _FIRST_POLISH):
             it += 1
@@ -309,7 +299,7 @@ class _PlanProblem:
             trial = step
             for _ in range(60):
                 w_new = _project_simplex(w - trial * grad)
-                phi_new, f_new, _ = self.potential(w_new)
+                phi_new, f_new, h_new = self.potential(w_new)
                 if phi_new <= phi + 1e-4 * float(grad @ (w_new - w)) or phi_new < phi:
                     break
                 trial *= 0.5
@@ -318,20 +308,19 @@ class _PlanProblem:
                 break
             G_new, gap_new = self.bracket(phi_new, f_new)
             d_w, d_grad = w_new - w, self.q * G_new - grad
-            w, phi, G, gap = w_new, phi_new, G_new, gap_new
+            w, phi, G, gap, h = w_new, phi_new, G_new, gap_new, h_new
             denom = float(d_grad @ d_grad)  # Barzilai-Borwein step, safeguarded
             bb = abs(float(d_w @ d_grad)) / denom if denom else 2 * trial
             step = min(max(bb, 1e-12), 1e12)
         if gap > gap_tol and (stalled or it == _FIRST_POLISH):
-            w, phi, G, gap = self.polish(w, phi, G, gap)
+            w, phi, G, gap, h = self.face_newton(w, phi, G, gap, h)
         if gap > gap_tol and it < max_iter:
-            w, steps = self.barrier(w, gap_tol, max_iter - it)
+            w, steps, (phi, G, gap, h) = self.barrier(w, gap_tol, max_iter - it)
             it += steps
-            phi, G, gap = self.evaluate(w)
             if gap > gap_tol:
                 # Keep the measures the barrier charges more than their slack.
                 w = np.where(w > G / G.min() - 1.0, w, 0.0)
-                w, phi, G, gap = self.polish(w / w.sum(), *self.evaluate(w / w.sum()))
+                w, phi, G, gap, h = self.face_newton(w / w.sum(), *self.evaluate(w / w.sum()))
         if gap > gap_tol:
             raise SolverError(
                 f"plan solve stalled at relative gap {gap:.3e} "
@@ -340,41 +329,31 @@ class _PlanProblem:
             )
         return w, it
 
-    def polish(
-        self, w: np.ndarray, phi: float, G: np.ndarray, gap: float
-    ) -> tuple[np.ndarray, float, np.ndarray, float]:
-        """The plan w with its phi, G and gap, or its ``face_newton`` polish.
+    def face_newton(
+        self, w: np.ndarray, phi: float, G: np.ndarray, gap: float, h: np.ndarray
+    ) -> tuple[np.ndarray, float, np.ndarray, float, np.ndarray]:
+        """Projected Newton polish of the plan w (Bertsekas 1982).
 
-        The polish is kept when it narrows the gap or keeps phi.
+        Starts from the caller's ``evaluate(w)`` = (phi, G, gap, h), so w is
+        not evaluated again.  phi is q-homogeneous, so its minimum over the
+        simplex is that of phi(w) / (sum w)^q over w >= 0, where projecting
+        is clipping at 0.  Each step solves the Newton KKT system of phi on
+        an epsilon-active set: the support plus each zero weight whose
+        reduced gradient gphi_i + nu (nu the multiplier of sum w = 1) is
+        below -eps, eps the largest |gphi_i + nu| on the support.  It
+        follows the projection arc t -> [w + t dw]^+ / sum, halving t from 1
+        (and trying the arc's first kink) until phi decreases to rounding,
+        so every weight the step zeroes leaves and every blocked row enters
+        at once.  Returns a plan with its tuple as ``evaluate`` gives it:
+        one that meets the simplex KKT conditions (gphi + nu zero on the
+        support, nonnegative off it) to rounding if it narrows the gap or
+        keeps phi (to 1e-14), else w; or the plan of least gap, w included,
+        when no step lowers phi, the KKT system is singular, a step returns
+        to a support it left at no higher phi (at large p, optimal weights
+        can lie below what Newton resolves) or the step cap is reached.
         """
-        cand = self.face_newton(w)
-        if cand[3] < gap or cand[1] <= phi * (1.0 + 1e-14):
-            return cand
-        return w, phi, G, gap
-
-    def face_newton(self, w: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, float]:
-        """Projected Newton refinement of the plan w (Bertsekas 1982).
-
-        phi is q-homogeneous, so its minimum over the simplex is that of
-        phi(w) / (sum w)^q over w >= 0, where projecting is clipping at 0.
-        Each step solves the Newton KKT system of phi on an epsilon-active
-        set: the support plus each zero weight whose reduced gradient
-        gphi_i + nu (nu the multiplier of sum w = 1) is below -eps, eps the
-        largest |gphi_i + nu| on the support.  It follows the projection
-        arc t -> [w + t dw]^+ / sum, halving t from 1 (and trying the
-        arc's first kink) until phi decreases to rounding, so every weight
-        the step zeroes leaves and every blocked row enters at once.
-        Returns weights that meet the simplex KKT conditions (gphi + nu zero
-        on the support, nonnegative off it) to rounding, with their phi, G
-        and gap as ``evaluate`` gives them, or else its iterate of least gap
-        when no step lowers phi, the KKT system is singular, a step returns to
-        a support it left at no higher phi (at large p, optimal weights can
-        lie below what Newton resolves) or the step cap is reached.
-        """
-        w = w / w.sum()
-        phi, f, h = self.potential(w)
-        G, gap = self.bracket(phi, f)
-        best, gphi = (w, phi, G, gap), self.q * G
+        start = best = (w, phi, G, gap, h)
+        gphi = self.q * G
         nu = -self.q * phi  # = -w . gphi, the multiplier were w stationary
         stat = float(np.abs(gphi[w > 0] + nu).max())
         face, left = np.packbits(w > 0).tobytes(), {}  # face -> phi it was left at
@@ -401,7 +380,7 @@ class _PlanProblem:
                 return best
             G_v, gap_v = self.bracket(phi_v, f_v)
             if gap_v < best[3]:
-                best = (v, phi_v, G_v, gap_v)
+                best = (v, phi_v, G_v, gap_v, h_v)
             key = np.packbits(v > 0).tobytes()
             if key != face and phi_v >= left.get(key, math.inf):
                 return best
@@ -412,24 +391,25 @@ class _PlanProblem:
             if float(red.min()) >= -1e-12 * scale and (
                 stat <= 1e-13 * scale or t * float(np.abs(dw).max()) <= 1e-16
             ):
-                return w, phi, G_v, gap_v
+                kept = gap_v < start[3] or phi <= start[1] * (1.0 + 1e-14)
+                return (w, phi, G_v, gap_v, h) if kept else start
         return best
 
     def barrier(
         self, w: np.ndarray, gap_tol: float, budget: int
-    ) -> tuple[np.ndarray, int]:
+    ) -> tuple[np.ndarray, int, tuple[float, np.ndarray, float, np.ndarray]]:
         """Log-barrier Newton path (Boyd & Vandenberghe, Convex Optimization, 11).
 
         Minimizes t phi(w) - sum_i log w_i on {sum w = 1} for t growing 20x
         per centering; each Newton step solves one (k+1)x(k+1) KKT system.
         Stops at a centered point whose bracket gap is at most gap_tol or
         whose suboptimality bound k / t is below 1e-12 phi, or after
-        ``budget`` Newton steps; returns the last iterate and the steps.
+        ``budget`` Newton steps; returns the last iterate, the steps and the
+        iterate's ``evaluate`` tuple, kept along the path.
         """
         k = len(w)
         w = 0.5 * w + 0.5 / k
-        phi, f, h = self.potential(w)
-        G = self.bracket(phi, f)[0]
+        phi, G, gap, h = self.evaluate(w)
         # Frank-Wolfe bound on phi(w) - min phi sets the first barrier weight.
         t = k / max(self.q * (phi - float(G.min())), 1e-300)
         steps = 0
@@ -442,7 +422,7 @@ class _PlanProblem:
                 kkt.reshape(-1)[:: k + 2][:-1] += w**-2.0  # on H's diagonal
                 step = _kkt_solve(kkt, -grad, 0.0)
                 if step is None:
-                    return w, steps
+                    return w, steps, (phi, G, gap, h)
                 dw = step[0]
                 decrement = -float(grad @ dw)
                 if decrement <= 1e-10:
@@ -458,11 +438,11 @@ class _PlanProblem:
                     a *= 0.5
                 else:
                     break
-                w, phi, h, G = w_new, phi_new, h_new, self.bracket(phi_new, f_new)[0]
-            if k / t <= 1e-12 * phi or self.evaluate(w)[2] <= gap_tol:
+                w, phi, h, (G, gap) = w_new, phi_new, h_new, self.bracket(phi_new, f_new)
+            if k / t <= 1e-12 * phi or gap <= gap_tol:
                 break
             t *= 20.0
-        return w, steps
+        return w, steps, (phi, G, gap, h)
 
     def solution(
         self,
@@ -485,8 +465,7 @@ class _PlanProblem:
         """
         p, msk = self.p, self.space.positive_mask
         w = w / w.sum()
-        h = (w @ self.U) / self.mpos
-        f = h ** (self.q - 1.0)
+        _, f, h = self.potential(w)
         s = float((self.U @ f).min()) * low
         f = f / s
         value = float(np.dot(self.mpos, f**p))
@@ -526,7 +505,7 @@ def solve_modulus_explicit(
     """
     p = _check_p(p)
     _check_limits(gap_tol, cap=max_iter)
-    U, kept, dropped, has_zero = _constraint_matrix(space, (mu.items for mu in measures))
+    U, kept, dropped, has_zero = _constraint_matrix(space, measures)
     if has_zero or not kept:
         return _trivial_solution(space, len(measures), dropped, has_zero)
 
@@ -606,7 +585,7 @@ def _solve_modulus_primal(
     nothing left to constrain (0, zeros).
     """
     p = _check_p(p)
-    U, kept, _, has_zero = _constraint_matrix(space, (mu.items for mu in measures))
+    U, kept, _, has_zero = _constraint_matrix(space, measures)
     if has_zero or not kept:
         return (math.inf, None) if has_zero else (0.0, np.zeros(space.n_points))
 
@@ -675,7 +654,7 @@ def brute_force_lattice(
     is allocated.
     """
     p = _check_p(p)
-    U, kept, _, has_zero = _constraint_matrix(space, (mu.items for mu in measures))
+    U, kept, _, has_zero = _constraint_matrix(space, measures)
     if has_zero:
         return math.inf, math.inf
     if not kept:
@@ -908,7 +887,7 @@ def solve_modulus_paths(
     for outer in range(1, max_outer + 1):
         at = prob.evaluate(w)
         if outer > 1:  # polish the previous optimum, new paths at weight 0
-            w, *at = prob.polish(w, *at)
+            w, *at = prob.face_newton(w, *at)
         w, it = prob.solve(w, gap_tol / 2, 100000, at)
         total_it += it
         rows = range(len(working))

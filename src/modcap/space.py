@@ -197,6 +197,25 @@ class DiscreteMeasure:
         return math.fsum(w * float(values[i]) for i, w in self.items)
 
 
+def _entries(
+    space: MetricMeasureSpace, measures: Sequence[DiscreteMeasure]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (member, point, mass) entries of a family's items, in item order.
+
+    Raises InvalidInstanceError naming the first measure that charges a
+    point outside the space, an id beyond int64 included.
+    """
+    member = np.repeat(np.arange(len(measures)), [len(mu.items) for mu in measures])
+    points = [x for mu in measures for x, _ in mu.items]
+    if max(points, default=-1) >= space.n_points:
+        at = next(j for j, x in enumerate(points) if x >= space.n_points)
+        raise InvalidInstanceError(
+            f"measure {member[at]} charges point {points[at]} outside the space"
+        )
+    mass = np.fromiter((w for mu in measures for _, w in mu.items), float, len(member))
+    return member, np.array(points, dtype=np.int64), mass
+
+
 def grid_node(nx: int, x: int, y: int) -> int:
     """Point id of grid node (x, y) in row-major order."""
     return y * nx + x

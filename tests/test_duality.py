@@ -82,12 +82,13 @@ def test_plan_barycenter_by_hand():
     assert plan_barycenter(space, [zero, zero], [0.5, 0.5]).tobytes() == np.zeros(3).tobytes()
     with pytest.raises(ValueError, match="one probability per"):
         plan_barycenter(space, [mu0, mu1], [1.0])
-    with pytest.raises(ValueError, match="plan charges point 7 outside the space"):
+    with pytest.raises(ValueError, match="measure 1 charges point 7 outside the space"):
         plan_barycenter(space, [mu0, DiscreteMeasure(((7, 1.0),))], [0.5, 0.5])
     # A point beyond int64 is outside the space too, not an OverflowError.
-    huge, msg = DiscreteMeasure(((2**70, 1.0),)), "plan charges point 1180591620717411303424 outside"
+    huge = DiscreteMeasure(((2**70, 1.0),))
+    msg = "measure 1 charges point 1180591620717411303424 outside"
     with pytest.raises(InvalidInstanceError, match=msg):
-        plan_barycenter(build_grid_space(2, 2), [huge], [1.0])
+        plan_barycenter(build_grid_space(2, 2), [mu0, huge], [0.5, 0.5])
 
 
 def test_plan_barycenter_matches_a_loop_over_the_support():
@@ -300,6 +301,31 @@ def test_faint_weights_pass_the_bracket_bound_at_large_p():
     faint = (1e-8 < w) & (w <= 1e-6)
     assert slack[faint].max() > 1e-6
     assert (w * slack)[faint].max() <= opt.saturation_max_dev <= width
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e4, 1e10])
+def test_audits_do_not_depend_on_the_mass_scale(scale):
+    # Scaling the family's masses by c scales Mod^(1/p) by 1/c and the
+    # barycenters by c, and both audits are relative: each certified pair
+    # passes at every scale, and a content 0.1% off or a stored barycenter
+    # 5% off fails at every scale.
+    for seed in range(10):
+        inst = generate_random_instance(seed, n_points=40, n_measures=60)
+        measures = [
+            DiscreteMeasure(tuple((i, scale * w) for i, w in mu.items))
+            for mu in inst.families["random"].measures
+        ]
+        for p in (2.0, 3.0):
+            primal = solve_modulus_explicit(inst.space, measures, p)
+            dual = content_from_multipliers(inst.space, measures, primal, p / (p - 1.0))
+            assert check_duality(inst.space, primal, dual, p).ok
+            assert check_optimality_conditions(inst.space, primal, dual, p).ok
+            off = replace(dual, value=1.001 * dual.value)
+            assert check_duality(inst.space, primal, off, p).rel_gap > 1e-6
+            bary = 1.05 * dual.plan.barycenter_density
+            moved = replace(dual, plan=replace(dual.plan, barycenter_density=bary))
+            opt = check_optimality_conditions(inst.space, primal, moved, p)
+            assert opt.violated == ("barycenter",)
 
 
 def test_content_scaling_of_measures():

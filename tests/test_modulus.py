@@ -248,6 +248,56 @@ def test_primal_matches_dual_solver():
         assert np.abs(f - dual.f).max() < 1e-5 * max(1.0, dual.f.max())
 
 
+def energy_ball(e, p, root):
+    """Radius in L^p(m) about the optimal f of an admissible f whose energy
+    is (1 + e) Mod, root = Mod^(1/p) or more.  Its midpoint with the optimum
+    is admissible, so has energy >= Mod; Clarkson's inequality (p >= 2)
+    or the 2-uniform convexity of L^p (1 < p <= 2, Ball, Carlen & Lieb
+    1994) then bound half their distance."""
+    if p >= 2:
+        return 2.0 * (e / 2.0) ** (1.0 / p) * root
+    return root * math.sqrt(2.0 * ((1.0 + e) ** (2.0 / p) - 1.0) / (p - 1.0))
+
+
+@pytest.mark.parametrize("p", [1.1, 2.0, 3.0, 4.0, 8.0, 12.0])
+def test_both_solvers_densities_lie_in_their_energy_balls(p):
+    # The bracket pins f only to a ball, wide at large p; both solvers' f
+    # lie in their balls about the one optimum, so within the sum of the
+    # radii of each other.  The barycenters f^(p-1) / energy agree to 1e-6
+    # relative in L^q(m) at p >= 2.  At p < 2, f -> f^(p-1) is only Hölder
+    # (|a^s - b^s| <= |a - b|^s for s = p - 1 <= 1): at p = 1.1 a point
+    # where the plan's f is 1e-11 and the oracle's 0 moves the barycenter by
+    # up to 8% here, within ((r_dual + r_primal) / root)^(p-1) plus the
+    # energies' relative gap.
+    from modcap.modulus import _ROUNDING
+
+    q, worst = p / (p - 1.0), 0.0
+    for s in range(60):
+        inst = generate_random_instance(
+            1000 + s, n_points=4 + s % 31, n_measures=1 + (7 * s) % 41, n_null_points=s % 4
+        )
+        measures, msk = inst.families["random"].measures, inst.space.positive_mask
+        m = inst.space.measure[msk]
+        dual = solve_modulus_explicit(inst.space, measures, p)
+        _, f = _solve_modulus_primal(inst.space, measures, p)
+        fd, fp = dual.f[msk], f[msk]
+        low = dual.dual_value * (1.0 - _ROUNDING * p)  # the bracket's rounding allowance
+        energies = float(m @ fd**p), float(m @ fp**p)
+        root = dual.value ** (1.0 / p)
+        radii = sum(energy_ball(energy / low - 1.0, p, root) for energy in energies)
+        dist = float(m @ np.abs(fd - fp) ** p) ** (1.0 / p)
+        assert dist <= radii
+        worst = max(worst, dist / radii)
+        bd, bp = fd ** (p - 1.0) / energies[0], fp ** (p - 1.0) / energies[1]
+        rel = float(m @ np.abs(bd - bp) ** q) ** (1.0 / q) / float(m @ bd**q) ** (1.0 / q)
+        if p >= 2.0:
+            assert rel <= 1e-6
+        else:
+            skew = abs(energies[0] - energies[1]) / min(energies)
+            assert rel <= (radii / root) ** (p - 1.0) + skew
+    assert worst > 1e-6  # the distances are seen, not all zero
+
+
 def test_brute_force_brackets_the_optimum():
     for seed in range(4):
         inst = generate_random_instance(200 + seed, n_points=4, n_measures=3)
@@ -607,7 +657,7 @@ def test_path_rows_match_the_constraint_matrix_builder(n_null):
         assert len(paths) > 30
         rows = _path_rows(space, paths)
         U, kept, dropped, has_zero = _constraint_matrix(
-            space, [path_line_measure(space, path).items for path in paths]
+            space, [path_line_measure(space, path) for path in paths]
         )
         assert (kept, dropped, has_zero) == (list(range(len(paths))), (), False)
         assert U.shape == (len(paths), space.n_points - n_null)
@@ -661,7 +711,7 @@ def test_fixed_hessian_at_p2_is_a_cached_gram(monkeypatch):
 
     inst = generate_random_instance(2, n_points=60, n_measures=90, n_null_points=2)
     measures = inst.families["random"].measures
-    U, kept, _, _ = _constraint_matrix(inst.space, [mu.items for mu in measures])
+    U, kept, _, _ = _constraint_matrix(inst.space, measures)
     prob = _PlanProblem(inst.space, U, 2.0)
     scale = np.sqrt(2.0 / prob.mpos)
     rng = np.random.default_rng(0)
@@ -776,7 +826,7 @@ def test_renew_and_hessians_match_their_plain_numpy_builds(monkeypatch):
     inst = generate_random_instance(3, n_points=40, n_measures=60)
     measures = inst.families["random"].measures
     solve_modulus_explicit(inst.space, measures, 3.0)
-    U = _constraint_matrix(inst.space, [mu.items for mu in measures])[0]
+    U = _constraint_matrix(inst.space, measures)[0]
     _PlanProblem(inst.space, U, 3.0).barrier(np.full(len(U), 1.0 / len(U)), 0.0, 30)
     assert len(checked) > 30 and max(checked) == len(U)
 
@@ -797,9 +847,7 @@ def test_constraint_matrix_rows_match_dense_measures():
         if null_points.size:
             measures.insert(3, DiscreteMeasure(((0, 0.5), (int(null_points[0]), 1.0))))
         measures.insert(5, DiscreteMeasure(()))
-        U, kept, dropped, has_zero = _constraint_matrix(
-            space, [mu.items for mu in measures]
-        )
+        U, kept, dropped, has_zero = _constraint_matrix(space, measures)
         assert has_zero
         assert dropped == ((3,) if null_points.size else ())
         assert kept == [i for i in range(len(measures)) if i not in (5, *dropped)]
@@ -811,10 +859,13 @@ def test_constraint_matrix_rows_match_dense_measures():
     space = interval_space(4)
     assert _constraint_matrix(space, [])[1:] == ([], (), False)
     assert _constraint_matrix(space, [])[0].shape == (0, 4)
-    for bad in (4, -1, 10**30):
-        rows = [((0, 1.0),), (), ((1, 1.0), (bad, 2.0))]
+    for bad in (4, 10**30):  # a negative id never becomes a measure
+        family = [
+            DiscreteMeasure(((0, 1.0),)), DiscreteMeasure(()),
+            DiscreteMeasure(((1, 1.0), (bad, 2.0))),
+        ]
         with pytest.raises(InvalidInstanceError, match=f"measure 2 charges point {bad} "):
-            _constraint_matrix(space, rows)
+            _constraint_matrix(space, family)
 
 
 def test_path_modulus_single_route():
@@ -931,11 +982,11 @@ def test_barrier_fallback_certifies_when_face_polish_fails(monkeypatch):
     ref = solve_modulus_explicit(inst.space, measures, 3.0, gap_tol=1e-12)
 
     # The barrier path alone gets close from the uniform plan ...
-    U = _constraint_matrix(inst.space, [mu.items for mu in measures])[0]
+    U = _constraint_matrix(inst.space, measures)[0]
     prob = _PlanProblem(inst.space, U, 3.0)
-    w, steps = prob.barrier(np.full(len(measures), 1.0 / len(measures)), 0.0, 10000)
+    w, steps, at = prob.barrier(np.full(len(measures), 1.0 / len(measures)), 0.0, 10000)
     assert 0 < steps < 10000
-    assert prob.evaluate(w)[2] <= 1e-8
+    assert at[2] == prob.evaluate(w)[2] <= 1e-8
 
     # ... and when the first-order phase hands over at once with a failed
     # polish, barrier plus polish on its support certify the solve.
@@ -943,9 +994,9 @@ def test_barrier_fallback_certifies_when_face_polish_fails(monkeypatch):
     polish = _PlanProblem.face_newton
     calls = []
 
-    def polish_after_barrier(self, w):
+    def polish_after_barrier(self, w, *at):
         calls.append(len(calls))
-        return polish(self, w) if len(calls) > 1 else (w, *self.evaluate(w))
+        return polish(self, w, *at) if len(calls) > 1 else (w, *at)
 
     monkeypatch.setattr(_PlanProblem, "face_newton", polish_after_barrier)
     sol = solve_modulus_explicit(inst.space, measures, 3.0, gap_tol=1e-13)
@@ -1021,11 +1072,10 @@ def test_face_polish_returns_kkt_points(monkeypatch, seed, p):
 
     polish, returned = _PlanProblem.face_newton, []
 
-    def recorded(self, w):
-        out = polish(self, w)
-        if out is not None:
-            phi, G, _ = self.evaluate(out[0])
-            returned.append((out[0] > 0, G / phi - 1.0))
+    def recorded(self, w, *at):
+        out = polish(self, w, *at)
+        phi, G = self.evaluate(out[0])[:2]
+        returned.append((out[0] > 0, G / phi - 1.0))
         return out
 
     monkeypatch.setattr(_PlanProblem, "face_newton", recorded)
@@ -1035,6 +1085,51 @@ def test_face_polish_returns_kkt_points(monkeypatch, seed, p):
     for support, rel in returned:
         assert np.abs(rel[support]).max() <= 1e-9
         assert rel[~support].min(initial=0.0) >= -1e-9
+
+
+def test_face_newton_evaluates_no_start_plan(monkeypatch):
+    # The polish starts from the evaluate(w) its caller holds: in each call
+    # its first Newton system is built before any potential or bracket, and
+    # bracket runs at most once per Newton system (at the point the arc
+    # search accepts).  The tuple it hands back is evaluate's at its plan.
+    from modcap.modulus import _PlanProblem
+    from modcap.space import grid_node
+
+    log, calls = [], []  # events of the current polish; one count per polish
+
+    def logged(name):
+        method = getattr(_PlanProblem, name)
+
+        def wrapper(self, *args):
+            log.append(name)
+            return method(self, *args)
+
+        return wrapper
+
+    polish = _PlanProblem.face_newton
+
+    def recorded(self, w, *at):
+        log.clear()
+        out = polish(self, w, *at)
+        calls.append(log.copy())
+        assert log[0] == "hessian"
+        assert log.count("bracket") <= log.count("hessian")
+        phi, G, gap, h = self.evaluate(out[0])
+        assert (out[1], out[3]) == (phi, gap)
+        assert np.array_equal(out[2], G) and np.array_equal(out[4], h)
+        return out
+
+    for name in ("potential", "bracket", "hessian"):
+        monkeypatch.setattr(_PlanProblem, name, logged(name))
+    monkeypatch.setattr(_PlanProblem, "face_newton", recorded)
+    for seed, p in ((0, 2.0), (1, 3.0), (2, 8.0)):
+        inst = generate_random_instance(seed, n_points=60, n_measures=120)
+        solve_modulus_explicit(inst.space, inst.families["random"].measures, p)
+    space = build_grid_space(8, 8, np.random.default_rng(3).uniform(0.1, 1.0, 64))
+    left = [grid_node(8, 0, y) for y in range(8)]
+    right = [grid_node(8, 7, y) for y in range(8)]
+    assert solve_modulus_paths(space, left, right, 2.0).outer_iterations > 2
+    assert len(calls) > 5
 
 
 def barrier_calls(inst, p):
@@ -1050,7 +1145,7 @@ def barrier_calls(inst, p):
 
     measures = inst.families["random"].measures
     k = len(measures)
-    U = _constraint_matrix(inst.space, [mu.items for mu in measures])[0]
+    U = _constraint_matrix(inst.space, measures)[0]
     prob = BarrierCount(inst.space, U, p)
     prob.solve(np.full(k, 1.0 / k), 1e-9, 100000)
     return prob.calls
