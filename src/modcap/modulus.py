@@ -52,7 +52,7 @@ class ModulusSolution:
     The stationarity relation is
     p * m_x * f_x^(p-1) = sum_i multipliers[i] * mu_i(x) on {m > 0}.
     ``dual_value <= Mod <= value`` is a weak-duality bracket and ``gap``
-    its relative width.  ``iterations`` counts projected-gradient and
+    the relative width the solve tested, plus 8 eps p.  ``iterations`` counts projected-gradient and
     barrier steps, not Newton steps of the polish, so a solve the polish
     alone certifies reports 0.  Only path solves fill ``paths`` and
     ``outer_iterations``.
@@ -96,8 +96,8 @@ def _check_limits(*tols: float, cap: int = 1) -> None:
 
 
 # Projected-gradient steps before the face polish, and the rounding
-# allowance per unit of exponent in phi or in a bracket width, whose two
-# ends are evaluated along different paths.
+# allowance per unit of exponent: in phi (the polish's descent test, the
+# barrier's stop) and in a bracket width (added to every reported gap).
 _FIRST_POLISH = 16
 _ROUNDING = 8 * float(np.finfo(float).eps)
 
@@ -240,8 +240,11 @@ class _PlanProblem:
     def bracket(self, phi: float, f: np.ndarray) -> tuple[np.ndarray, float]:
         """Constraint values G = U @ f and the bracket gap, given phi and f."""
         G = self.U @ f
-        s = float(G.min())
-        return G, max(1.0 - (s / phi) ** self.p, 0.0) if s > 0 else 1.0
+        return G, self.width(phi, float(G.min()))
+
+    def width(self, phi: float, s: float) -> float:
+        """The gap 1 - (s / phi)^p of the density f / s against phi, 1 unless s > 0."""
+        return max(1.0 - (s / phi) ** self.p, 0.0) if s > 0 else 1.0
 
     def hessian(self, rows: np.ndarray, h: np.ndarray | None) -> np.ndarray:
         """The bordered system [[H, 1], [1^T, 0]] of ``_kkt_solve``, fresh.
@@ -278,18 +281,19 @@ class _PlanProblem:
 
     def solve(
         self, w: np.ndarray, gap_tol: float, max_iter: int, at: Sequence | None = None
-    ) -> tuple[np.ndarray, int]:
+    ) -> tuple[np.ndarray, int, tuple[float, np.ndarray, float, np.ndarray]]:
         """Plan weights with bracket gap <= gap_tol, from the plan w.
 
         Projected gradient (Barzilai-Borwein steps, Armijo backtracking)
         until the line search fails or 16 steps have run, then one projected
         Newton polish (``face_newton``) from the last iterate and its
-        evaluation.  If the gap is still open, a log-barrier Newton path
-        finds the support and the polish finishes on it.  ``max_iter``
+        evaluation.  If the gap is still open, the log-barrier Newton path
+        (``barrier``) takes over, with no polish after it.  ``max_iter``
         bounds the gradient and barrier steps together.  ``at`` is
-        ``evaluate(w)``, when the caller holds it.  Returns the weights and
-        the step count, or raises SolverError when the gap stays above
-        gap_tol.
+        ``evaluate(w)``, when the caller holds it.  Returns the weights, the
+        step count and ``evaluate(w / w.sum())``, the bracket that is tested
+        and that ``solution`` reports; raises SolverError when its gap is
+        above gap_tol.  w is returned as the steps left it, not renormalized.
         """
         phi, G, gap, h = at or self.evaluate(w)
         step, it, stalled = 1.0, 0, False
@@ -315,19 +319,15 @@ class _PlanProblem:
         if gap > gap_tol and (stalled or it == _FIRST_POLISH):
             w, phi, G, gap, h = self.face_newton(w, phi, G, gap, h)
         if gap > gap_tol and it < max_iter:
-            w, steps, (phi, G, gap, h) = self.barrier(w, gap_tol, max_iter - it)
+            w, steps = self.barrier(w, gap_tol, max_iter - it)
             it += steps
-            if gap > gap_tol:
-                # Keep the measures the barrier charges more than their slack.
-                w = np.where(w > G / G.min() - 1.0, w, 0.0)
-                w, phi, G, gap, h = self.face_newton(w / w.sum(), *self.evaluate(w / w.sum()))
-        if gap > gap_tol:
+        at = self.evaluate(w / w.sum())
+        if at[2] > gap_tol:
             raise SolverError(
-                f"plan solve stalled at relative gap {gap:.3e} "
-                f"after {it} iterations (target {gap_tol:.1e})",
-                gap=gap,
+                f"plan solve stalled at relative gap {at[2]:.3e} after {it} "
+                f"iterations (target {gap_tol:.1e})", gap=at[2],
             )
-        return w, it
+        return w, it, at
 
     def face_newton(
         self, w: np.ndarray, phi: float, G: np.ndarray, gap: float, h: np.ndarray
@@ -395,21 +395,20 @@ class _PlanProblem:
                 return (w, phi, G_v, gap_v, h) if kept else start
         return best
 
-    def barrier(
-        self, w: np.ndarray, gap_tol: float, budget: int
-    ) -> tuple[np.ndarray, int, tuple[float, np.ndarray, float, np.ndarray]]:
+    def barrier(self, w: np.ndarray, gap_tol: float, budget: int) -> tuple[np.ndarray, int]:
         """Log-barrier Newton path (Boyd & Vandenberghe, Convex Optimization, 11).
 
         Minimizes t phi(w) - sum_i log w_i on {sum w = 1} for t growing 20x
         per centering; each Newton step solves one (k+1)x(k+1) KKT system.
         Stops at a centered point whose bracket gap is at most gap_tol or
-        whose suboptimality bound k / t is below 1e-12 phi, or after
-        ``budget`` Newton steps; returns the last iterate, the steps and the
-        iterate's ``evaluate`` tuple, kept along the path.
+        whose suboptimality bound k / t is below phi's rounding, ``_ROUNDING``
+        phi, or after ``budget`` Newton steps; returns the iterate of least
+        gap along the path and the steps.
         """
         k = len(w)
         w = 0.5 * w + 0.5 / k
         phi, G, gap, h = self.evaluate(w)
+        best = (gap, w)
         # Frank-Wolfe bound on phi(w) - min phi sets the first barrier weight.
         t = k / max(self.q * (phi - float(G.min())), 1e-300)
         steps = 0
@@ -422,7 +421,7 @@ class _PlanProblem:
                 kkt.reshape(-1)[:: k + 2][:-1] += w**-2.0  # on H's diagonal
                 step = _kkt_solve(kkt, -grad, 0.0)
                 if step is None:
-                    return w, steps, (phi, G, gap, h)
+                    return best[1], steps
                 dw = step[0]
                 decrement = -float(grad @ dw)
                 if decrement <= 1e-10:
@@ -439,14 +438,17 @@ class _PlanProblem:
                 else:
                     break
                 w, phi, h, (G, gap) = w_new, phi_new, h_new, self.bracket(phi_new, f_new)
-            if k / t <= 1e-12 * phi or gap <= gap_tol:
+                if gap < best[0]:
+                    best = (gap, w)
+            if k / t <= _ROUNDING * phi or gap <= gap_tol:
                 break
             t *= 20.0
-        return w, steps, (phi, G, gap, h)
+        return best[1], steps
 
     def solution(
         self,
         w: np.ndarray,
+        at: tuple[float, np.ndarray, float, np.ndarray],
         iterations: int,
         kept: Sequence[int],
         n_measures: int,
@@ -455,32 +457,29 @@ class _PlanProblem:
     ) -> ModulusSolution:
         """Modulus solution read off plan weights w over the measures ``kept``.
 
-        The density f = h^(q-1) rescaled by s = min_i <mu_i, f> is
-        admissible; its energy is ``value``, the plan's content^p is
-        ``dual_value`` and ``gap`` the relative width of that bracket plus
-        a rounding allowance.  The multipliers p w_i / s^(p-1) satisfy the
-        stationarity relation.  ``low`` < 1 is the least integral of f / s
-        over a family larger than the rows of U; s is multiplied by it, so
-        that f stays admissible for that family.
+        ``at`` = (phi, G, gap, h) is ``evaluate(w / w.sum())`` as ``solve``
+        returns it.  f = h^(q-1) / s, s = min_i G_i, is admissible; its energy
+        is ``value``, the content^p phi^(1-p) is ``dual_value``, and ``gap``
+        is ``width(phi, s)``, as ``solve`` tests it, plus ``_ROUNDING`` p.
+        The multipliers p w_i / s^(p-1) satisfy the stationarity relation.
+        ``low`` < 1 is the least integral of f / s over a family larger than
+        the rows of U; s is multiplied by it, so that f stays admissible.
         """
         p, msk = self.p, self.space.positive_mask
-        w = w / w.sum()
-        _, f, h = self.potential(w)
-        s = float((self.U @ f).min()) * low
-        f = f / s
-        value = float(np.dot(self.mpos, f**p))
-        lower = float(np.dot(self.mpos, h**self.q)) ** (1.0 - p)
+        phi, G, _, h = at
+        s = float(G.min()) * low
+        f = h ** (self.q - 1.0) / s
         f_out = np.zeros(self.space.n_points)
         f_out[msk] = f
         mults = np.zeros(n_measures)
-        mults[kept] = p * w / s ** (p - 1.0)
+        mults[kept] = p * (w / w.sum()) / s ** (p - 1.0)
         return ModulusSolution(
-            value=value,
+            value=float(np.dot(self.mpos, f**p)),
             f=f_out,
             multipliers=mults,
             iterations=iterations,
-            gap=max(value - lower, 0.0) / value + _ROUNDING * p,
-            dual_value=lower,
+            gap=self.width(phi, s) + _ROUNDING * p,
+            dual_value=phi ** (1.0 - p),
             dropped=dropped,
         )
 
@@ -500,8 +499,8 @@ def solve_modulus_explicit(
     density f = h^(q-1), h the barycenter, rescaled by min_i <mu_i, f>
     so that it is admissible.  The modulus lies in the weak-duality
     bracket [content^p, ||f||_p^p]: ``value`` is the upper end,
-    ``dual_value`` the lower and ``gap`` the relative width, at most
-    gap_tol or SolverError is raised.
+    ``dual_value`` the lower, and ``gap`` the relative width that the plan
+    solve tested, at most gap_tol or SolverError is raised, plus 8 eps p.
     """
     p = _check_p(p)
     _check_limits(gap_tol, cap=max_iter)
@@ -510,8 +509,8 @@ def solve_modulus_explicit(
         return _trivial_solution(space, len(measures), dropped, has_zero)
 
     prob = _PlanProblem(space, U, p)
-    w, it = prob.solve(np.full(len(kept), 1.0 / len(kept)), gap_tol, max_iter)
-    return prob.solution(w, it, kept, len(measures), dropped)
+    w, it, at = prob.solve(np.full(len(kept), 1.0 / len(kept)), gap_tol, max_iter)
+    return prob.solution(w, at, it, kept, len(measures), dropped)
 
 
 def _primal_face_polish(
@@ -844,8 +843,9 @@ def solve_modulus_paths(
     1 - gap_tol / (2p) is violated.  With none violated, f is divided by the
     least integral that pass found, so that ``value``, ``dual_value`` and
     ``gap`` bracket the modulus of the whole family, and as
-    (1 - gap_tol / 2)^2 >= 1 - gap_tol the relative width
-    (value - dual_value) / value is at most gap_tol, or SolverError is raised.
+    (1 - gap_tol / 2)^2 >= 1 - gap_tol the relative width of that lowered
+    bracket, tested as a plan solve tests its own, is at most gap_tol, or
+    SolverError is raised; ``gap`` is that width plus 8 eps p.
     Otherwise the plan problem's ``renew`` drops the working paths at weight
     exactly 0 and adds every violated path not yet present.  Dropping inactive
     constraints leaves the working problem's unique optimal f unchanged, and
@@ -888,10 +888,10 @@ def solve_modulus_paths(
         at = prob.evaluate(w)
         if outer > 1:  # polish the previous optimum, new paths at weight 0
             w, *at = prob.face_newton(w, *at)
-        w, it = prob.solve(w, gap_tol / 2, 100000, at)
+        w, it, at = prob.solve(w, gap_tol / 2, 100000, at)
         total_it += it
         rows = range(len(working))
-        sol = prob.solution(w, total_it, rows, len(rows))
+        sol = prob.solution(w, at, total_it, rows, len(rows))
         found = _cheapest_paths(
             space, np.where(null, np.inf, sol.f), source, target, max_hops, bound=1.0
         )
@@ -899,16 +899,15 @@ def solve_modulus_paths(
         new = [pth for c, pth in found if c < cut and pth not in present]
         if not new:
             low = found[0][0] if found else 1.0  # the family minimum, if below 1
-            sol = prob.solution(w, total_it, rows, len(rows), low=low)
-            width = (sol.value - sol.dual_value) / sol.value
-            if width <= gap_tol:
+            sol = prob.solution(w, at, total_it, rows, len(rows), low=low)
+            if sol.gap <= gap_tol + _ROUNDING * p:
                 return replace(
                     sol, f=_block_null_points(space, sol.f), paths=tuple(working),
                     outer_iterations=outer,
                 )
             raise SolverError(
-                f"path bracket width {width:.3e} above {gap_tol:.1e} (least path "
-                f"integral {low:.12f})", gap=width,
+                f"path bracket width {sol.gap:.3e} above {gap_tol:.1e} (least path "
+                f"integral {low:.12f})", gap=sol.gap,
             )
         keep = w > 0
         prob.renew(keep, _path_rows(space, new))

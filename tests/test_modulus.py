@@ -974,36 +974,101 @@ def test_path_family_blocked_by_zero_mass_column_is_null(p):
 
 
 def test_barrier_fallback_certifies_when_face_polish_fails(monkeypatch):
+    # The barrier path alone certifies, with no polish after it: it stops at
+    # the rounding of phi, not at a fixed threshold, and hands back its
+    # iterate of least gap.
     import modcap.modulus as mod
-    from modcap.modulus import _constraint_matrix, _PlanProblem
+    from modcap.modulus import _ROUNDING, _constraint_matrix, _PlanProblem
 
     inst = generate_random_instance(3, n_points=20, n_measures=30)
     measures = inst.families["random"].measures
     ref = solve_modulus_explicit(inst.space, measures, 3.0, gap_tol=1e-12)
 
-    # The barrier path alone gets close from the uniform plan ...
     U = _constraint_matrix(inst.space, measures)[0]
     prob = _PlanProblem(inst.space, U, 3.0)
-    w, steps, at = prob.barrier(np.full(len(measures), 1.0 / len(measures)), 0.0, 10000)
-    assert 0 < steps < 10000
-    assert at[2] == prob.evaluate(w)[2] <= 1e-8
+    bracket, gaps = _PlanProblem.bracket, []
 
-    # ... and when the first-order phase hands over at once with a failed
-    # polish, barrier plus polish on its support certify the solve.
+    def recorded(self, phi, f):
+        out = bracket(self, phi, f)
+        gaps.append(out[1])
+        return out
+
+    monkeypatch.setattr(_PlanProblem, "bracket", recorded)
+    w, steps = prob.barrier(np.full(len(measures), 1.0 / len(measures)), 0.0, 10000)
+    assert 0 < steps < 10000
+    assert prob.evaluate(w)[2] == min(gaps) <= 1e-13
+
+    # When the first-order phase hands over at once and its polish fails,
+    # the barrier certifies the solve, and the polish runs once only.
     monkeypatch.setattr(mod, "_FIRST_POLISH", 1)
-    polish = _PlanProblem.face_newton
     calls = []
 
-    def polish_after_barrier(self, w, *at):
+    def failed_polish(self, w, *at):
         calls.append(len(calls))
-        return polish(self, w, *at) if len(calls) > 1 else (w, *at)
+        return (w, *at)
 
-    monkeypatch.setattr(_PlanProblem, "face_newton", polish_after_barrier)
+    monkeypatch.setattr(_PlanProblem, "face_newton", failed_polish)
     sol = solve_modulus_explicit(inst.space, measures, 3.0, gap_tol=1e-13)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert sol.iterations > 1
-    assert sol.gap <= 1e-12
-    assert sol.value == pytest.approx(ref.value, rel=1e-10)
+    assert sol.gap <= 1e-13 + _ROUNDING * 3.0
+    assert sol.value == pytest.approx(ref.value, rel=1e-12)
+
+
+def sweep_family(s):
+    """Family s of the seeded sweep over shapes: 4-64 points, 1-97 measures,
+    up to 3 zero-mass points."""
+    inst = generate_random_instance(
+        2000 + s, n_points=4 + s % 61, n_measures=1 + (7 * s) % 97, n_null_points=s % 4
+    )
+    return inst.space, inst.families["random"].measures
+
+
+@pytest.mark.parametrize("gap_tol", [1e-9, 1e-11])
+@pytest.mark.parametrize("p", [8.0, 12.0])
+def test_returned_gap_is_the_tested_one(p, gap_tol):
+    # A solve tests the bracket of its normalized plan and reports that
+    # one: the gap returned is at most gap_tol plus the rounding allowance,
+    # or the solve raises.  Family 256 of this slice, at p = 12, once
+    # reported 1.011e-11 at gap_tol 1e-11: the width of a renormalized plan,
+    # not the one it had tested.
+    from modcap.modulus import _ROUNDING
+
+    for s in range(240, 280):
+        space, measures = sweep_family(s)
+        try:
+            sol = solve_modulus_explicit(space, measures, p, gap_tol=gap_tol)
+        except SolverError:
+            continue
+        assert sol.gap <= gap_tol + _ROUNDING * p
+
+
+@pytest.mark.parametrize("s", [68, 263])
+def test_content_certifies_at_large_p_through_the_barrier(s):
+    # At q = 12/11 these families reach the barrier.  It once stopped at a
+    # fixed k / t <= 1e-12 phi, short of the default tolerance 1e-11 at
+    # p = 12, and a polish of its support then opened the gap to 1e-3.
+    from modcap.duality import check_duality
+
+    space, measures = sweep_family(s)
+    q = 12.0 / 11.0
+    p = q / (q - 1.0)
+    content = solve_content(space, measures, q)
+    sol = solve_modulus_explicit(space, measures, p, gap_tol=1e-11)
+    assert check_duality(space, sol, content, p).ok
+
+
+@pytest.mark.parametrize("s, p", [(30, 2.0), (1, 3.0), (68, 12.0), (263, 12.0)])
+def test_solve_returns_the_evaluation_of_its_normalized_plan(s, p):
+    from modcap.modulus import _constraint_matrix, _PlanProblem
+
+    space, measures = sweep_family(s)
+    U = _constraint_matrix(space, measures)[0]
+    prob = _PlanProblem(space, U, p)
+    w, _, at = prob.solve(np.full(len(U), 1.0 / len(U)), 1e-11, 100000)
+    phi, G, gap, h = prob.evaluate(w / w.sum())
+    assert (at[0], at[2]) == (phi, gap)
+    assert np.array_equal(at[1], G) and np.array_equal(at[3], h)
 
 
 def test_path_solve_raises_at_the_round_cap():
