@@ -21,8 +21,8 @@ windows, cut as flat arrays by ``_windows``, go to ``_table``
 unvalidated.  Time lookups read padded rows cut from a table
 (``_padded``).  The per-curve functions read a one-curve table; ``plans``
 reads one table per plan.  ``_half_rows`` codes the half rule on a table,
-adding halves in segment order, u before v; ``families`` applies it to
-the steps of paths.
+adding halves in segment order, u before v, and returns the nonzeros;
+``families`` applies it to the steps of paths.
 """
 
 from __future__ import annotations
@@ -168,16 +168,21 @@ def _segment_table(space: MetricMeasureSpace, curves: Sequence[ParametricCurve])
 
 
 def _half_rows(
-    curve: np.ndarray, u: np.ndarray, v: np.ndarray, mass: np.ndarray,
-    n_rows: int, n_points: int,
-) -> np.ndarray:
-    """(n_rows, n_points) point masses: entry i gives mass[i] / 2 to u[i] and
-    to v[i] in row curve[i].  ``np.bincount`` adds its weights in order, so
+    curve: np.ndarray, u: np.ndarray, v: np.ndarray, mass: np.ndarray, n_points: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (row, point, mass) of the point masses in which entry i gives
+    mass[i] / 2 to u[i] and to v[i] in row curve[i], one per charged cell,
+    sorted by row then point.  ``np.bincount`` adds its weights in order, so
     each cell sums its halves from 0.0 in entry order, u before v."""
     cells = curve * n_points
-    idx = np.stack((cells + u, cells + v), axis=1).ravel()
-    halves = np.repeat(0.5 * mass, 2)
-    return np.bincount(idx, halves, minlength=n_rows * n_points).reshape(n_rows, n_points)
+    key, cell = np.unique(np.stack((cells + u, cells + v), axis=1), return_inverse=True)
+    total = np.bincount(cell.ravel(), np.repeat(0.5 * mass, 2), minlength=len(key))
+    return key // n_points, key % n_points, total
+
+
+def _measure(point: np.ndarray, mass: np.ndarray) -> DiscreteMeasure:
+    """The measure of the entries (point, mass) of one row."""
+    return DiscreteMeasure(tuple(zip(point.tolist(), mass.tolist())))
 
 
 def _edges(t: _Segments) -> tuple[np.ndarray, ...]:
@@ -263,7 +268,7 @@ def edge_multiplicity(
 def j_map(space: MetricMeasureSpace, curve: ParametricCurve) -> DiscreteMeasure:
     """Line measure projected to nodes (half of each edge's mass per endpoint)."""
     line = _edges(_segment_table(space, [curve]))[:4]
-    return DiscreteMeasure.from_array(_half_rows(*line, 1, space.n_points)[0])
+    return _measure(*_half_rows(*line, space.n_points)[1:])
 
 
 def m_map(space: MetricMeasureSpace, curve: ParametricCurve) -> DiscreteMeasure:
@@ -274,8 +279,7 @@ def m_map(space: MetricMeasureSpace, curve: ParametricCurve) -> DiscreteMeasure:
     lands on its node.  Not invariant under reparameterization.
     """
     t = _segment_table(space, [curve])
-    row = _half_rows(t.curve, t.u, t.v, t.dt, 1, space.n_points)[0]
-    return DiscreteMeasure.from_array(row)
+    return _measure(*_half_rows(t.curve, t.u, t.v, t.dt, space.n_points)[1:])
 
 
 def _line_integrals(t: _Segments, values: np.ndarray) -> np.ndarray:

@@ -169,7 +169,8 @@ def solve_content(
     The plan is read off ``solve_modulus_explicit`` at p = q / (q - 1)
     (see ``content_from_multipliers``) and certified by that solve's
     weak-duality bracket: its relative width is at most tol, or
-    SolverError is raised.
+    SolverError is raised.  That width multiplies rounding by p, so tol has
+    a floor near eps p (see ``solve_modulus_explicit``).
     """
     q = _check_p(q, "q")
     sol = solve_modulus_explicit(

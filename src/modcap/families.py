@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .curves import ParametricCurve, _half_rows, _steps, j_map, m_map
+from .curves import ParametricCurve, _half_rows, _measure, _steps, j_map, m_map
 from .errors import InvalidInstanceError
 from .space import DiscreteMeasure, MetricMeasureSpace
 
@@ -113,14 +113,17 @@ def path_line_measure(
     Half of each edge's length lands on each endpoint: the ``j_map`` of
     the path at any parameterization, without building the curve.
     """
-    return DiscreteMeasure.from_array(_path_rows(space, [path])[0])
+    return _measure(*_path_rows(space, [path])[1:])
 
 
-def _path_rows(space: MetricMeasureSpace, paths: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Rows of n_points entries, row r ``path_line_measure`` of paths[r]: the
-    steps read by ``curves._steps`` (no plateaus) and one ``_half_rows`` scatter."""
+def _path_rows(
+    space: MetricMeasureSpace, paths: Sequence[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (row, point, mass), row r ``path_line_measure`` of paths[r],
+    sorted by row then point: the steps read by ``curves._steps`` (no
+    plateaus) and one ``_half_rows`` pass."""
     row, _, u, v, length = _steps(space, paths, plateaus=False)
-    return _half_rows(row, u, v, length, len(paths), space.n_points)
+    return _half_rows(row, u, v, length, space.n_points)
 
 
 def enumerate_family(

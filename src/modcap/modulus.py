@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInstanceError, SolverError
-from .families import _path_rows
+from .families import _path_rows, path_line_measure
 from .space import DiscreteMeasure, MetricMeasureSpace, _entries
 
 __all__ = [
@@ -100,6 +100,7 @@ def _check_limits(*tols: float, cap: int = 1) -> None:
 # barrier's stop) and in a bracket width (added to every reported gap).
 _FIRST_POLISH = 16
 _ROUNDING = 8 * float(np.finfo(float).eps)
+_BLOCK = 32  # known rows densified at a time for the p = 2 Gram
 
 
 def _trivial_solution(
@@ -130,29 +131,47 @@ def _trivial_solution(
     )
 
 
+class _Rows:
+    """Constraint rows as nonzeros: row r has the size[r] entries ptr[r]:ptr[r + 1],
+    mass val[e] at column col[e]; the columns are a space's positive-mass points."""
+
+    def __init__(self, size: np.ndarray, col: np.ndarray, val: np.ndarray, n_cols: int):
+        self.size, self.col, self.val, self.n_cols = size, col, val, n_cols
+        self.ptr = np.concatenate(([0], np.cumsum(size)))
+
+    def __len__(self) -> int:
+        return len(self.size)
+
+    def toarray(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The rows that the mask ``rows`` marks (all by default), dense and in order."""
+        rows = np.ones(len(self), bool) if rows is None else rows
+        e, size = np.repeat(rows, self.size), self.size[rows]
+        out = np.zeros((len(size), self.n_cols))
+        out[np.repeat(np.arange(len(size)), size), self.col[e]] = self.val[e]
+        return out
+
+
 def _constraint_matrix(
     space: MetricMeasureSpace, measures: Sequence[DiscreteMeasure]
-) -> tuple[np.ndarray, list[int], tuple[int, ...], bool]:
-    """Constraint matrix U of a family, and which measures it keeps.
+) -> tuple[_Rows, list[int], tuple[int, ...], bool]:
+    """Constraint rows U of a family, and which measures it keeps.
 
-    Row r of U is the r-th kept measure on the positive-mass columns,
-    written from the family's entries (``space._entries``) with all other
-    rows in one scatter.  Returns U, the kept indices, the dropped ones
-    (measures that charge a zero-mass point, met for free) and whether a
-    zero measure is present.  Raises InvalidInstanceError naming the first
-    measure that charges a point outside the space.
+    Row r of U is the r-th kept measure on the positive-mass columns, its
+    nonzeros the family's entries (``space._entries``) in item order.
+    Returns U, the kept indices, the dropped ones (measures that charge a
+    zero-mass point, met for free) and whether a zero measure is present.
+    Raises InvalidInstanceError naming the first measure that charges a
+    point outside the space.
     """
     member, pts, vals = _entries(space, measures)
     msk = space.positive_mask
-    zero = np.bincount(member, minlength=len(measures)) == 0
+    size = np.bincount(member, minlength=len(measures))
     null = np.bincount(member[~msk[pts]], minlength=len(measures)) > 0
-    keep = ~(zero | null)
-    sel = keep[member]
-    row, col = np.cumsum(keep) - 1, np.cumsum(msk) - 1
-    U = np.zeros((int(keep.sum()), int(msk.sum())))
-    U[row[member[sel]], col[pts[sel]]] = vals[sel]
+    keep = (size > 0) & ~null
+    sel, col = keep[member], np.cumsum(msk) - 1
+    U = _Rows(size[keep], col[pts[sel]], vals[sel], int(msk.sum()))
     dropped = tuple(np.flatnonzero(null).tolist())
-    return U, np.flatnonzero(keep).tolist(), dropped, bool(zero.any())
+    return U, np.flatnonzero(keep).tolist(), dropped, bool((size == 0).any())
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -192,12 +211,13 @@ class _PlanProblem:
     energy ||f / s||_p^p = phi / s^p: the relative width of the bracket
     is 1 - (s / phi)^p.
 
-    At q = 2 (p = 2) phi = sum (wU)^2 / m is quadratic: its Hessian
+    U is held as its nonzeros (``_Rows``); a Hessian densifies only the
+    rows it reads.  At q = 2 (p = 2) phi = sum (wU)^2 / m is quadratic: its Hessian
     2 U diag(1/m) U^T is fixed, and ``hessian`` keeps the Gram entries it
     has computed; ``renew``, which changes the rows, keeps those that stay.
     """
 
-    def __init__(self, space: MetricMeasureSpace, U: np.ndarray, p: float):
+    def __init__(self, space: MetricMeasureSpace, U: _Rows, p: float):
         self.space, self.U, self.p = space, U, p
         self.q = p / (p - 1.0)
         self.mpos = space.measure[space.positive_mask]
@@ -205,21 +225,22 @@ class _PlanProblem:
         self._known, self._gram = np.zeros(0, np.intp), np.zeros((0, 0))
         self._pos = np.full(len(U), -1)
 
-    def renew(self, keep: np.ndarray, rows: np.ndarray) -> None:
+    def renew(self, keep: np.ndarray, rows: tuple[np.ndarray, ...]) -> None:
         """Keep the rows of U that the mask ``keep`` marks, then append ``rows``.
 
-        ``rows`` has a column per point, as ``_path_rows`` writes them.  U
-        is copied once, and the kept rows keep their known Gram entries,
-        both gathered by 1-D takes (the same values as ``np.ix_`` and
-        ``np.compress`` give, at a fraction of their cost).
+        ``rows`` are entries (row, point, mass) on positive-mass points, as
+        ``_path_rows`` writes them.  The kept rows' entries and their known
+        Gram entries are gathered by masks; no row is densified.
         """
-        idx, at = np.flatnonzero(keep), self._pos[keep]
+        (row, pts, vals), U, at = rows, self.U, self._pos[keep]
         self._known = np.flatnonzero(at >= 0)
-        self._gram = self._gram[at[self._known]][:, at[self._known]]  # before U grows
-        U = np.empty((len(idx) + len(rows), self.U.shape[1]))
-        np.take(self.U, idx, axis=0, out=U[: len(idx)], mode="clip")
-        np.compress(self.space.positive_mask, rows, axis=1, out=U[len(idx) :])
-        self.U, self._pos = U, np.full(len(U), -1)
+        self._gram = self._gram[at[self._known]][:, at[self._known]]
+        sel, col = np.repeat(keep, U.size), np.cumsum(self.space.positive_mask) - 1
+        self.U = _Rows(
+            np.concatenate([U.size[keep], np.bincount(row)]),
+            np.concatenate([U.col[sel], col[pts]]), np.concatenate([U.val[sel], vals]), U.n_cols,
+        )
+        self._pos = np.full(len(self.U), -1)
         self._pos[self._known] = np.arange(len(self._known))
 
     def evaluate(self, w: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
@@ -228,18 +249,19 @@ class _PlanProblem:
         return (phi, *self.bracket(phi, f), h)
 
     def potential(self, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """phi, the density f and the barycenter h at w, from one product with U.
+        """phi, the density f and the barycenter h at w, from one sum over U's nonzeros.
 
         Line searches call this at each trial point and ``bracket`` only
         at the point they accept, whose h the next ``hessian`` reads.
         """
-        h = (w @ self.U) / self.mpos
+        U = self.U
+        h = np.bincount(U.col, np.repeat(w, U.size) * U.val, minlength=U.n_cols) / self.mpos
         f = h ** (self.q - 1.0)
         return float(np.dot(self.mpos, h * f)), f, h
 
     def bracket(self, phi: float, f: np.ndarray) -> tuple[np.ndarray, float]:
-        """Constraint values G = U @ f and the bracket gap, given phi and f."""
-        G = self.U @ f
+        """Constraint values G = U @ f, one sum per row, and the bracket gap, given phi and f."""
+        G = np.add.reduceat(self.U.val * f[self.U.col], self.U.ptr[:-1])
         return G, self.width(phi, float(G.min()))
 
     def width(self, phi: float, s: float) -> float:
@@ -250,31 +272,34 @@ class _PlanProblem:
         """The bordered system [[H, 1], [1^T, 0]] of ``_kkt_solve``, fresh.
 
         H is the Hessian of phi restricted to the rows of the mask ``rows``,
-        at the plan whose barycenter h ``potential`` returned.  At q = 2 H
-        does not depend on the plan, and h is not read: each row's Gram
-        entries are computed once, when first asked for, against the rows
-        known by then, and H is gathered from them by two 1-D takes.
+        at the plan whose barycenter h ``potential`` returned, from those
+        rows densified.  At q = 2 H does not depend on the plan, and h is
+        not read: each row's Gram entries are computed once, when first
+        asked for, against the rows known by then, densified ``_BLOCK`` at a
+        time, and H is gathered from them by two 1-D takes.
         """
         q, n = self.q, int(np.count_nonzero(rows))
         kkt = np.empty((n + 1, n + 1))
         kkt[n], kkt[:n, n], kkt[n, n] = 1.0, 1.0, 0.0
         if q == 2.0:
-            new, k = np.flatnonzero(rows & (self._pos < 0)), len(self._known)
-            if new.size:
-                scale, Vn = np.sqrt(2.0 / self.mpos), self.U[new]
-                Vn *= scale  # scaled in place: one temporary of the new rows' size
-                gram = np.empty((k + new.size,) * 2)
+            new, k = rows & (self._pos < 0), len(self._known)
+            if new.any():
+                scale, Vn = np.sqrt(2.0 / self.mpos), self.U.toarray(new)
+                Vn *= scale
+                gram = np.empty((k + len(Vn),) * 2)
                 gram[:k, :k], gram[k:, k:] = self._gram, Vn @ Vn.T
                 Vn *= scale  # now U[new] * 2 / m, against the unscaled known rows
-                gram[k:, :k] = Vn @ self.U[self._known].T
+                for b in range(0, k, _BLOCK):  # the known rows at places b to b + _BLOCK
+                    block = (self._pos >= b) & (self._pos < b + _BLOCK)
+                    gram[k:, self._pos[block]] = Vn @ self.U.toarray(block).T
                 gram[:k, k:] = gram[k:, :k].T
-                self._pos[new] = np.arange(k, k + new.size)
-                self._known, self._gram = np.concatenate([self._known, new]), gram
+                self._pos[new] = np.arange(k, len(gram))
+                self._known, self._gram = np.concatenate([self._known, np.flatnonzero(new)]), gram
             at = self._pos[rows]
             kkt[:n, :n] = self._gram[at][:, at]
         else:
             coef = q * (q - 1.0) * np.maximum(h, 1e-12 * h.max()) ** (q - 2.0) / self.mpos
-            Ur = self.U[rows]  # a copy, scaled in place: one temporary of this size
+            Ur = self.U.toarray(rows)
             Ur *= np.sqrt(coef)
             np.matmul(Ur, Ur.T, out=kkt[:n, :n])
         return kkt
@@ -501,6 +526,9 @@ def solve_modulus_explicit(
     bracket [content^p, ||f||_p^p]: ``value`` is the upper end,
     ``dual_value`` the lower, and ``gap`` the relative width that the plan
     solve tested, at most gap_tol or SolverError is raised, plus 8 eps p.
+    That width, 1 - (s / phi)^p, multiplies the rounding of s / phi by p, so
+    gap_tol has a floor near eps p: at 1e-12 the solve raises on 2 and 42 of
+    300 random families at p = 8 and 12.
     """
     p = _check_p(p)
     _check_limits(gap_tol, cap=max_iter)
@@ -590,6 +618,7 @@ def _solve_modulus_primal(
 
     msk = space.positive_mask
     mpos = space.measure[msk]
+    U = U.toarray()
     on = U.any(axis=0)
     A, m = U[:, on], mpos[on]
     x = np.full(A.shape[1], 2.0 / A.sum(axis=1).min())
@@ -665,6 +694,7 @@ def brute_force_lattice(
         raise InvalidInstanceError(
             f"lattice oracle limited to at most 4 positive-mass points, got {n}"
         )
+    U = U.toarray()
     totals = U.sum(axis=1)
     feas_value = (1.0 / totals.min()) ** p * mpos.sum()
     fmax = (feas_value / mpos.min()) ** (1.0 / p)
@@ -845,7 +875,8 @@ def solve_modulus_paths(
     ``gap`` bracket the modulus of the whole family, and as
     (1 - gap_tol / 2)^2 >= 1 - gap_tol the relative width of that lowered
     bracket, tested as a plan solve tests its own, is at most gap_tol, or
-    SolverError is raised; ``gap`` is that width plus 8 eps p.
+    SolverError is raised; ``gap`` is that width plus 8 eps p, and gap_tol
+    has the rounding floor of ``solve_modulus_explicit``'s.
     Otherwise the plan problem's ``renew`` drops the working paths at weight
     exactly 0 and adds every violated path not yet present.  Dropping inactive
     constraints leaves the working problem's unique optimal f unchanged, and
@@ -882,7 +913,8 @@ def solve_modulus_paths(
 
     # Oracle paths have an edge and avoid zero-mass points: no row is dropped.
     working = [probe[0]]
-    prob = _PlanProblem(space, _path_rows(space, working)[:, space.positive_mask], p)
+    U = _constraint_matrix(space, [path_line_measure(space, probe[0])])[0]
+    prob = _PlanProblem(space, U, p)
     w, total_it, cut = np.ones(1), 0, 1.0 - gap_tol / (2 * p)  # cut: violated below
     for outer in range(1, max_outer + 1):
         at = prob.evaluate(w)

@@ -636,10 +636,10 @@ def test_uniform_grid_certifies_in_two_rounds(k, p):
 
 @pytest.mark.parametrize("n_null", [0, 1])
 def test_path_rows_match_the_constraint_matrix_builder(n_null):
-    # The path solver builds all rows of a round with one scatter; they
-    # must equal, bit for bit, the rows built from each path's line
-    # measure and the half-edge lengths summed per point in step order,
-    # and no oracle path is dropped.
+    # The path solver builds the nonzeros of all rows of a round in one
+    # pass; written out dense, they must equal, bit for bit, the rows built
+    # from each path's line measure and the half-edge lengths summed per
+    # point in step order, and no oracle path is dropped.
     from modcap.families import _path_rows
     from modcap.modulus import _cheapest_paths, _constraint_matrix
 
@@ -655,10 +655,13 @@ def test_path_rows_match_the_constraint_matrix_builder(n_null):
             if len(path) > 1 and cost < math.inf
         ]
         assert len(paths) > 30
-        rows = _path_rows(space, paths)
+        row, point, mass = _path_rows(space, paths)
+        rows = np.zeros((len(paths), space.n_points))
+        rows[row, point] = mass
         U, kept, dropped, has_zero = _constraint_matrix(
             space, [path_line_measure(space, path) for path in paths]
         )
+        U = U.toarray()
         assert (kept, dropped, has_zero) == (list(range(len(paths))), (), False)
         assert U.shape == (len(paths), space.n_points - n_null)
         assert not rows[:, null].any()
@@ -706,13 +709,15 @@ def test_fixed_hessian_at_p2_is_a_cached_gram(monkeypatch):
     # call returns a fresh bordered system [[H, 1], [1^T, 0]] whose H is an
     # exactly symmetric slice of a Gram matrix that grows with the rows
     # asked for; a path round's ``renew`` keeps the block of the rows that
-    # stay.
+    # stay.  The references are dense numpy builds of the same rows.
     from modcap.modulus import _constraint_matrix, _PlanProblem
 
     inst = generate_random_instance(2, n_points=60, n_measures=90, n_null_points=2)
     measures = inst.families["random"].measures
     U, kept, _, _ = _constraint_matrix(inst.space, measures)
     prob = _PlanProblem(inst.space, U, 2.0)
+    dense = np.array([measures[i].to_array(inst.space.n_points) for i in kept])
+    dense = dense[:, inst.space.positive_mask]
     scale = np.sqrt(2.0 / prob.mpos)
     rng = np.random.default_rng(0)
     k = len(kept)
@@ -722,7 +727,7 @@ def test_fixed_hessian_at_p2_is_a_cached_gram(monkeypatch):
     masks.append(masks[2] | (rng.random(k) < 0.6))  # grow again
     masks.append(np.ones(k, bool))
     for rows in masks:
-        V = U[rows] * scale
+        V = dense[rows] * scale
         ref = V @ V.T
         n = len(ref)
         kkt = [prob.hessian(rows, prob.potential(rng.dirichlet(np.ones(k)))[2]) for _ in range(2)]
@@ -750,7 +755,7 @@ def test_fixed_hessian_at_p2_is_a_cached_gram(monkeypatch):
 
     def recorded(self, keep, rows):
         renew(self, keep, rows)
-        carried.append((self.U, self._known, self._gram))
+        carried.append((self.U.toarray(), self._known, self._gram))
 
     monkeypatch.setattr(_PlanProblem, "__init__", counted)
     monkeypatch.setattr(_PlanProblem, "renew", recorded)
@@ -768,10 +773,11 @@ def test_fixed_hessian_at_p2_is_a_cached_gram(monkeypatch):
 
 
 def test_renew_and_hessians_match_their_plain_numpy_builds(monkeypatch):
-    # ``renew`` gathers U's kept rows and the kept Gram block by 1-D takes,
-    # and a p != 2 Hessian is built from the barycenter h that ``potential``
-    # returned at the plan: each is array_equal to its plain numpy build
-    # (np.compress and np.ix_; h and the Hessian recomputed from the plan w).
+    # ``renew`` keeps U's kept rows and the kept Gram block, and a p != 2
+    # Hessian is built from the barycenter h that ``potential`` returned at
+    # the plan: each is array_equal to its plain numpy build on the dense
+    # rows (np.compress and np.ix_; h recomputed from the plan w, and the
+    # Hessian from the dense rows of the face).
     from modcap.modulus import _constraint_matrix, _PlanProblem
     from modcap.space import grid_node
 
@@ -784,12 +790,17 @@ def test_renew_and_hessians_match_their_plain_numpy_builds(monkeypatch):
     renewed, plan_of, accepted, checked = [], {}, [], []
 
     def renew_recorded(self, keep, rows):
-        U, pos, gram = self.U, self._pos.copy(), self._gram
+        U, pos, gram = self.U.toarray(), self._pos.copy(), self._gram
         renew(self, keep, rows)
         at = pos[keep]
         assert np.array_equal(self._gram, gram[np.ix_(at[at >= 0], at[at >= 0])])
-        plain = np.compress(space.positive_mask, rows, axis=1)
-        assert np.array_equal(self.U, np.concatenate([np.compress(keep, U, axis=0), plain]))
+        row, point, mass = rows
+        plain = np.zeros((row.max() + 1, space.n_points))
+        plain[row, point] = mass
+        plain = np.compress(space.positive_mask, plain, axis=1)
+        assert np.array_equal(
+            self.U.toarray(), np.concatenate([np.compress(keep, U, axis=0), plain])
+        )
         renewed.append((keep.all(), (at >= 0).sum()))
 
     def potential_recorded(self, w):
@@ -807,9 +818,10 @@ def test_renew_and_hessians_match_their_plain_numpy_builds(monkeypatch):
         w, carried = plan_of[id(h)]
         assert carried is h and np.array_equal(w, accepted[-1])  # the current plan
         if self.q != 2.0:
-            q, hw = self.q, (w @ self.U) / self.mpos
+            q, hw = self.q, potential(self, w)[2]
+            assert np.array_equal(hw, h)
             coef = q * (q - 1.0) * np.maximum(hw, 1e-12 * hw.max()) ** (q - 2.0) / self.mpos
-            Ur = self.U[rows] * np.sqrt(coef)
+            Ur = self.U.toarray()[rows] * np.sqrt(coef)
             n = len(Ur)
             assert np.array_equal(kkt[:n, :n], Ur @ Ur.T)
             checked.append(n)
@@ -831,10 +843,152 @@ def test_renew_and_hessians_match_their_plain_numpy_builds(monkeypatch):
     assert len(checked) > 30 and max(checked) == len(U)
 
 
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53: nonnegative floats
+    summed in any order err by at most gamma_(N-1) times their sum."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
+
+
+def nonzero_families():
+    """(space, build) pairs: build(idx) is the plan rows of the members idx
+    of a family, their entries (row, point, mass) as ``renew`` takes them,
+    and the dense numpy build of the same rows.  One family is explicit,
+    with one-entry members and a member charging a zero-mass point
+    (dropped), on a space with zero-mass points; the other is a set of
+    paths on a grid with zero-mass points, which the paths avoid."""
+    from modcap.families import _path_rows
+    from modcap.modulus import _cheapest_paths, _constraint_matrix
+    from modcap.space import _entries, grid_node
+
+    inst = generate_random_instance(5, n_points=30, n_measures=40, n_null_points=3)
+    space = inst.space
+    null, pos = np.flatnonzero(space.measure == 0), np.flatnonzero(space.measure > 0)
+    measures = list(inst.families["random"].measures)
+    measures += [DiscreteMeasure(((int(x), 0.5 + i),)) for i, x in enumerate(pos[:4])]
+    measures.insert(7, DiscreteMeasure(((int(pos[0]), 1.0), (int(null[0]), 2.0))))
+
+    def explicit(idx):
+        family = [measures[i] for i in idx]
+        U, kept, dropped, _ = _constraint_matrix(space, family)
+        assert dropped == ((idx.index(7),) if 7 in idx else ())
+        dense = np.array([family[i].to_array(space.n_points) for i in kept])
+        return U, _entries(space, [family[i] for i in kept]), dense[:, space.positive_mask]
+
+    yield space, explicit
+
+    rng = np.random.default_rng(4)
+    weights = rng.uniform(0.1, 1.0, 100)
+    weights[[13, 57]] = 0.0
+    grid = build_grid_space(10, 10, weights)
+    f = np.where(weights == 0, np.inf, rng.uniform(0.0, 1.0, 100))
+    left = [grid_node(10, 0, y) for y in range(10)]
+    paths = [
+        path for cost, path in _cheapest_paths(grid, f, left, range(100))
+        if len(path) > 1 and cost < math.inf
+    ]
+
+    def path_rows(idx):
+        chosen = [paths[i] for i in idx]
+        measures = [path_line_measure(grid, pth) for pth in chosen]
+        dense = np.array([mu.to_array(100) for mu in measures])
+        U = _constraint_matrix(grid, measures)[0]
+        return U, _path_rows(grid, chosen), dense[:, grid.positive_mask]
+
+    yield grid, path_rows
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_nonzero_rows_match_dense_products(monkeypatch, p):
+    # The plan engine reads its rows only as nonzeros.  Against the dense
+    # numpy products of the same rows, each sum of N nonnegative terms runs
+    # in another order, so the two differ by at most 2 gamma_N of it; a
+    # power x^a carries a relative error of x by a factor |a|, plus its own
+    # rounding.  These bounds are tested on potential, bracket, the p = 2
+    # Gram (one known row per block here) and the p != 2 face Hessian,
+    # through rounds of ``renew``, whose rows must equal the dense ones.
+    import modcap.modulus as mod
+    from modcap.modulus import _PlanProblem
+
+    monkeypatch.setattr(mod, "_BLOCK", 1)
+    rng = np.random.default_rng([int(10 * p)])
+    for space, build in nonzero_families():
+        U, _, dense = build(list(range(12)))
+        prob = _PlanProblem(space, U, p)
+        q, m = prob.q, prob.mpos
+        for extra in ([12, 13, 14, 41, 42], [15, 16, 7, 43, 44, 19, 20], []):
+            assert np.array_equal(prob.U.toarray(), dense)
+            k, n = dense.shape
+            tol_h = 2 * gamma(k + 1)  # k products summed, then one division
+            tol_f = q * tol_h + gamma(2)
+            tol_phi = tol_h + tol_f + 2 * gamma(n + 1)
+            tol_G = tol_f + 2 * gamma(n + 1)
+            for _ in range(3):
+                w = rng.dirichlet(np.ones(k))
+                w[rng.random(k) < 0.3] = 0.0
+                phi, f, h = prob.potential(w)
+                hd = (w @ dense) / m
+                fd = hd ** (q - 1.0)
+                phid = float(m @ (hd * fd))
+                assert np.all(np.abs(h - hd) <= tol_h * hd)
+                assert np.all(np.abs(f - fd) <= tol_f * fd)
+                assert abs(phi - phid) <= tol_phi * phid
+                G, gap = prob.bracket(phi, f)
+                Gd = dense @ fd
+                assert np.all(np.abs(G - Gd) <= tol_G * Gd)
+                ratio = (float(Gd.min()) / phid) ** p
+                slack = ((1 + tol_G) / (1 - tol_phi)) ** p - 1
+                assert abs(gap - max(1.0 - ratio, 0.0)) <= slack * ratio + gamma(2)
+                rows = rng.random(k) < 0.7
+                rows[0] = True
+                kkt = prob.hessian(rows, h)
+                if p == 2.0:
+                    V = dense[rows] * np.sqrt(2.0 / m)
+                    tol_H = 2 * gamma(n + 4)  # the products, and the 2 / m scaling
+                else:
+                    coef = q * (q - 1.0) * np.maximum(h, 1e-12 * h.max()) ** (q - 2.0) / m
+                    V = dense[rows] * np.sqrt(coef)
+                    tol_H = 2 * gamma(n)
+                Hd, r = V @ V.T, len(V)
+                assert np.all(np.abs(kkt[:r, :r] - Hd) <= tol_H * Hd)
+                assert np.all(kkt[r, :r] == 1.0) and np.all(kkt[:r, r] == 1.0) and kkt[r, r] == 0
+            if extra:
+                keep = rng.random(k) < 0.6
+                _, new, new_dense = build(extra)
+                prob.renew(keep, new)
+                dense = np.concatenate([dense[keep], new_dense])
+
+
+def test_path_solve_peak_memory_stays_below_two_dense_copies():
+    # The plan engine holds its rows as nonzeros, renews them without a
+    # copy of U and densifies the known rows of the p = 2 Gram a block at a
+    # time.  A dense U of the final paths takes paths x points x 8 bytes; a
+    # renew that held two dense copies of U, and a Gram that gathered every
+    # known row, peaked above two such copies on this grid, the benchmark's
+    # 32 x 32 p = 2 path op (4.6 MB against 3.5 MB).
+    import tracemalloc
+
+    from modcap.space import grid_node
+
+    side = 32
+    rng = np.random.default_rng([7, side])
+    space = build_grid_space(side, side, rng.uniform(0.1, 1.0, side * side))
+    left = [grid_node(side, 0, y) for y in range(side)]
+    right = [grid_node(side, side - 1, y) for y in range(side)]
+    tracemalloc.start()
+    try:
+        sol = solve_modulus_paths(space, left, right, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(sol.paths) * space.n_points * 8
+
+
 def test_constraint_matrix_rows_match_dense_measures():
-    # Each kept row is the measure's dense array on the positive-mass
-    # points; a measure charging a zero-mass point is dropped, one with no
-    # pairs is the zero measure, and a point outside the space is named.
+    # Each kept row, written out dense, is the measure's dense array on the
+    # positive-mass points; a measure charging a zero-mass point is dropped,
+    # one with no pairs is the zero measure, and a point outside the space
+    # is named.
     from modcap.modulus import _constraint_matrix
 
     for seed in range(6):
@@ -848,6 +1002,7 @@ def test_constraint_matrix_rows_match_dense_measures():
             measures.insert(3, DiscreteMeasure(((0, 0.5), (int(null_points[0]), 1.0))))
         measures.insert(5, DiscreteMeasure(()))
         U, kept, dropped, has_zero = _constraint_matrix(space, measures)
+        U = U.toarray()
         assert has_zero
         assert dropped == ((3,) if null_points.size else ())
         assert kept == [i for i in range(len(measures)) if i not in (5, *dropped)]
@@ -858,7 +1013,7 @@ def test_constraint_matrix_rows_match_dense_measures():
 
     space = interval_space(4)
     assert _constraint_matrix(space, [])[1:] == ([], (), False)
-    assert _constraint_matrix(space, [])[0].shape == (0, 4)
+    assert _constraint_matrix(space, [])[0].toarray().shape == (0, 4)
     for bad in (4, 10**30):  # a negative id never becomes a measure
         family = [
             DiscreteMeasure(((0, 1.0),)), DiscreteMeasure(()),
